@@ -111,6 +111,9 @@ int main(int argc, char** argv) {
   while (!g_stop) {
     timespec nap{0, 100'000'000};  // 100ms; signals interrupt the sleep
     nanosleep(&nap, nullptr);
+    // Finished sessions leave a small record each; drop them so a
+    // long-running node's memory tracks its live sessions.
+    sessions.prune_finished();
   }
 
   std::cout << "\nshutting down...\n";

@@ -35,9 +35,13 @@ bool Span::has_attr(std::string_view key) const {
   return false;
 }
 
+NegotiationTrace::NegotiationTrace(std::uint64_t request_id)
+    : request_id_(request_id), birth_(std::chrono::steady_clock::now()) {
+  spans_.reserve(8);  // the common full pipeline
+}
+
 SpanId NegotiationTrace::begin_span(Stage stage, SpanId parent) {
-  if (spans_.capacity() == 0) spans_.reserve(8);  // the common full pipeline
-  Span span;
+  Span span{.attrs = std::pmr::vector<SpanAttr>(&attr_memory_)};
   span.stage = stage;
   span.parent = parent;
   span.start_ms = now_ms();
@@ -51,9 +55,11 @@ void NegotiationTrace::end_span(SpanId id) {
   if (!span.closed()) span.end_ms = now_ms();
 }
 
-void NegotiationTrace::annotate(SpanId id, std::string key, std::string value) {
+void NegotiationTrace::annotate(SpanId id, AttrKey key, std::string value) {
   if (id >= spans_.size()) return;
-  spans_[id].attrs.push_back({std::move(key), std::move(value)});
+  std::pmr::vector<SpanAttr>& attrs = spans_[id].attrs;
+  if (attrs.empty()) attrs.reserve(6);  // a commit attempt's full set
+  attrs.push_back({key.view(), std::move(value)});
 }
 
 namespace {
@@ -69,12 +75,12 @@ std::string format_double(double value) {
 
 }  // namespace
 
-void NegotiationTrace::annotate(SpanId id, std::string key, double value) {
-  annotate(id, std::move(key), format_double(value));
+void NegotiationTrace::annotate(SpanId id, AttrKey key, double value) {
+  annotate(id, key, format_double(value));
 }
 
-void NegotiationTrace::annotate(SpanId id, std::string key, std::uint64_t value) {
-  annotate(id, std::move(key), std::to_string(value));
+void NegotiationTrace::annotate(SpanId id, AttrKey key, std::uint64_t value) {
+  annotate(id, key, std::to_string(value));
 }
 
 std::size_t NegotiationTrace::count(Stage stage) const {

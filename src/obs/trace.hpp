@@ -11,12 +11,17 @@
 // operation a no-op, so the untraced path costs two pointer-sized copies
 // per call and nothing else. A trace is built by exactly one worker at a
 // time and is immutable once handed to a TraceSink, so the trace itself
-// needs no locking.
+// needs no locking. A trace allocates where it is created: its spans and
+// their attributes live in storage reserved up front, so the worker filling
+// it in makes no heap allocations of its own for a typical request, and the
+// traces a sink retains do not pin small blocks among the worker's
+// per-request allocations.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,8 +51,19 @@ std::string_view to_string(Stage stage);
 using SpanId = std::uint32_t;
 inline constexpr SpanId kNoSpan = 0xffffffffu;
 
+/// A span attribute key: a compile-time string (the consteval constructor
+/// rejects anything else), so spans store keys by view, without copying.
+class AttrKey {
+ public:
+  consteval AttrKey(const char* key) : key_(key) {}  // implicit: annotate(id, "key", ...)
+  std::string_view view() const { return key_; }
+
+ private:
+  std::string_view key_;
+};
+
 struct SpanAttr {
-  std::string key;
+  std::string_view key;
   std::string value;
 };
 
@@ -56,7 +72,7 @@ struct Span {
   SpanId parent = kNoSpan;
   double start_ms = 0.0;
   double end_ms = -1.0;  ///< -1 while the span is open
-  std::vector<SpanAttr> attrs;
+  std::pmr::vector<SpanAttr> attrs;  ///< from the owning trace's storage
 
   bool closed() const { return end_ms >= 0.0; }
   /// First value recorded under `key`, or an empty view.
@@ -69,8 +85,10 @@ struct Span {
 /// they are monotone within the trace by construction.
 class NegotiationTrace {
  public:
-  explicit NegotiationTrace(std::uint64_t request_id = 0)
-      : request_id_(request_id), birth_(std::chrono::steady_clock::now()) {}
+  explicit NegotiationTrace(std::uint64_t request_id = 0);
+  // Spans allocate their attributes from attr_memory_, which cannot move.
+  NegotiationTrace(const NegotiationTrace&) = delete;
+  NegotiationTrace& operator=(const NegotiationTrace&) = delete;
 
   std::uint64_t request_id() const { return request_id_; }
   void set_request_id(std::uint64_t id) { request_id_ = id; }
@@ -90,9 +108,9 @@ class NegotiationTrace {
 
   SpanId begin_span(Stage stage, SpanId parent = kNoSpan);
   void end_span(SpanId id);
-  void annotate(SpanId id, std::string key, std::string value);
-  void annotate(SpanId id, std::string key, double value);
-  void annotate(SpanId id, std::string key, std::uint64_t value);
+  void annotate(SpanId id, AttrKey key, std::string value);
+  void annotate(SpanId id, AttrKey key, double value);
+  void annotate(SpanId id, AttrKey key, std::uint64_t value);
 
   const std::vector<Span>& spans() const { return spans_; }
   /// Number of spans of one stage.
@@ -108,6 +126,10 @@ class NegotiationTrace {
   std::string verdict_;
   std::string shed_;
   std::chrono::steady_clock::time_point birth_;
+  // Room for the attributes of a full pipeline; a trace that outgrows it
+  // (many refused commit attempts) continues on the heap.
+  alignas(std::max_align_t) std::byte attr_buffer_[2048];
+  std::pmr::monotonic_buffer_resource attr_memory_{attr_buffer_, sizeof attr_buffer_};
   std::vector<Span> spans_;
 };
 
@@ -127,14 +149,14 @@ class TraceContext {
   /// Annotate the span this context is parented at (no-op when inactive or
   /// unparented). Lets a callee attach findings — e.g. the committer's
   /// refusal component — to its caller's span without a side channel.
-  void annotate(std::string key, std::string value) const {
-    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, std::move(key), std::move(value));
+  void annotate(AttrKey key, std::string value) const {
+    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, key, std::move(value));
   }
-  void annotate(std::string key, double value) const {
-    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, std::move(key), value);
+  void annotate(AttrKey key, double value) const {
+    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, key, value);
   }
-  void annotate(std::string key, std::uint64_t value) const {
-    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, std::move(key), value);
+  void annotate(AttrKey key, std::uint64_t value) const {
+    if (trace_ != nullptr && parent_ != kNoSpan) trace_->annotate(parent_, key, value);
   }
 
  private:
@@ -159,14 +181,14 @@ class ScopedSpan {
   SpanId id() const { return id_; }
   TraceContext context() const { return TraceContext(trace_, id_); }
 
-  void annotate(std::string key, std::string value) {
-    if (trace_ != nullptr) trace_->annotate(id_, std::move(key), std::move(value));
+  void annotate(AttrKey key, std::string value) {
+    if (trace_ != nullptr) trace_->annotate(id_, key, std::move(value));
   }
-  void annotate(std::string key, double value) {
-    if (trace_ != nullptr) trace_->annotate(id_, std::move(key), value);
+  void annotate(AttrKey key, double value) {
+    if (trace_ != nullptr) trace_->annotate(id_, key, value);
   }
-  void annotate(std::string key, std::uint64_t value) {
-    if (trace_ != nullptr) trace_->annotate(id_, std::move(key), value);
+  void annotate(AttrKey key, std::uint64_t value) {
+    if (trace_ != nullptr) trace_->annotate(id_, key, value);
   }
 
   void end() {

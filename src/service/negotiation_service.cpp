@@ -211,7 +211,7 @@ void NegotiationService::worker_loop(std::size_t index) {
 }
 
 NegotiationResult NegotiationService::process(Item& item, std::size_t worker_index) {
-  ScopedLogTag tag("w" + std::to_string(worker_index) + "/r" + std::to_string(item.request.id));
+  ScopedLogRequest log_request(item.request.id);
   const double queue_ms = clock_.elapsed_ms() - item.accepted_ms;
   if (item.trace) item.trace->end_span(item.queue_span);
   queue_wait_ms_->record(queue_ms);

@@ -24,15 +24,48 @@ void SessionManager::unindex_commitment_locked(Session& s) {
   for (FlowId flow : s.commitment.flow_ids()) flow_index_.erase(flow);
 }
 
-void SessionManager::finish_locked(Session& s, SessionState state, const std::string& reason) {
-  if (s.state == SessionState::kCompleted || s.state == SessionState::kAborted) {
-    return;  // already finished and released; a second finish must not re-count
+namespace {
+
+SessionView view_of(const Session& s) {
+  SessionView view;
+  view.id = s.id;
+  view.state = s.state;
+  view.session_class = s.session_class;
+  view.current_offer = s.current_offer;
+  view.offer_count = s.offers.known_count();
+  view.position_s = s.position_s;
+  view.duration_s = s.duration_s;
+  view.confirm_deadline_s = s.confirm_deadline_s;
+  view.stats = s.stats;
+  if (s.current_offer != SIZE_MAX) {
+    view.user_offer = derive_user_offer(s.committed());
   }
+  return view;
+}
+
+}  // namespace
+
+void SessionManager::finish_locked(std::unique_lock<std::mutex>& lk, SessionTable::iterator it,
+                                   SessionState state, std::string reason) {
+  // Only live sessions are in the table, so a finished session cannot be
+  // finished (and counted) twice.
+  Session& s = *it->second;
   unindex_commitment_locked(s);
   s.commitment.release();
-  s.state = state;
-  s.abort_reason = reason;
+  SessionView record = view_of(s);
+  record.state = state;
+  record.abort_reason = std::move(reason);
+  finished_.emplace(s.id, std::move(record));
   released_total_ += 1;
+  const auto dead = sessions_.extract(it);
+  // The session is unreachable now: free it without holding up the table.
+  lk.unlock();
+}
+
+std::string SessionManager::not_live_locked(SessionId id) const {
+  auto done = finished_.find(id);
+  if (done == finished_.end()) return "unknown session";
+  return "session is " + std::string(to_string(done->second.state));
 }
 
 Result<SessionId> SessionManager::open(const ClientMachine& client, const UserProfile& profile,
@@ -64,9 +97,9 @@ Result<SessionId> SessionManager::open(const ClientMachine& client, const UserPr
 }
 
 Result<bool> SessionManager::confirm(SessionId id, double now_s) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) return Err(std::string("unknown session"));
+  if (it == sessions_.end()) return Err(not_live_locked(id));
   Session& s = *it->second;
   if (s.state != SessionState::kPendingConfirmation) {
     return Err("session is " + std::string(to_string(s.state)));
@@ -74,41 +107,38 @@ Result<bool> SessionManager::confirm(SessionId id, double now_s) {
   if (now_s > s.confirm_deadline_s) {
     // choicePeriod expired: the session is simply aborted and a new
     // negotiation is required (paper Sec. 8, information window).
-    finish_locked(s, SessionState::kAborted, "choice period expired");
-    return Err(std::string("choice period expired; resources de-allocated"));
+    return finish_locked(
+        lk, it, SessionState::kAborted, "choice period expired",
+        Result<bool>(Err(std::string("choice period expired; resources de-allocated"))));
   }
   s.state = SessionState::kPlaying;
   return true;
 }
 
 bool SessionManager::reject(SessionId id) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
-  Session& s = *it->second;
-  if (s.state != SessionState::kPendingConfirmation) return false;
-  finish_locked(s, SessionState::kAborted, "offer rejected by the user");
-  return true;
+  if (it->second->state != SessionState::kPendingConfirmation) return false;
+  return finish_locked(lk, it, SessionState::kAborted, "offer rejected by the user", true);
 }
 
 void SessionManager::advance(SessionId id, double dt_s) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   Session& s = *it->second;
   if (s.state != SessionState::kPlaying) return;
   s.position_s = std::min(s.duration_s, s.position_s + dt_s);
-  if (s.position_s >= s.duration_s) {
-    finish_locked(s, SessionState::kCompleted, "");
-  }
+  if (s.position_s >= s.duration_s) return finish_locked(lk, it, SessionState::kCompleted, "");
 }
 
 AdaptationResult SessionManager::adapt(SessionId id, double /*now_s*/) {
   AdaptationResult result;
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    result.errors.push_back("unknown session");
+    result.errors.push_back(not_live_locked(id));
     return result;
   }
   Session& s = *it->second;
@@ -148,9 +178,9 @@ AdaptationResult SessionManager::adapt(SessionId id, double /*now_s*/) {
   if (!attempt.ok()) {
     s.stats.failed_adaptations += 1;
     result.errors = std::move(attempt.errors);
-    finish_locked(s, SessionState::kAborted, "no alternate configuration available");
     QOSNP_LOG_INFO("adapt", "session ", id, " aborted: no alternate configuration");
-    return result;
+    return finish_locked(lk, it, SessionState::kAborted, "no alternate configuration available",
+                         std::move(result));
   }
 
   s.current_offer = attempt.index;
@@ -175,14 +205,10 @@ RenegotiationResult SessionManager::renegotiate(SessionId id, const UserProfile&
   std::lock_guard lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    result.problems.push_back("unknown session");
+    result.problems.push_back(not_live_locked(id));
     return result;
   }
   Session& s = *it->second;
-  if (s.state != SessionState::kPlaying && s.state != SessionState::kPendingConfirmation) {
-    result.problems.push_back("session is " + std::string(to_string(s.state)));
-    return result;
-  }
 
   NegotiationRequest request = make_negotiation_request(s.client, s.offers.document, new_profile);
   request.session_class = s.session_class;
@@ -214,50 +240,29 @@ RenegotiationResult SessionManager::renegotiate(SessionId id, const UserProfile&
 }
 
 void SessionManager::complete(SessionId id) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
-  finish_locked(*it->second, SessionState::kCompleted, "");
+  return finish_locked(lk, it, SessionState::kCompleted, "");
 }
 
 void SessionManager::abort(SessionId id, const std::string& reason) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
-  finish_locked(*it->second, SessionState::kAborted, reason);
+  return finish_locked(lk, it, SessionState::kAborted, reason);
 }
 
 std::optional<SessionView> SessionManager::snapshot(SessionId id) const {
   std::lock_guard lk(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return std::nullopt;
-  const Session& s = *it->second;
-  SessionView view;
-  view.id = s.id;
-  view.state = s.state;
-  view.session_class = s.session_class;
-  view.current_offer = s.current_offer;
-  view.offer_count = s.offers.known_count();
-  view.position_s = s.position_s;
-  view.duration_s = s.duration_s;
-  view.confirm_deadline_s = s.confirm_deadline_s;
-  view.stats = s.stats;
-  view.abort_reason = s.abort_reason;
-  if (s.current_offer != SIZE_MAX) {
-    view.user_offer = derive_user_offer(s.committed());
-  }
-  return view;
+  if (auto it = sessions_.find(id); it != sessions_.end()) return view_of(*it->second);
+  if (auto done = finished_.find(id); done != finished_.end()) return done->second;
+  return std::nullopt;
 }
 
 std::size_t SessionManager::active_count() const {
   std::lock_guard lk(mu_);
-  std::size_t n = 0;
-  for (const auto& [_, s] : sessions_) {
-    if (s->state == SessionState::kPlaying || s->state == SessionState::kPendingConfirmation) {
-      ++n;
-    }
-  }
-  return n;
+  return sessions_.size();
 }
 
 std::size_t SessionManager::opened_total() const {
@@ -272,17 +277,9 @@ std::size_t SessionManager::released_total() const {
 
 std::size_t SessionManager::prune_finished() {
   std::lock_guard lk(mu_);
-  std::size_t erased = 0;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    const SessionState state = it->second->state;
-    if (state == SessionState::kCompleted || state == SessionState::kAborted) {
-      it = sessions_.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
-  }
-  return erased;
+  const std::size_t dropped = finished_.size();
+  finished_.clear();
+  return dropped;
 }
 
 std::vector<SessionId> SessionManager::playing_sessions() const {
@@ -310,10 +307,10 @@ std::vector<PlayingSession> SessionManager::playing_sessions_with_class() const 
 PreemptionVictimResult SessionManager::preempt_degrade(SessionId id, bool allow_release,
                                                        TraceContext trace) {
   PreemptionVictimResult result;
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    result.errors.push_back("unknown session");
+    result.errors.push_back(not_live_locked(id));
     return result;
   }
   Session& s = *it->second;
@@ -340,10 +337,10 @@ PreemptionVictimResult SessionManager::preempt_degrade(SessionId id, bool allow_
     s.stats.commit.merge(attempt.stats);
     if (!attempt.ok()) {
       result.errors = std::move(attempt.errors);
-      finish_locked(s, SessionState::kAborted, std::string(kPreemptedAbortReason));
       result.released = true;
       QOSNP_LOG_INFO("preempt", "session ", id, " released: no worse offer fits");
-      return result;
+      return finish_locked(lk, it, SessionState::kAborted, std::string(kPreemptedAbortReason),
+                           std::move(result));
     }
     s.commitment = std::move(attempt.commitment);
   } else {
@@ -420,9 +417,6 @@ std::vector<SessionId> SessionManager::sessions_on_server(const ServerId& server
   std::lock_guard lk(mu_);
   std::vector<SessionId> out;
   for (const auto& [id, s] : sessions_) {
-    if (s->state != SessionState::kPlaying && s->state != SessionState::kPendingConfirmation) {
-      continue;
-    }
     if (s->current_offer == SIZE_MAX) continue;
     for (const OfferComponent& c : s->committed().components) {
       if (c.variant->server == server) {

@@ -48,8 +48,9 @@ struct SessionStats {
   CommitStats commit;          ///< commitment effort over the session's life
 };
 
-/// One delivery session (internal representation; move-only because it owns
-/// the commitment).
+/// One live delivery session (internal representation; move-only because it
+/// owns the commitment). Only pending and playing sessions exist as Session:
+/// finishing one keeps its SessionView and frees the rest.
 struct Session {
   SessionId id = 0;
   ClientMachine client;
@@ -64,12 +65,12 @@ struct Session {
   double position_s = 0.0;  ///< current playout position
   double duration_s = 0.0;
   SessionStats stats;
-  std::string abort_reason;
 
   const SystemOffer& committed() const { return offers.offers[current_offer]; }
 };
 
-/// Copyable snapshot exposed to callers.
+/// Copyable snapshot exposed to callers; also the record a finished session
+/// leaves behind until prune_finished().
 struct SessionView {
   SessionId id = 0;
   SessionState state = SessionState::kAborted;
@@ -190,10 +191,12 @@ class SessionManager {
   /// of the population lifecycle suite.
   std::size_t opened_total() const;
   std::size_t released_total() const;
-  /// Drop finished (completed/aborted) sessions from the table, returning
-  /// how many were erased; live sessions are untouched and the lifetime
-  /// counters keep counting pruned sessions. Population-scale runs call this
-  /// periodically so memory tracks the *live* population, not the total one.
+  /// Drop the records finished (completed/aborted) sessions left behind,
+  /// returning how many were dropped; snapshot() of a pruned id is nullopt.
+  /// Live sessions are untouched and the lifetime counters keep counting
+  /// pruned sessions. A finished session's offers, stream and plan seed are
+  /// freed when it finishes; only its SessionView waits here, so long-running
+  /// hosts call this periodically to keep memory tracking the live sessions.
   std::size_t prune_finished();
   /// Ids of sessions currently playing (sorted).
   std::vector<SessionId> playing_sessions() const;
@@ -219,18 +222,37 @@ class SessionManager {
 
   /// Violation routing: which session holds a given transport flow.
   std::vector<SessionId> sessions_using_flow(FlowId flow) const;
-  /// Which playing sessions hold streams on a given (possibly failed) server.
+  /// Which live sessions hold streams on a given (possibly failed) server.
   std::vector<SessionId> sessions_on_server(const ServerId& server) const;
 
  private:
+  using SessionTable = std::unordered_map<SessionId, std::unique_ptr<Session>>;
+
   void index_commitment_locked(Session& s);
   void unindex_commitment_locked(Session& s);
-  void finish_locked(Session& s, SessionState state, const std::string& reason);
+  /// Step 6 de-allocation: releases the session's reservations, records its
+  /// final view in finished_ and erases it from sessions_, then unlocks `lk`
+  /// and frees the Session: its offer list, stream and plan seed pin, and
+  /// its client and profile copies. `it`, every reference into the Session
+  /// and the lock are gone afterwards, so callers write
+  /// `return finish_locked(lk, it, ..., result)`: the caller's result is the
+  /// return value, and nothing can run after the erase.
+  void finish_locked(std::unique_lock<std::mutex>& lk, SessionTable::iterator it,
+                     SessionState state, std::string reason);
+  template <typename R>
+  R finish_locked(std::unique_lock<std::mutex>& lk, SessionTable::iterator it,
+                  SessionState state, std::string reason, R result) {
+    finish_locked(lk, it, state, std::move(reason));
+    return result;
+  }
+  /// Error text for an id with no live session.
+  std::string not_live_locked(SessionId id) const;
 
   mutable std::mutex mu_;
   QoSManager* manager_;
   AdaptationPolicy policy_;
-  std::unordered_map<SessionId, std::unique_ptr<Session>> sessions_;
+  SessionTable sessions_;  ///< live sessions only (pending or playing)
+  std::unordered_map<SessionId, SessionView> finished_;  ///< until prune_finished()
   std::unordered_map<FlowId, SessionId> flow_index_;
   SessionId next_id_ = 1;
   std::size_t opened_total_ = 0;    ///< guarded by mu_

@@ -29,23 +29,29 @@ std::string& tls_tag() {
   return tag;
 }
 
+std::optional<std::uint64_t>& tls_request() {
+  thread_local std::optional<std::uint64_t> request;
+  return request;
+}
+
 }  // namespace
 
 void set_log_tag(std::string tag) { tls_tag() = std::move(tag); }
 
 const std::string& log_tag() { return tls_tag(); }
 
-ScopedLogTag::ScopedLogTag(std::string tag) : previous_(std::move(tls_tag())) {
-  tls_tag() = std::move(tag);
+ScopedLogRequest::ScopedLogRequest(std::uint64_t request_id) : previous_(tls_request()) {
+  tls_request() = request_id;
 }
 
-ScopedLogTag::~ScopedLogTag() { tls_tag() = std::move(previous_); }
+ScopedLogRequest::~ScopedLogRequest() { tls_request() = previous_; }
 
 void Logger::write(LogLevel level, const std::string& component, const std::string& message) {
   // Compose the whole line first so the locked section is one insertion:
   // concurrent workers can never interleave mid-line.
+  std::string tag = log_tag();
+  if (const auto& request = tls_request()) tag += "/r" + std::to_string(*request);
   std::string line;
-  const std::string& tag = log_tag();
   line.reserve(component.size() + message.size() + tag.size() + 16);
   line += '[';
   line += level_name(level);

@@ -2,12 +2,14 @@
 // examples surface to the user (the role the 1996 prototype's information
 // window played); benches run with logging off. Thread-safe: the level is
 // atomic, every line is composed off-lock and emitted in a single write, and
-// a thread-local tag (set by service workers to "w<worker>/r<request>")
-// keeps interleaved worker output attributable.
+// a thread-local tag and request id (service workers log as
+// "w<worker>/r<request>") keep interleaved worker output attributable.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -32,21 +34,24 @@ class Logger {
 };
 
 /// Thread-local tag stamped onto every line this thread logs (empty = no
-/// tag). Service workers use "w<worker>/r<request>".
+/// tag). Service workers use "w<worker>".
 void set_log_tag(std::string tag);
 const std::string& log_tag();
 
-/// RAII tag: sets the calling thread's tag, restores the previous one.
-class ScopedLogTag {
+/// RAII request scope: while alive, the calling thread's lines carry
+/// "/r<request>" after its tag; the previous request is restored on exit.
+/// It only stores the id, so a request whose lines are all filtered out
+/// costs no string formatting.
+class ScopedLogRequest {
  public:
-  explicit ScopedLogTag(std::string tag);
-  ~ScopedLogTag();
+  explicit ScopedLogRequest(std::uint64_t request_id);
+  ~ScopedLogRequest();
 
-  ScopedLogTag(const ScopedLogTag&) = delete;
-  ScopedLogTag& operator=(const ScopedLogTag&) = delete;
+  ScopedLogRequest(const ScopedLogRequest&) = delete;
+  ScopedLogRequest& operator=(const ScopedLogRequest&) = delete;
 
  private:
-  std::string previous_;
+  std::optional<std::uint64_t> previous_;
 };
 
 namespace detail {

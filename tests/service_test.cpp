@@ -11,11 +11,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <iostream>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "test_service.hpp"
+#include "util/log.hpp"
 
 namespace qosnp {
 namespace {
@@ -31,6 +34,29 @@ NegotiationRequest make_request(const ServiceSystem& sys, std::uint64_t id,
   req.document = "article";
   req.profile = profile;
   return req;
+}
+
+TEST(NegotiationService, LogLinesNameTheWorkerAndRequest) {
+  ServiceSystem sys;
+  ServiceConfig config;
+  config.workers = 1;
+  NegotiationService service(*sys.manager, *sys.sessions, config);
+  std::ostringstream captured;
+  std::streambuf* const saved = std::clog.rdbuf(captured.rdbuf());
+  const LogLevel saved_level = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::kDebug);
+  service.start();
+  const NegotiationResult resp =
+      service.submit(make_request(sys, 7, TestSystem::tolerant_profile())).get();
+  service.stop();
+  Logger::instance().set_level(saved_level);
+  std::clog.rdbuf(saved);
+
+  ASSERT_NE(resp.session_id, 0u);
+  sys.sessions->complete(resp.session_id);
+  // The committer logs the commit from inside the request's scope.
+  EXPECT_NE(captured.str().find("(w0/r7) commit: committed offer"), std::string::npos)
+      << captured.str();
 }
 
 TEST(NegotiationService, ConcurrentRequestsAllServedOnRichFarm) {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <thread>
+#include <vector>
+
 #include "test_system.hpp"
 
 namespace qosnp {
@@ -314,6 +319,231 @@ TEST_F(SessionFixture, ChargedCostTracksCommittedOffer) {
   ASSERT_TRUE(result.adapted);
   // The charge follows the new configuration (it may differ).
   EXPECT_FALSE(sessions.snapshot(id)->stats.charged.is_zero());
+}
+
+// ---------------------------------------------------------------------------
+// The finished-record contract: a finished session leaves the live table
+// (its offer list, stream and plan seed are freed) and only its SessionView
+// remains until prune_finished().
+
+// Compares the record a finished session left with the snapshot taken right
+// before the finishing call; `expected_stats` is that snapshot's stats with
+// whatever the finishing call itself legitimately added.
+void expect_record(const SessionView& before, const SessionView& after,
+                   const SessionStats& expected_stats, SessionState state,
+                   const std::string& reason, bool walked) {
+  EXPECT_EQ(after.id, before.id);
+  EXPECT_EQ(after.state, state);
+  EXPECT_EQ(after.abort_reason, reason);
+  EXPECT_EQ(after.session_class, before.session_class);
+  EXPECT_EQ(after.current_offer, before.current_offer);
+  EXPECT_DOUBLE_EQ(after.duration_s, before.duration_s);
+  EXPECT_DOUBLE_EQ(after.confirm_deadline_s, before.confirm_deadline_s);
+  // A failed walk may have materialised more of the lazy ladder first.
+  if (walked) {
+    EXPECT_GE(after.offer_count, before.offer_count);
+  } else {
+    EXPECT_EQ(after.offer_count, before.offer_count);
+  }
+  ASSERT_TRUE(before.user_offer.has_value());
+  ASSERT_TRUE(after.user_offer.has_value());
+  EXPECT_EQ(after.user_offer->describe(), before.user_offer->describe());
+  EXPECT_EQ(after.user_offer->cost, before.user_offer->cost);
+  EXPECT_EQ(after.stats.transitions, expected_stats.transitions);
+  EXPECT_EQ(after.stats.failed_adaptations, expected_stats.failed_adaptations);
+  EXPECT_EQ(after.stats.renegotiations, expected_stats.renegotiations);
+  EXPECT_EQ(after.stats.preempt_degrades, expected_stats.preempt_degrades);
+  EXPECT_EQ(after.stats.upgrades, expected_stats.upgrades);
+  EXPECT_DOUBLE_EQ(after.stats.interrupted_s, expected_stats.interrupted_s);
+  EXPECT_EQ(after.stats.charged, expected_stats.charged);
+  if (walked) {
+    EXPECT_GT(after.stats.commit.attempts, before.stats.commit.attempts);
+  } else {
+    EXPECT_EQ(after.stats.commit.attempts, expected_stats.commit.attempts);
+  }
+}
+
+struct Ending {
+  const char* name;
+  bool confirm;  ///< confirm before ending (playing), else end while pending
+  std::function<void(SessionManager&, TestSystem&, SessionId)> end;
+  SessionState state;
+  std::string reason;
+  double position_s;  ///< where the record should leave the playout
+  bool walked;        ///< the ending ran a (failed) Step-5 walk first
+  int failed_adaptations;
+};
+
+std::vector<Ending> all_endings() {
+  auto fail_servers = [](TestSystem& sys) {
+    sys.farm.find("server-a")->fail();
+    sys.farm.find("server-b")->fail();
+  };
+  return {
+      {"complete", true, [](SessionManager& m, TestSystem&, SessionId id) { m.complete(id); },
+       SessionState::kCompleted, "", 10.0, false, 0},
+      {"abort", true,
+       [](SessionManager& m, TestSystem&, SessionId id) { m.abort(id, "operator shutdown"); },
+       SessionState::kAborted, "operator shutdown", 10.0, false, 0},
+      {"reject", false,
+       [](SessionManager& m, TestSystem&, SessionId id) { EXPECT_TRUE(m.reject(id)); },
+       SessionState::kAborted, "offer rejected by the user", 0.0, false, 0},
+      {"confirm-after-choice-period", false,
+       [](SessionManager& m, TestSystem&, SessionId id) {
+         EXPECT_FALSE(m.confirm(id, 1'000.0).ok());
+       },
+       SessionState::kAborted, "choice period expired", 0.0, false, 0},
+      {"failed-adapt", true,
+       [fail_servers](SessionManager& m, TestSystem& sys, SessionId id) {
+         fail_servers(sys);
+         EXPECT_FALSE(m.adapt(id, 20.0).adapted);
+       },
+       SessionState::kAborted, "no alternate configuration available", 10.0, true, 1},
+      {"preempt-release", true,
+       [fail_servers](SessionManager& m, TestSystem& sys, SessionId id) {
+         fail_servers(sys);
+         EXPECT_TRUE(m.preempt_degrade(id, /*allow_release=*/true).released);
+       },
+       SessionState::kAborted, std::string(kPreemptedAbortReason), 10.0, true, 0},
+      {"advance-to-end", true,
+       [](SessionManager& m, TestSystem&, SessionId id) { m.advance(id, 1'000.0); },
+       SessionState::kCompleted, "", 120.0, false, 0},
+  };
+}
+
+TEST(SessionFinishedRecord, EveryEndingKeepsTheViewAndFreesTheSession) {
+  for (const Ending& ending : all_endings()) {
+    SCOPED_TRACE(ending.name);
+    TestSystem sys;
+    QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+    SessionManager sessions(manager);
+    const UserProfile profile = TestSystem::tolerant_profile();
+    NegotiationResult outcome =
+        manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+    ASSERT_TRUE(outcome.has_commitment());
+    ASSERT_NE(outcome.offers.stream, nullptr);
+    const std::weak_ptr<OfferStream> stream = outcome.offers.stream;
+    auto opened = sessions.open(sys.client, profile, std::move(outcome), 0.0);
+    ASSERT_TRUE(opened.ok());
+    const SessionId id = opened.value();
+    if (ending.confirm) {
+      ASSERT_TRUE(sessions.confirm(id, 1.0).ok());
+      sessions.advance(id, 10.0);
+    }
+    EXPECT_FALSE(stream.expired());  // the live session holds its stream
+
+    const SessionView before = sessions.snapshot(id).value();
+    ending.end(sessions, sys, id);
+    const auto after = sessions.snapshot(id);
+    ASSERT_TRUE(after.has_value());
+    SessionStats expected = before.stats;
+    expected.failed_adaptations += ending.failed_adaptations;
+    expect_record(before, *after, expected, ending.state, ending.reason, ending.walked);
+    EXPECT_DOUBLE_EQ(after->position_s, ending.position_s);
+
+    // The Session itself is gone: its offer stream (and the plan seed it
+    // pins) is freed, and nothing stays reserved.
+    EXPECT_TRUE(stream.expired());
+    EXPECT_EQ(sessions.active_count(), 0u);
+    EXPECT_EQ(sys.transport->active_flows(), 0u);
+
+    // Finishing again is a no-op.
+    EXPECT_EQ(sessions.released_total(), 1u);
+    sessions.complete(id);
+    sessions.abort(id, "again");
+    EXPECT_EQ(sessions.released_total(), 1u);
+    EXPECT_EQ(sessions.snapshot(id)->state, ending.state);
+    EXPECT_EQ(sessions.snapshot(id)->abort_reason, ending.reason);
+
+    EXPECT_EQ(sessions.prune_finished(), 1u);
+    EXPECT_FALSE(sessions.snapshot(id).has_value());
+    EXPECT_EQ(sessions.prune_finished(), 0u);
+    EXPECT_EQ(sessions.opened_total(), 1u);
+    EXPECT_EQ(sessions.released_total(), 1u);
+  }
+}
+
+TEST_F(SessionFixture, PruneDropsOnlyFinishedRecords) {
+  const SessionId done_a = negotiate_and_open();
+  const SessionId done_b = negotiate_and_open();
+  const SessionId live = negotiate_and_open();
+  sessions.complete(done_a);
+  sessions.abort(done_b, "gone");
+  EXPECT_EQ(sessions.prune_finished(), 2u);
+  EXPECT_FALSE(sessions.snapshot(done_a).has_value());
+  EXPECT_FALSE(sessions.snapshot(done_b).has_value());
+  ASSERT_TRUE(sessions.snapshot(live).has_value());
+  EXPECT_EQ(sessions.snapshot(live)->state, SessionState::kPendingConfirmation);
+  EXPECT_EQ(sessions.active_count(), 1u);
+  // A finished id reports its end state until pruned, then is unknown.
+  auto again = sessions.confirm(done_a, 1.0);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error(), "unknown session");
+  sessions.reject(live);
+  auto late = sessions.confirm(live, 1.0);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error(), "session is aborted");
+}
+
+// Run under the tsan preset (session_test carries the concurrency label):
+// racing completes of the same ids, snapshots and prunes must release every
+// session exactly once and leave nothing reserved.
+TEST_F(SessionFixture, ConcurrentCompleteSnapshotAndPrune) {
+  // The test farm holds only a handful of sessions at once, so race them in
+  // rounds: open what fits, then finish and prune them concurrently.
+  constexpr int kRounds = 50;
+  std::size_t opened_sessions = 0;
+  std::size_t pruned_total = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<SessionId> ids;
+    for (;;) {
+      const UserProfile profile = TestSystem::tolerant_profile();
+      NegotiationResult outcome =
+          manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+      if (!outcome.has_commitment()) break;
+      auto opened = sessions.open(sys.client, profile, std::move(outcome), 0.0);
+      ASSERT_TRUE(opened.ok());
+      sessions.confirm(opened.value(), 1.0);
+      ids.push_back(opened.value());
+    }
+    ASSERT_GE(ids.size(), 2u);
+    opened_sessions += ids.size();
+
+    std::atomic<bool> completing{true};
+    std::atomic<std::size_t> pruned{0};
+    auto completer = [&] {
+      for (SessionId id : ids) sessions.complete(id);
+    };
+    std::thread a(completer);
+    std::thread b(completer);
+    std::thread snapshotter([&] {
+      while (completing.load()) {
+        for (SessionId id : ids) {
+          const auto view = sessions.snapshot(id);
+          if (view) {
+            EXPECT_NE(view->state, SessionState::kAborted);
+          }
+        }
+      }
+    });
+    std::thread pruner([&] {
+      while (completing.load()) pruned.fetch_add(sessions.prune_finished());
+    });
+    a.join();
+    b.join();
+    completing.store(false);
+    snapshotter.join();
+    pruner.join();
+    pruned_total += pruned.load() + sessions.prune_finished();
+    for (SessionId id : ids) EXPECT_FALSE(sessions.snapshot(id).has_value());
+  }
+
+  EXPECT_EQ(sessions.opened_total(), opened_sessions);
+  EXPECT_EQ(sessions.released_total(), opened_sessions);
+  EXPECT_EQ(pruned_total, opened_sessions);
+  EXPECT_EQ(sessions.active_count(), 0u);
+  EXPECT_EQ(total_reserved(), 0);
+  EXPECT_EQ(sys.transport->active_flows(), 0u);
 }
 
 }  // namespace
