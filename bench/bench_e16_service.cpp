@@ -23,10 +23,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ctime>
 #include <thread>
 
-#include <sched.h>
 
 #include "bench_util.hpp"
 #include "fault/fault_injector.hpp"
@@ -126,19 +124,6 @@ void run_closed_loop(NegotiationService& service, ServiceSystem& sys, const Docu
   for (auto& t : threads) t.join();
 }
 
-double process_cpu_us() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
-}
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-}
-
 // A wide variant ladder (36 video x 4 audio x 4 text = 576 combinations):
 // the overhead run negotiates a request whose enumeration/classification is
 // real work, so the measured latency is CPU, not scheduler noise, and the
@@ -221,29 +206,6 @@ struct TracingOverhead {
   double diff_us = 0.0;      ///< median paired (traced - untraced) difference
 
   double overhead() const { return cpu_us_off > 0.0 ? diff_us / cpu_us_off : 0.0; }
-};
-
-// Confines the calling thread, and every thread it starts while alive, to
-// the CPU it is running on; restores the previous affinity on destruction.
-class PinnedToOneCpu {
- public:
-  PinnedToOneCpu() {
-    const int cpu = sched_getcpu();
-    if (cpu < 0 || sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
-    cpu_set_t here;
-    CPU_ZERO(&here);
-    CPU_SET(cpu, &here);
-    pinned_ = sched_setaffinity(0, sizeof here, &here) == 0;
-  }
-  ~PinnedToOneCpu() {
-    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
-  }
-  PinnedToOneCpu(const PinnedToOneCpu&) = delete;
-  PinnedToOneCpu& operator=(const PinnedToOneCpu&) = delete;
-
- private:
-  cpu_set_t saved_{};
-  bool pinned_ = false;
 };
 
 TracingOverhead measure_tracing_overhead() {

@@ -1,33 +1,31 @@
 // E17 — Cross-request negotiation plan cache (extension; the paper's
 // prototype rebuilt Steps 1-4 for every request). A hot-document closed
 // loop negotiates the same wide-ladder document back to back against twin
-// stacks — one QoSManager with a NegotiationPlanCache, one without —
-// alternating sides request by request so frequency scaling and allocator
-// drift land on both sample pools alike. Every request runs with a live
-// per-request trace (tracing enabled), and the traces are audited for the
-// plan-cache span.
+// stacks — one QoSManager with a NegotiationPlanCache, one without — in
+// interleaved batches, timing every request in CPU time (the paired
+// estimator of bench_util.hpp). Every request runs with a live per-request
+// trace (tracing enabled), and the traces are audited for the plan-cache
+// span.
 //
 // Self-checks (non-zero exit on failure):
 //   1. Eager strategy (the one that materialises and classifies the full
-//      offer product per request, i.e. where Steps 1-4 dominate): cached
-//      p50 negotiate() latency is >= 5x faster than uncached on the hot
-//      document. The default best-first strategy is reported alongside:
-//      its Steps 1-4 are already lazy, so the cache saves less there.
+//      offer product per request, i.e. where Steps 1-4 dominate): an
+//      uncached request costs >= 5x the CPU time of a cached one on the hot
+//      document (cached median plus the median paired difference, over the
+//      cached median). The default best-first strategy is reported
+//      alongside: its Steps 1-4 are already lazy, so the cache saves less.
 //   2. The cache's conservation law after every run: lookups == hits +
 //      misses, with hits > 0 (the loop actually replayed plans).
 //   3. Every trace on the cached side carries a plan-cache span, and all
 //      but the first say hit=true.
 //   4. Both stacks drain clean once results are dropped: every server and
 //      link reservation released.
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/plan_cache.hpp"
 #include "test_service.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -96,14 +94,6 @@ MultimediaDocument hot_article() {
   return doc;
 }
 
-double exact_p50(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t index =
-      static_cast<std::size_t>(std::ceil(0.5 * static_cast<double>(samples.size()))) - 1;
-  return samples[std::min(index, samples.size() - 1)];
-}
-
 struct SpanAudit {
   std::size_t traces = 0;
   std::size_t with_cache_span = 0;
@@ -111,13 +101,16 @@ struct SpanAudit {
 };
 
 struct CacheComparison {
-  double p50_cached_us = 0.0;
-  double p50_plain_us = 0.0;
+  double cpu_us_cached = 0.0;  ///< median cached CPU time per request
+  double cpu_us_plain = 0.0;   ///< median uncached CPU time per request
+  double diff_us = 0.0;        ///< median paired (uncached - cached) difference
   PlanCacheStats stats;
   SpanAudit audit;
   bool drained = false;
 
-  double speedup() const { return p50_cached_us > 0.0 ? p50_plain_us / p50_cached_us : 0.0; }
+  /// Uncached over cached CPU time per request, read off the paired
+  /// differences: (cached + diff) / cached.
+  double speedup() const { return cpu_us_cached > 0.0 ? 1.0 + diff_us / cpu_us_cached : 0.0; }
   bool conserved() const { return stats.lookups == stats.hits + stats.misses && stats.hits > 0; }
 };
 
@@ -125,8 +118,10 @@ struct CacheComparison {
 // side never shapes the other); the closed loop times negotiate() itself,
 // one outstanding request at a time, with a live trace per request. Each
 // result is dropped before the next request, so Step 5 always commits
-// against a drained farm on both sides.
+// against a drained farm on both sides. All the work runs on the calling
+// thread, pinned to one CPU for the whole measurement.
 CacheComparison measure(EnumerationStrategy strategy) {
+  const PinnedToOneCpu pin;
   NegotiationConfig cached_cfg;
   cached_cfg.enumeration.strategy = strategy;
   cached_cfg.parallel_threshold = 0;  // keep the work single-threaded on both sides
@@ -148,9 +143,9 @@ CacheComparison measure(EnumerationStrategy strategy) {
     NegotiationTrace trace(id);
     const NegotiationRequest req =
         make_negotiation_request(sys.clients[0], "hot", profile, TraceContext(&trace));
-    Stopwatch sw;
+    const double start = process_cpu_us();
     const NegotiationResult r = manager.negotiate(req);
-    const double us = sw.elapsed_us();
+    const double us = process_cpu_us() - start;
     if (audit) {
       ++audit->traces;
       if (const Span* span = trace.find(Stage::kPlanCache)) {
@@ -161,22 +156,44 @@ CacheComparison measure(EnumerationStrategy strategy) {
     return us;
   };
 
-  const std::size_t kPairs = 2'000;
+  std::uint64_t next_id = 1;
+  auto batch_cpu_us = [&](bool cached, std::size_t requests, SpanAudit* audit) {
+    ServiceSystem& sys = cached ? cached_sys : plain_sys;
+    std::vector<double> per_request;
+    per_request.reserve(requests);
+    for (std::size_t i = 0; i < requests; ++i) {
+      per_request.push_back(one(*sys.manager, sys, next_id++, audit));
+    }
+    return median(std::move(per_request));
+  };
+
+  const std::size_t kPairs = 100;
+  const std::size_t kBatch = 20;
+  (void)batch_cpu_us(true, 200, nullptr);  // warm caches (plan + CPU) and allocator
+  (void)batch_cpu_us(false, 200, nullptr);
   std::vector<double> on;
   std::vector<double> off;
-  on.reserve(kPairs);
-  off.reserve(kPairs);
-  for (std::size_t i = 0; i < 200; ++i) {  // warm caches (plan + CPU) and allocator
-    (void)one(*cached_sys.manager, cached_sys, 2 * i + 1, nullptr);
-    (void)one(*plain_sys.manager, plain_sys, 2 * i + 2, nullptr);
-  }
+  std::vector<double> diff;
   for (std::size_t i = 0; i < kPairs; ++i) {
-    on.push_back(one(*cached_sys.manager, cached_sys, 2 * i + 1, &result.audit));
-    off.push_back(one(*plain_sys.manager, plain_sys, 2 * i + 2, nullptr));
+    // Alternate which half of the pair runs first, so neither arm always
+    // inherits the other's cache state.
+    double on_us = 0.0;
+    double off_us = 0.0;
+    if (i % 2 == 0) {
+      on_us = batch_cpu_us(true, kBatch, &result.audit);
+      off_us = batch_cpu_us(false, kBatch, nullptr);
+    } else {
+      off_us = batch_cpu_us(false, kBatch, nullptr);
+      on_us = batch_cpu_us(true, kBatch, &result.audit);
+    }
+    on.push_back(on_us);
+    off.push_back(off_us);
+    diff.push_back(off_us - on_us);
   }
 
-  result.p50_cached_us = exact_p50(std::move(on));
-  result.p50_plain_us = exact_p50(std::move(off));
+  result.cpu_us_cached = median(std::move(on));
+  result.cpu_us_plain = median(std::move(off));
+  result.diff_us = median(std::move(diff));
   result.stats = cache->stats();
   result.drained = cached_sys.drained() && plain_sys.drained();
   return result;
@@ -186,29 +203,30 @@ CacheComparison measure(EnumerationStrategy strategy) {
 
 int main() {
   print_title("E17: Cross-request plan cache (hot-document closed loop, tracing on)");
-  std::cout << "(2000 measured pairs, 2304-combination hot document; cached and uncached\n"
-               " negotiate() calls alternate from one closed-loop client, trace per request)\n";
+  std::cout << "(100 interleaved pairs of 20-request batches per side, 2304-combination hot\n"
+               " document; one client pinned to one CPU, trace per request, CPU time)\n";
 
-  print_section("Hot-document p50 negotiate() latency, cached vs uncached");
+  print_section("Hot-document negotiate() CPU time, cached vs uncached");
   const CacheComparison best_first = measure(EnumerationStrategy::kBestFirst);
   const CacheComparison eager = measure(EnumerationStrategy::kEager);
-  Table table({"strategy", "p50 off us", "p50 cached us", "speedup", "hits", "misses", "stale",
-               "drain"});
+  Table table({"strategy", "cpu off us", "cpu cached us", "paired diff us", "speedup", "hits",
+               "misses", "stale", "drain"});
   table
-      .row({"best-first", fmt(best_first.p50_plain_us, 2), fmt(best_first.p50_cached_us, 2),
-            fmt(best_first.speedup(), 1) + "x", std::to_string(best_first.stats.hits),
-            std::to_string(best_first.stats.misses), std::to_string(best_first.stats.stale),
-            check(best_first.drained)})
-      .row({"eager", fmt(eager.p50_plain_us, 2), fmt(eager.p50_cached_us, 2),
-            fmt(eager.speedup(), 1) + "x", std::to_string(eager.stats.hits),
+      .row({"best-first", fmt(best_first.cpu_us_plain, 2), fmt(best_first.cpu_us_cached, 2),
+            fmt(best_first.diff_us, 2), fmt(best_first.speedup(), 1) + "x",
+            std::to_string(best_first.stats.hits), std::to_string(best_first.stats.misses),
+            std::to_string(best_first.stats.stale), check(best_first.drained)})
+      .row({"eager", fmt(eager.cpu_us_plain, 2), fmt(eager.cpu_us_cached, 2),
+            fmt(eager.diff_us, 2), fmt(eager.speedup(), 1) + "x", std::to_string(eager.stats.hits),
             std::to_string(eager.stats.misses), std::to_string(eager.stats.stale),
             check(eager.drained)})
       .print();
 
   const bool fast = eager.speedup() >= 5.0;
-  std::cout << "\nClaim: replaying cached Steps 1-4 makes the hot-document p50 >= 5x faster\n"
-               "than rebuilding them per request under the eager strategy, where the full\n"
-               "offer product is enumerated and classified per request. (Best-first is\n"
+  std::cout << "\nClaim: replaying cached Steps 1-4 makes a hot-document request >= 5x cheaper\n"
+               "in CPU time (cached median + median paired difference, over the cached\n"
+               "median) than rebuilding them per request under the eager strategy, where the\n"
+               "full offer product is enumerated and classified per request. (Best-first is\n"
                "already lazy about Steps 3-4, so its rebuild is cheap and the cache saves\n"
                "proportionally less.) Measured: " << fmt(eager.speedup(), 1) << "x, best-first "
             << fmt(best_first.speedup(), 1) << "x   [" << check(fast) << "]\n";

@@ -47,7 +47,7 @@ Result<Commitment, Refusal> ResourceCommitter::commit_once(const ClientMachine& 
       // RAII: commitment's handles release everything reserved so far.
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());
-      return Err(stream.error());
+      return Err(std::move(stream.error()));
     }
     commitment.streams_.emplace_back(server, stream.value());
 
@@ -55,7 +55,7 @@ Result<Commitment, Refusal> ResourceCommitter::commit_once(const ClientMachine& 
     if (!flow.ok()) {
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());
-      return Err(flow.error());
+      return Err(std::move(flow.error()));
     }
     commitment.flows_.emplace_back(transport_, flow.value());
   }
@@ -84,8 +84,11 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
                       " after ", stats.attempts, " attempt(s)");
       return commitment;
     }
-    last = result.error();
-    trace.annotate("refusal", last.describe() + (last.transient ? " [transient]" : " [permanent]"));
+    last = std::move(result.error());
+    if (trace.active()) {
+      trace.annotate("refusal",
+                     last.describe() + (last.transient ? " [transient]" : " [permanent]"));
+    }
     if (last.transient) {
       ++stats.transient_failures;
     } else {
@@ -110,10 +113,12 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
   stats_.merge(stats);
   // Attribution for the trace: who refused last, and how hard we tried —
   // the figures a FAILEDTRYLATER/FAILEDWITHOFFER post-mortem needs.
-  trace.annotate("result", "refused");
-  trace.annotate("component", last.component);
-  trace.annotate("attempts", static_cast<std::uint64_t>(stats.attempts));
-  trace.annotate("backoff_ms", stats.backoff_ms);
+  if (trace.active()) {
+    trace.annotate("result", "refused");
+    trace.annotate("component", last.component);
+    trace.annotate("attempts", static_cast<std::uint64_t>(stats.attempts));
+    trace.annotate("backoff_ms", stats.backoff_ms);
+  }
   Result<Commitment, Refusal> failed = Err(std::move(last));
   // Callers read the effort off the committer-level stats() accumulator.
   return failed;

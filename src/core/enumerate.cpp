@@ -169,6 +169,8 @@ class OfferStreamSeed {
   struct VariantMemo {
     const Variant* variant = nullptr;
     StreamRequirements requirements;
+    Money network;            ///< CostModel::stream_network_cost(requirements)
+    Money server;             ///< CostModel::stream_server_cost(requirements)
     Money charge;             ///< network + server charge of this stream alone
     double importance = 0.0;  ///< qos_importance(variant->qos)
     bool add_bonus = false;   ///< preferred-server bonus applies
@@ -239,8 +241,9 @@ void OfferStreamSeed::build_memo() {
       VariantMemo m;
       m.variant = v;
       m.requirements = map_variant(*v, feasible.monomedia[i]->duration_s, profile.time);
-      m.charge = cost_model.stream_network_cost(m.requirements) +
-                 cost_model.stream_server_cost(m.requirements);
+      m.network = cost_model.stream_network_cost(m.requirements);
+      m.server = cost_model.stream_server_cost(m.requirements);
+      m.charge = m.network + m.server;
       m.importance = importance.qos_importance(v->qos);
       m.add_bonus = importance.server_bonus != 0.0 && importance.prefers_server(v->server);
       grade(*v, m);
@@ -314,12 +317,13 @@ struct OfferStream::Impl {
   std::size_t emitted = 0;
   std::size_t generated = 0;
 
-  /// One frontier state of a product cursor: the per-position ranks into the
-  /// cursor's lists plus the offer's *exact* final key, computed with the
-  /// same operation sequence as compute_oif / document_cost so it is
-  /// bit-identical to what the eager oracle sorts by.
+  /// One frontier state of a product cursor: where its per-position ranks
+  /// into the cursor's lists start in the cursor's rank pool, plus the
+  /// offer's *exact* final key, computed with the same operation sequence as
+  /// compute_oif / document_cost so it is bit-identical to what the eager
+  /// oracle sorts by.
   struct Node {
-    std::vector<std::uint32_t> ranks;
+    std::size_t ranks = 0;  ///< offset into Cursor::rank_pool (n entries)
     double oif = 0.0;
     Money cost;
   };
@@ -329,6 +333,10 @@ struct OfferStream::Impl {
   /// Best-first walk over the cartesian product of one list per position.
   struct Cursor {
     std::vector<const std::vector<std::uint32_t>*> lists;  ///< per position
+    /// The ranks of every state this cursor generated, n per state, appended
+    /// and never reused: a state costs no allocation of its own, and the
+    /// pool is freed together with the stream.
+    std::vector<std::uint32_t> rank_pool;
     Filter filter = Filter::kNone;
     std::vector<Node> heap;  ///< binary max-heap, best state on top
     std::optional<Node> staged;
@@ -424,7 +432,7 @@ struct OfferStream::Impl {
   }
 
   const VariantMemo& memo_at(const Cursor& c, const Node& node, std::size_t i) const {
-    return seed->memo[i][(*c.lists[i])[node.ranks[i]]];
+    return seed->memo[i][(*c.lists[i])[c.rank_pool[node.ranks + i]]];
   }
 
   /// Score a frontier state with the offer's exact final key: the OIF is
@@ -432,13 +440,14 @@ struct OfferStream::Impl {
   /// plus bonuses in position order, minus the cost importance of the total)
   /// and the Money total is exact integer arithmetic, so both match the
   /// materialised offer bit for bit.
-  Node make_node(const Cursor& c, std::vector<std::uint32_t> ranks) {
+  /// `ranks` is the state's offset in c.rank_pool.
+  Node make_node(const Cursor& c, std::size_t ranks) {
     Node node;
-    node.ranks = std::move(ranks);
+    node.ranks = ranks;
     double qos_sum = 0.0;
     Money cost = seed->feasible.document->copyright_cost;
     for (std::size_t i = 0; i < seed->n; ++i) {
-      const VariantMemo& m = seed->memo[i][(*c.lists[i])[node.ranks[i]]];
+      const VariantMemo& m = memo_at(c, node, i);
       qos_sum += m.importance;
       if (m.add_bonus) qos_sum += seed->importance.server_bonus;
       cost += m.charge;
@@ -464,7 +473,7 @@ struct OfferStream::Impl {
   }
 
   void heap_push(Cursor& c, Node node) {
-    c.heap.push_back(std::move(node));
+    c.heap.push_back(node);
     std::push_heap(c.heap.begin(), c.heap.end(), [this, &c](const Node& a, const Node& b) {
       return node_better(c, b, c, a);  // max-heap: top is the best state
     });
@@ -474,7 +483,7 @@ struct OfferStream::Impl {
     std::pop_heap(c.heap.begin(), c.heap.end(), [this, &c](const Node& a, const Node& b) {
       return node_better(c, b, c, a);
     });
-    Node node = std::move(c.heap.back());
+    const Node node = c.heap.back();
     c.heap.pop_back();
     return node;
   }
@@ -484,18 +493,23 @@ struct OfferStream::Impl {
   /// incrementing only ranks at or after the last nonzero one generates
   /// every state exactly once — no visited-set needed.
   void expand(Cursor& c, const Node& node) {
+    const std::size_t n = seed->n;
     std::size_t tail = 0;
-    for (std::size_t i = seed->n; i-- > 0;) {
-      if (node.ranks[i] > 0) {
+    for (std::size_t i = n; i-- > 0;) {
+      if (c.rank_pool[node.ranks + i] > 0) {
         tail = i;
         break;
       }
     }
-    for (std::size_t j = tail; j < seed->n; ++j) {
-      if (node.ranks[j] + 1 < c.lists[j]->size()) {
-        std::vector<std::uint32_t> next = node.ranks;
-        ++next[j];
-        heap_push(c, make_node(c, std::move(next)));
+    for (std::size_t j = tail; j < n; ++j) {
+      if (c.rank_pool[node.ranks + j] + 1 < c.lists[j]->size()) {
+        // Copy by index: growing the pool may move the parent's ranks.
+        const std::size_t next = c.rank_pool.size();
+        c.rank_pool.resize(next + n);
+        std::copy_n(c.rank_pool.begin() + static_cast<std::ptrdiff_t>(node.ranks), n,
+                    c.rank_pool.begin() + static_cast<std::ptrdiff_t>(next));
+        ++c.rank_pool[next + j];
+        heap_push(c, make_node(c, next));
       }
     }
   }
@@ -516,12 +530,15 @@ struct OfferStream::Impl {
       c.seeded = true;
       bool empty = false;
       for (const auto* list : c.lists) empty = empty || list->empty();
-      if (!empty) heap_push(c, make_node(c, std::vector<std::uint32_t>(seed->n, 0)));
+      if (!empty) {
+        c.rank_pool.assign(seed->n, 0);
+        heap_push(c, make_node(c, 0));
+      }
     }
     while (!c.staged && !c.heap.empty()) {
-      Node node = heap_pop(c);
+      const Node node = heap_pop(c);
       expand(c, node);
-      if (passes(c, node)) c.staged = std::move(node);
+      if (passes(c, node)) c.staged = node;
     }
     return c.staged ? &*c.staged : nullptr;
   }
@@ -530,8 +547,11 @@ struct OfferStream::Impl {
     const std::size_t n = seed->n;
     SystemOffer offer;
     offer.components.reserve(n);
-    std::vector<StreamRequirements> streams;
-    streams.reserve(n);
+    // Formula (1) assembled from the memoised per-stream charges: the same
+    // integer sums, in the same order, as CostModel::document_cost.
+    offer.cost.copyright = seed->feasible.document->copyright_cost;
+    offer.cost.total = offer.cost.copyright;
+    offer.cost.streams.reserve(n);
     bool all_desired = true;
     bool all_worst = true;
     for (std::size_t i = 0; i < n; ++i) {
@@ -540,12 +560,12 @@ struct OfferStream::Impl {
       component.monomedia = seed->feasible.monomedia[i];
       component.variant = m.variant;
       component.requirements = m.requirements;
-      streams.push_back(component.requirements);
       offer.components.push_back(std::move(component));
+      offer.cost.streams.push_back({m.network, m.server});
+      offer.cost.total += m.network + m.server;
       all_desired = all_desired && m.desired_ok;
       all_worst = all_worst && m.worst_ok;
     }
-    offer.cost = seed->cost_model.document_cost(seed->feasible.document->copyright_cost, streams);
     offer.oif = node.oif;
     if (cls.sns_per_offer) {
       const bool cost_within = node.cost <= seed->profile.cost.max_cost;
@@ -580,7 +600,7 @@ struct OfferStream::Impl {
         ++current_class;
         continue;
       }
-      Node node = std::move(*best->staged);
+      const Node node = *best->staged;
       best->staged.reset();
       SystemOffer offer = materialise(*best, node, cls);
       ++emitted;

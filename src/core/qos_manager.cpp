@@ -1,6 +1,7 @@
 #include "core/qos_manager.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -42,6 +43,9 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
     return std::find(exclude.begin(), exclude.end(), i) != exclude.end();
   };
   std::size_t offers_examined = 0;
+  // Refusals in walk order; rendered into attempt.errors only if the whole
+  // walk fails (every caller ignores them on success).
+  std::vector<std::pair<std::size_t, Refusal>> refusals;
   // Pass 1: offers satisfying the requested QoS/cost; pass 2: the rest
   // ("If there are not enough resources to support any of the acceptable
   // system offers, the same procedure is applied on the feasible (not
@@ -79,9 +83,12 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
         return attempt;
       }
       if (committed.error().transient) attempt.saw_transient = true;
-      attempt.errors.push_back("offer " + std::to_string(i) + ": " +
-                               committed.error().describe());
+      refusals.emplace_back(i, std::move(committed.error()));
     }
+  }
+  attempt.errors.reserve(refusals.size());
+  for (const auto& [i, refusal] : refusals) {
+    attempt.errors.push_back("offer " + std::to_string(i) + ": " + refusal.describe());
   }
   attempt.stats = committer.stats();
   walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
@@ -264,7 +271,8 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
     // Purely permanent refusals (unknown server, no route) cannot heal.
     result.verdict = attempt.saw_transient ? NegotiationStatus::kFailedTryLater
                                            : NegotiationStatus::kFailedWithoutOffer;
-    result.problems.insert(result.problems.end(), attempt.errors.begin(), attempt.errors.end());
+    result.problems.insert(result.problems.end(), std::make_move_iterator(attempt.errors.begin()),
+                           std::make_move_iterator(attempt.errors.end()));
     return result;
   }
   result.committed_index = attempt.index;

@@ -69,6 +69,9 @@ struct NegotiationConfig {
 struct CommitAttempt {
   std::size_t index = SIZE_MAX;
   Commitment commitment;
+  /// One "offer <i>: <component>: <message>" line per refused offer, in walk
+  /// order. Filled only when the walk fails: a walk that commits leaves it
+  /// empty, even after refusals, because no caller reads it then.
   std::vector<std::string> errors;
   CommitStats stats;
   /// Whether any refusal during the walk was transient. Decides the honest

@@ -10,35 +10,49 @@ bool Topology::add_node(NodeId id, NodeKind kind) {
   if (index_.contains(id)) return false;
   index_[id] = nodes_.size();
   nodes_.push_back(NetNode{std::move(id), kind});
+  adjacency_.emplace_back();
   return true;
 }
 
 Result<std::size_t> Topology::add_link(const NodeId& a, const NodeId& b,
                                        std::int64_t capacity_bps, double delay_ms) {
-  if (!index_.contains(a)) return Err("unknown node '" + a + "'");
-  if (!index_.contains(b)) return Err("unknown node '" + b + "'");
+  const auto ai = node_index(a);
+  const auto bi = node_index(b);
+  if (!ai) return Err("unknown node '" + a + "'");
+  if (!bi) return Err("unknown node '" + b + "'");
   if (a == b) return Err("self-link on '" + a + "'");
   if (capacity_bps <= 0) return Err("non-positive capacity");
   const std::size_t link_index = links_.size();
   links_.push_back(NetLink{a, b, capacity_bps, delay_ms});
-  adjacency_[a].push_back({index_[b], link_index});
-  adjacency_[b].push_back({index_[a], link_index});
+  adjacency_[*ai].push_back({*bi, link_index});
+  adjacency_[*bi].push_back({*ai, link_index});
   return link_index;
 }
 
-std::optional<NodeKind> Topology::node_kind(const NodeId& id) const {
+std::optional<std::size_t> Topology::node_index(const NodeId& id) const {
   auto it = index_.find(id);
   if (it == index_.end()) return std::nullopt;
-  return nodes_[it->second].kind;
+  return it->second;
+}
+
+std::optional<NodeKind> Topology::node_kind(const NodeId& id) const {
+  const auto i = node_index(id);
+  if (!i) return std::nullopt;
+  return nodes_[*i].kind;
 }
 
 Result<std::vector<std::size_t>> Topology::shortest_path(
     const NodeId& src, const NodeId& dst, std::span<const std::size_t> excluded_links) const {
-  auto si = index_.find(src);
-  auto di = index_.find(dst);
-  if (si == index_.end()) return Err("unknown node '" + src + "'");
-  if (di == index_.end()) return Err("unknown node '" + dst + "'");
-  if (si->second == di->second) return std::vector<std::size_t>{};
+  const auto si = node_index(src);
+  const auto di = node_index(dst);
+  if (!si) return Err("unknown node '" + src + "'");
+  if (!di) return Err("unknown node '" + dst + "'");
+  return shortest_path(*si, *di, excluded_links);
+}
+
+Result<std::vector<std::size_t>> Topology::shortest_path(
+    std::size_t src, std::size_t dst, std::span<const std::size_t> excluded_links) const {
+  if (src == dst) return std::vector<std::size_t>{};
   auto excluded = [&](std::size_t link) {
     return std::find(excluded_links.begin(), excluded_links.end(), link) !=
            excluded_links.end();
@@ -51,16 +65,14 @@ Result<std::vector<std::size_t>> Topology::shortest_path(
   using Entry = std::pair<double, std::size_t>;  // (distance, node index)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
 
-  dist[si->second] = 0.0;
-  heap.push({0.0, si->second});
+  dist[src] = 0.0;
+  heap.push({0.0, src});
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) continue;
-    if (u == di->second) break;
-    auto adj = adjacency_.find(nodes_[u].id);
-    if (adj == adjacency_.end()) continue;
-    for (const auto& [v, link_index] : adj->second) {
+    if (u == dst) break;
+    for (const auto& [v, link_index] : adjacency_[u]) {
       if (excluded(link_index)) continue;
       const double nd = d + links_[link_index].delay_ms;
       if (nd < dist[v]) {
@@ -71,11 +83,11 @@ Result<std::vector<std::size_t>> Topology::shortest_path(
       }
     }
   }
-  if (dist[di->second] == kInf) {
-    return Err("no path from '" + src + "' to '" + dst + "'");
+  if (dist[dst] == kInf) {
+    return Err("no path from '" + nodes_[src].id + "' to '" + nodes_[dst].id + "'");
   }
   std::vector<std::size_t> path;
-  for (std::size_t at = di->second; at != si->second; at = prev_node[at]) {
+  for (std::size_t at = dst; at != src; at = prev_node[at]) {
     path.push_back(via_link[at]);
   }
   std::reverse(path.begin(), path.end());

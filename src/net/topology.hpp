@@ -41,6 +41,8 @@ class Topology {
                                double delay_ms = 1.0);
 
   bool has_node(const NodeId& id) const { return index_.contains(id); }
+  /// Position of a node in nodes(), or nullopt for an unknown id.
+  std::optional<std::size_t> node_index(const NodeId& id) const;
   std::optional<NodeKind> node_kind(const NodeId& id) const;
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
@@ -54,6 +56,9 @@ class Topology {
   Result<std::vector<std::size_t>> shortest_path(
       const NodeId& src, const NodeId& dst,
       std::span<const std::size_t> excluded_links = {}) const;
+  /// The same search between nodes given by their node_index().
+  Result<std::vector<std::size_t>> shortest_path(
+      std::size_t src, std::size_t dst, std::span<const std::size_t> excluded_links = {}) const;
 
   /// A classic evaluation shape: `clients` client nodes on one switch,
   /// `servers` server nodes on another, joined by a backbone link of
@@ -71,8 +76,8 @@ class Topology {
   std::vector<NetNode> nodes_;
   std::vector<NetLink> links_;
   std::unordered_map<NodeId, std::size_t> index_;
-  std::unordered_map<std::string, std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
-  // adjacency_: node id -> (neighbor node index, link index)
+  /// Per node index: (neighbor node index, link index).
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
 };
 
 }  // namespace qosnp

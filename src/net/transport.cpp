@@ -27,15 +27,23 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
   // lacks capacity, exclude it and re-route — in a multi-path topology the
   // flow takes the standby path instead of being rejected.
   std::lock_guard lk(mu_);
+  const auto si = topology_.node_index(src);
+  const auto di = topology_.node_index(dst);
+  if (!si || !di) return permanent_refusal("transport", topology_.shortest_path(src, dst).error());
+  const std::uint64_t key = (static_cast<std::uint64_t>(*si) << 32) | *di;
+  auto memo = routes_.find(key);
+  if (memo == routes_.end()) memo = routes_.emplace(key, topology_.shortest_path(*si, *di)).first;
+
   std::vector<std::size_t> excluded;
-  std::string last_error;
+  std::optional<Result<std::vector<std::size_t>>> rerouted;
   for (int attempt = 0; attempt <= kMaxRouteRetries; ++attempt) {
-    auto path = topology_.shortest_path(src, dst, excluded);
+    if (attempt > 0) rerouted.emplace(topology_.shortest_path(*si, *di, excluded));
+    const Result<std::vector<std::size_t>>& path = attempt == 0 ? memo->second : *rerouted;
     if (!path.ok()) {
       // No route at all is permanent; a route that exists but is full
-      // (last_error from a previous attempt) is a transient shortage.
-      if (last_error.empty()) return permanent_refusal("transport", path.error());
-      return transient_refusal("transport", last_error);
+      // (a link excluded by a previous attempt) is a transient shortage.
+      if (excluded.empty()) return permanent_refusal("transport", path.error());
+      break;
     }
     // Headroom-differentiated admission: a class with headroom h only sees
     // capacity * (1 - h) of each link (h <= 0 keeps the class-blind path
@@ -53,8 +61,6 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
       }
     }
     if (bottleneck != nullptr) {
-      last_error = "insufficient bandwidth on link " + std::to_string(*bottleneck) + " (" +
-                   topology_.link(*bottleneck).a + "<->" + topology_.link(*bottleneck).b + ")";
       excluded.push_back(*bottleneck);
       continue;
     }
@@ -66,7 +72,7 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
     info.id = next_id_++;
     info.src = src;
     info.dst = dst;
-    info.path = std::move(path.value());
+    info.path = path.value();
     info.reserved_bps = rate;
     info.guarantee = req.guarantee;
     const FlowId id = info.id;
@@ -75,7 +81,11 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
                     " bps over ", flows_[id].path.size(), " links");
     return id;
   }
-  return transient_refusal("transport", last_error);
+  // Every route tried was full: the refusal names the last bottleneck.
+  const NetLink& full = topology_.link(excluded.back());
+  return transient_refusal("transport", "insufficient bandwidth on link " +
+                                            std::to_string(excluded.back()) + " (" + full.a +
+                                            "<->" + full.b + ")");
 }
 
 bool TransportService::release(FlowId id) {

@@ -110,6 +110,11 @@ class TransportService final : public TransportProvider {
 
   mutable std::mutex mu_;
   Topology topology_;
+  /// Unexcluded shortest route per (src, dst) node-index pair, filled on
+  /// first use: the topology never changes after construction, so Dijkstra
+  /// only re-runs when reserve() excludes a full link. Keyed by index, so
+  /// unknown node names (which arrive with requests) never enter it.
+  std::unordered_map<std::uint64_t, Result<std::vector<std::size_t>>> routes_;  // guarded by mu_
   ClassHeadroom headroom_;                        // guarded by mu_
   std::vector<std::int64_t> reserved_;            // per link
   std::vector<std::int64_t> effective_capacity_;  // per link

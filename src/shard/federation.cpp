@@ -15,7 +15,7 @@ Result<FlowId, Refusal> FederatedTransport::reserve(const NodeId& src, const Nod
     return permanent_refusal("federation", "node '" + src + "' is owned by no shard");
   }
   auto flow = transports_[*shard]->reserve(src, dst, req);
-  if (!flow.ok()) return Err(flow.error());
+  if (!flow.ok()) return Err(std::move(flow.error()));
   assert(flow.value() <= kLocalMask && "per-shard flow id overflows the shard tag");
   return tag(*shard, flow.value());
 }
@@ -68,7 +68,7 @@ Result<Commitment, Refusal> FederatedCommitter::commit_once(const ClientMachine&
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());
       if (metrics_ != nullptr && !commitment.empty()) metrics_->federated_rollbacks->inc();
-      return Err(stream.error());
+      return Err(std::move(stream.error()));
     }
     attach_stream(commitment, server, stream.value());
 
@@ -77,7 +77,7 @@ Result<Commitment, Refusal> FederatedCommitter::commit_once(const ClientMachine&
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());
       if (metrics_ != nullptr) metrics_->federated_rollbacks->inc();
-      return Err(flow.error());
+      return Err(std::move(flow.error()));
     }
     attach_flow(commitment, &transport(), flow.value());
   }

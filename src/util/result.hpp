@@ -43,6 +43,10 @@ class Result {
     assert(ok());
     return std::get<0>(storage_);
   }
+  E& error() {
+    assert(!ok());
+    return std::get<1>(storage_);
+  }
   const E& error() const {
     assert(!ok());
     return std::get<1>(storage_);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace qosnp {
 namespace {
 
@@ -207,6 +210,109 @@ TEST(Transport, SingleBackboneStillRejectsWhenFull) {
   ASSERT_FALSE(second.ok());
   EXPECT_NE(second.error().message.find("insufficient bandwidth"), std::string::npos);
   EXPECT_TRUE(second.error().transient);
+}
+
+// --- Route memo: reserve() reuses the unexcluded route per (src, dst). -----
+
+TEST(TransportRouteMemo, RepeatedReservationsStoreTheShortestPath) {
+  for (const bool dual : {false, true}) {
+    const Topology shape = dual ? Topology::dual_backbone(3, 2, 100'000'000, 1'000'000'000)
+                                : Topology::dumbbell(3, 2, 100'000'000, 1'000'000'000);
+    TransportService transport(shape);
+    for (int round = 0; round < 3; ++round) {
+      for (int c = 0; c < 3; ++c) {
+        for (int s = 0; s < 2; ++s) {
+          const NodeId client = "client-" + std::to_string(c);
+          const NodeId server = "server-node-" + std::to_string(s);
+          auto expected = shape.shortest_path(server, client);
+          ASSERT_TRUE(expected.ok());
+          auto f = transport.reserve(server, client, stream(1'000'000));
+          ASSERT_TRUE(f.ok()) << f.error();
+          EXPECT_EQ(transport.flow(f.value())->path, expected.value())
+              << (dual ? "dual" : "dumbbell") << " round " << round << " " << server << "->"
+              << client;
+        }
+      }
+    }
+    EXPECT_TRUE(transport.accounting_consistent());
+  }
+}
+
+TEST(TransportRouteMemo, FullPrimaryStillReroutesOntoStandby) {
+  const Topology shape = Topology::dual_backbone(1, 1, 100'000'000, 10'000'000);
+  TransportService transport(shape);
+  const auto primary = shape.shortest_path("server-node-0", "client-0");
+  ASSERT_TRUE(primary.ok());
+  const std::size_t backbone = shape.shortest_path("switch-client", "switch-server").value()[0];
+  const std::size_t excluded[] = {backbone};
+  const auto standby = shape.shortest_path("server-node-0", "client-0", excluded);
+  ASSERT_TRUE(standby.ok());
+  ASSERT_NE(primary.value(), standby.value());
+
+  // The first flow warms the memo with the primary route and fills it.
+  auto f1 = transport.reserve("server-node-0", "client-0", stream(8'000'000));
+  ASSERT_TRUE(f1.ok());
+  EXPECT_EQ(transport.flow(f1.value())->path, primary.value());
+  auto f2 = transport.reserve("server-node-0", "client-0", stream(8'000'000));
+  ASSERT_TRUE(f2.ok()) << f2.error();
+  EXPECT_EQ(transport.flow(f2.value())->path, standby.value());
+  // Both backbones full: the refusal names the last bottleneck tried.
+  auto f3 = transport.reserve("server-node-0", "client-0", stream(8'000'000));
+  ASSERT_FALSE(f3.ok());
+  EXPECT_TRUE(f3.error().transient);
+  EXPECT_EQ(f3.error().component, "transport");
+  EXPECT_EQ(f3.error().message, "insufficient bandwidth on link " +
+                                    std::to_string(standby.value()[1]) +
+                                    " (switch-client<->switch-server)");
+  // Freeing the primary sends the next flow back onto it.
+  ASSERT_TRUE(transport.release(f1.value()));
+  auto f4 = transport.reserve("server-node-0", "client-0", stream(8'000'000));
+  ASSERT_TRUE(f4.ok()) << f4.error();
+  EXPECT_EQ(transport.flow(f4.value())->path, primary.value());
+  EXPECT_TRUE(transport.accounting_consistent());
+}
+
+TEST(TransportRouteMemo, RoutesFollowDegradeAndRestore) {
+  const Topology shape = Topology::dual_backbone(1, 1, 100'000'000, 10'000'000);
+  TransportService transport(shape);
+  const auto primary = shape.shortest_path("server-node-0", "client-0");
+  ASSERT_TRUE(primary.ok());
+  auto warm = transport.reserve("server-node-0", "client-0", stream(1'000'000));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(transport.release(warm.value()));
+
+  const std::size_t backbone = shape.shortest_path("switch-client", "switch-server").value()[0];
+  transport.degrade_link(backbone, 0.95);
+  auto detour = transport.reserve("server-node-0", "client-0", stream(4'000'000));
+  ASSERT_TRUE(detour.ok()) << detour.error();
+  const std::vector<std::size_t> detour_path = transport.flow(detour.value())->path;
+  EXPECT_NE(detour_path, primary.value());
+  EXPECT_EQ(std::count(detour_path.begin(), detour_path.end(), backbone), 0);
+
+  transport.restore_link(backbone);
+  auto back = transport.reserve("server-node-0", "client-0", stream(4'000'000));
+  ASSERT_TRUE(back.ok()) << back.error();
+  EXPECT_EQ(transport.flow(back.value())->path, primary.value());
+  EXPECT_TRUE(transport.accounting_consistent());
+}
+
+TEST(TransportRouteMemo, UnknownNodesKeepTheirPermanentRefusal) {
+  const Topology shape = Topology::dumbbell(1, 1, 10'000'000, 10'000'000);
+  TransportService transport(shape);
+  for (int round = 0; round < 2; ++round) {
+    auto from_ghost = transport.reserve("ghost", "client-0", stream(1000));
+    ASSERT_FALSE(from_ghost.ok());
+    EXPECT_FALSE(from_ghost.error().transient);
+    EXPECT_EQ(from_ghost.error().component, "transport");
+    EXPECT_EQ(from_ghost.error().message, "unknown node 'ghost'");
+    EXPECT_EQ(from_ghost.error().message, shape.shortest_path("ghost", "client-0").error());
+
+    auto to_ghost = transport.reserve("server-node-0", "phantom", stream(1000));
+    ASSERT_FALSE(to_ghost.ok());
+    EXPECT_FALSE(to_ghost.error().transient);
+    EXPECT_EQ(to_ghost.error().message, "unknown node 'phantom'");
+  }
+  EXPECT_EQ(transport.active_flows(), 0u);
 }
 
 TEST(ScopedFlow, ReleasesOnDestruction) {

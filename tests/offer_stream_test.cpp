@@ -147,6 +147,52 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
   EXPECT_GE(cases, 1000u);
 }
 
+// The differential above compares totals only; the stream assembles each
+// breakdown from per-variant memos, so check the per-stream split too.
+TEST(OfferStreamDifferential, CostBreakdownMatchesDocumentCostFieldByField) {
+  TestSystem sys;
+  const CostModel cost_model;
+  std::size_t offers_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    CorpusConfig corpus;
+    corpus.seed = seed;
+    corpus.num_documents = 2;
+    corpus.servers = {"server-a", "server-b"};
+    Rng rng(seed * 104729);
+    for (auto& raw : generate_corpus(corpus)) {
+      auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
+      for (int variant = 0; variant < 3; ++variant) {
+        const UserProfile profile = random_profile(rng);
+        ClassificationPolicy policy;
+        if (variant == 1) policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
+        if (variant == 2) policy.oif_only = true;
+        auto feasible = compatible_variants(doc, sys.client, profile.mm);
+        if (!feasible.ok()) continue;
+        OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance,
+                           cost_model, policy, 100'000);
+        while (auto offer = stream.next()) {
+          std::vector<StreamRequirements> streams;
+          for (const OfferComponent& c : offer->components) streams.push_back(c.requirements);
+          const CostBreakdown expected = cost_model.document_cost(doc->copyright_cost, streams);
+          const std::string where = "seed " + std::to_string(seed) + " case " +
+                                    std::to_string(variant) + " offer " + signature(*offer);
+          EXPECT_EQ(offer->cost.copyright, expected.copyright) << where;
+          ASSERT_EQ(offer->cost.streams.size(), expected.streams.size()) << where;
+          for (std::size_t k = 0; k < expected.streams.size(); ++k) {
+            EXPECT_EQ(offer->cost.streams[k].network, expected.streams[k].network)
+                << where << " stream " << k;
+            EXPECT_EQ(offer->cost.streams[k].server, expected.streams[k].server)
+                << where << " stream " << k;
+          }
+          EXPECT_EQ(offer->cost.total, expected.total) << where;
+          ++offers_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(offers_checked, 1000u);
+}
+
 TEST(OfferStreamDifferential, TruncationFlagsMatchEagerSemantics) {
   TestSystem sys;
   const UserProfile profile = TestSystem::tolerant_profile();

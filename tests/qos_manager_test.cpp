@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
+#include "obs/trace.hpp"
 #include "test_system.hpp"
 
 namespace qosnp {
@@ -254,6 +256,100 @@ TEST(QoSManager, ParallelClassificationPathProducesSameOutcome) {
               b.offers.offers[i].components[0].variant->id);
   }
   EXPECT_EQ(a.committed_index, b.committed_index);
+}
+
+// --- CommitAttempt::errors: filled only when the walk fails. --------------
+
+NegotiationConfig eager_config() {
+  NegotiationConfig config;
+  config.enumeration.strategy = EnumerationStrategy::kEager;  // whole list up front
+  return config;
+}
+
+/// A plan whose servers refuse every admission: each offer is refused at its
+/// first component's server, with a fixed message.
+FaultPlan refuse_every_admission() {
+  FaultPlan plan;
+  plan.server_defaults.transient_failure_p = 1.0;
+  return plan;
+}
+
+/// The walk's problem lines built straight from the offer list: satisfying
+/// offers first, then the rest, each "offer <i>: <component>: <message>".
+std::vector<std::string> expected_refusal_lines(const OfferList& offers, const MMProfile& mm) {
+  std::vector<std::string> lines;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < offers.offers.size(); ++i) {
+      if (satisfies_user(offers.offers[i], mm) != (pass == 0)) continue;
+      const ServerId& server = offers.offers[i].components.front().variant->server;
+      lines.push_back("offer " + std::to_string(i) + ": fault:" + server + ": server '" +
+                      server + "' transiently refused (injected fault)");
+    }
+  }
+  return lines;
+}
+
+TEST(QoSManagerCommitErrors, FailedWalkListsEveryRefusalInWalkOrder) {
+  TestSystem sys;
+  FaultyServerFarm farm(sys.farm, refuse_every_admission());
+  QoSManager manager(sys.catalog, farm, *sys.transport, CostModel{}, eager_config());
+  const UserProfile profile = TestSystem::tolerant_profile();
+  NegotiationResult outcome =
+      manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+  EXPECT_EQ(outcome.verdict, NegotiationStatus::kFailedTryLater);
+  const std::vector<std::string> expected = expected_refusal_lines(outcome.offers, profile.mm);
+  ASSERT_EQ(expected.size(), outcome.offers.offers.size());
+  EXPECT_EQ(outcome.problems, expected);
+
+  CommitAttempt attempt = manager.commit_first(sys.client, outcome.offers, profile.mm);
+  EXPECT_FALSE(attempt.ok());
+  EXPECT_TRUE(attempt.saw_transient);
+  EXPECT_EQ(attempt.errors, expected);
+}
+
+TEST(QoSManagerCommitErrors, WalkThatCommitsAfterRefusalsLeavesErrorsEmpty) {
+  TestSystem sys;
+  FaultPlan plan;
+  plan.server_defaults.outage_after_events = 0;  // each server refuses its first 3 admissions
+  plan.server_defaults.outage_length_events = 3;
+  FaultyServerFarm farm(sys.farm, plan);
+  QoSManager manager(sys.catalog, farm, *sys.transport, CostModel{}, eager_config());
+  const UserProfile profile = TestSystem::tolerant_profile();
+  NegotiationResult outcome =
+      manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+  outcome.commitment.release();
+
+  FaultyServerFarm fresh(sys.farm, plan);
+  QoSManager walker(sys.catalog, fresh, *sys.transport, CostModel{}, eager_config());
+  CommitAttempt attempt = walker.commit_first(sys.client, outcome.offers, profile.mm);
+  ASSERT_TRUE(attempt.ok());
+  EXPECT_GT(attempt.stats.transient_failures, 0);
+  EXPECT_GT(attempt.index, 0u);
+  EXPECT_TRUE(attempt.errors.empty());
+}
+
+TEST(QoSManagerCommitErrors, TracedRefusedAttemptsCarryTheRefusal) {
+  TestSystem sys;
+  FaultyServerFarm farm(sys.farm, refuse_every_admission());
+  QoSManager manager(sys.catalog, farm, *sys.transport, CostModel{}, eager_config());
+  const UserProfile profile = TestSystem::tolerant_profile();
+  NegotiationResult outcome =
+      manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+
+  NegotiationTrace trace(1);
+  CommitAttempt attempt =
+      manager.commit_first(sys.client, outcome.offers, profile.mm, {}, TraceContext(&trace));
+  ASSERT_FALSE(attempt.ok());
+  std::vector<std::string> from_spans;
+  for (const Span& span : trace.spans()) {
+    if (span.stage != Stage::kCommitAttempt) continue;
+    const std::string refusal(span.attr("refusal"));
+    const std::string suffix = " [transient]";
+    ASSERT_TRUE(refusal.ends_with(suffix)) << refusal;
+    from_spans.push_back("offer " + std::string(span.attr("offer")) + ": " +
+                         refusal.substr(0, refusal.size() - suffix.size()));
+  }
+  EXPECT_EQ(from_spans, attempt.errors);
 }
 
 }  // namespace
