@@ -28,6 +28,25 @@ void Commitment::release() {
   streams_.clear();
 }
 
+namespace {
+
+/// One refused try, as commit() annotates it on the attempt span.
+void annotate_try(TraceContext trace, const Refusal& refusal) {
+  trace.annotate("refusal",
+                 refusal.describe() + (refusal.transient ? " [transient]" : " [permanent]"));
+}
+
+/// Attribution for the trace: who refused last, and how hard we tried —
+/// the figures a FAILEDTRYLATER/FAILEDWITHOFFER post-mortem needs.
+void annotate_refused(TraceContext trace, const Refusal& last, const CommitStats& stats) {
+  trace.annotate("result", "refused");
+  trace.annotate("component", last.component);
+  trace.annotate("attempts", static_cast<std::uint64_t>(stats.attempts));
+  trace.annotate("backoff_ms", stats.backoff_ms);
+}
+
+}  // namespace
+
 Result<Commitment, Refusal> ResourceCommitter::commit_once(const ClientMachine& client,
                                                            const SystemOffer& offer,
                                                            CommitStats& stats) {
@@ -85,10 +104,7 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       return commitment;
     }
     last = std::move(result.error());
-    if (trace.active()) {
-      trace.annotate("refusal",
-                     last.describe() + (last.transient ? " [transient]" : " [permanent]"));
-    }
+    if (trace.active()) annotate_try(trace, last);
     if (last.transient) {
       ++stats.transient_failures;
     } else {
@@ -111,17 +127,19 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
     }
   }
   stats_.merge(stats);
-  // Attribution for the trace: who refused last, and how hard we tried —
-  // the figures a FAILEDTRYLATER/FAILEDWITHOFFER post-mortem needs.
-  if (trace.active()) {
-    trace.annotate("result", "refused");
-    trace.annotate("component", last.component);
-    trace.annotate("attempts", static_cast<std::uint64_t>(stats.attempts));
-    trace.annotate("backoff_ms", stats.backoff_ms);
-  }
+  if (trace.active()) annotate_refused(trace, last, stats);
   Result<Commitment, Refusal> failed = Err(std::move(last));
   // Callers read the effort off the committer-level stats() accumulator.
   return failed;
+}
+
+void ResourceCommitter::replay_refusal(const Refusal& refusal, const CommitStats& delta,
+                                       TraceContext trace) {
+  stats_.merge(delta);
+  if (trace.active()) {
+    annotate_try(trace, refusal);
+    annotate_refused(trace, refusal, delta);
+  }
 }
 
 }  // namespace qosnp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -13,7 +14,11 @@ QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider
     : catalog_(&catalog), farm_(&farm), transport_(&transport),
       cost_model_(std::move(cost_model)), config_(std::move(config)),
       plan_digest_(plan_config_digest(config_.enumeration, config_.policy,
-                                      config_.parallel_threshold, cost_model_)) {}
+                                      config_.parallel_threshold, cost_model_)),
+      // Both concrete types are final, so the casts test the exact type.
+      memo_refusals_(config_.committer_factory == nullptr && config_.retry.max_attempts <= 1 &&
+                     dynamic_cast<ServerFarm*>(farm_) != nullptr &&
+                     dynamic_cast<TransportService*>(transport_) != nullptr) {}
 
 UserOffer local_offer_from(const MMProfile& clipped) {
   UserOffer offer;
@@ -24,6 +29,19 @@ UserOffer local_offer_from(const MMProfile& clipped) {
   offer.cost = Money{};
   return offer;
 }
+
+namespace {
+
+/// A refusal the walk met, with what it takes to replay it. When it is a
+/// nogood, its refused prefix is prefixes[prefix_begin, prefix_begin + depth).
+struct SeenRefusal {
+  Refusal refusal;
+  CommitStats delta;  ///< the refused commit()'s share of the committer stats
+  std::size_t prefix_begin = 0;
+  std::size_t depth = 0;  ///< 0: not a nogood
+};
+
+}  // namespace
 
 CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& offers,
                                        const MMProfile& profile,
@@ -43,9 +61,31 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
     return std::find(exclude.begin(), exclude.end(), i) != exclude.end();
   };
   std::size_t offers_examined = 0;
-  // Refusals in walk order; rendered into attempt.errors only if the whole
-  // walk fails (every caller ignores them on success).
-  std::vector<std::pair<std::size_t, Refusal>> refusals;
+  std::size_t nogood_hits = 0;
+  // satisfies_user per offer index (-1 = not yet evaluated), shared by both
+  // passes.
+  std::vector<std::int8_t> satisfying_at;
+  // Refusals the servers and the transport returned, in walk order, and the
+  // variants of the refused prefixes (copied: fetch_next() may reallocate
+  // offers.offers).
+  std::vector<SeenRefusal> seen;
+  std::vector<const Variant*> prefixes;
+  auto find_nogood = [&](const SystemOffer& offer) -> std::optional<std::size_t> {
+    for (std::size_t n = 0; n < seen.size(); ++n) {
+      const SeenRefusal& s = seen[n];
+      if (s.depth == 0 || offer.components.size() < s.depth) continue;
+      const Variant* const* prefix = prefixes.data() + s.prefix_begin;
+      if (std::equal(prefix, prefix + s.depth, offer.components.begin(),
+                     [](const Variant* v, const OfferComponent& c) { return v == c.variant; })) {
+        return n;
+      }
+    }
+    return std::nullopt;
+  };
+  // Refusals in walk order as (offer index, index into seen); rendered into
+  // attempt.errors only if the whole walk fails (every caller ignores them
+  // on success).
+  std::vector<std::pair<std::size_t, std::size_t>> refusals;
   // Pass 1: offers satisfying the requested QoS/cost; pass 2: the rest
   // ("If there are not enough resources to support any of the acceptable
   // system offers, the same procedure is applied on the feasible (not
@@ -66,12 +106,22 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
       // stop fetching there (the lazy walk's whole point).
       if (pass == 0 && offers.sns_ordered && offer.sns == Sns::kConstraint) break;
       if (excluded(i)) continue;
-      const bool satisfying = satisfies_user(offer, profile);
-      if ((pass == 0) != satisfying) continue;
+      if (i >= satisfying_at.size()) satisfying_at.resize(i + 1, -1);
+      if (satisfying_at[i] < 0) satisfying_at[i] = satisfies_user(offer, profile) ? 1 : 0;
+      if ((pass == 0) != (satisfying_at[i] == 1)) continue;
       ++offers_examined;
       ScopedSpan try_span(walk_span.context(), Stage::kCommitAttempt);
       try_span.annotate("offer", static_cast<std::uint64_t>(i));
       try_span.annotate("pass", static_cast<std::uint64_t>(pass));
+      if (memo_refusals_) {
+        if (const auto hit = find_nogood(offer)) {
+          committer.replay_refusal(seen[*hit].refusal, seen[*hit].delta, try_span.context());
+          refusals.emplace_back(i, *hit);
+          ++nogood_hits;
+          continue;
+        }
+      }
+      const int released_before = committer.stats().released_on_failure;
       auto committed = committer.commit(client, offer, try_span.context());
       if (committed.ok()) {
         attempt.index = i;
@@ -79,19 +129,42 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
         attempt.stats = committer.stats();
         try_span.end();
         walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
+        walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
         walk_span.annotate("committed_offer", static_cast<std::uint64_t>(i));
         return attempt;
       }
-      if (committed.error().transient) attempt.saw_transient = true;
-      refusals.emplace_back(i, std::move(committed.error()));
+      SeenRefusal& learned = seen.emplace_back();
+      learned.refusal = std::move(committed.error());
+      if (learned.refusal.transient) attempt.saw_transient = true;
+      refusals.emplace_back(i, seen.size() - 1);
+      if (!memo_refusals_) continue;
+      // A single try refused at component k rolled back 2k reservations
+      // (the server refused) or 2k + 1 (the flow did). The one exception is
+      // an unknown server, a permanent refusal that rolls back uncounted, so
+      // an even count from a permanent refusal gives no depth. A refusal at
+      // the last component is no nogood either: no other offer has all the
+      // same variants.
+      const int released = committer.stats().released_on_failure - released_before;
+      const auto depth = static_cast<std::size_t>(released / 2 + 1);
+      learned.delta.attempts = 1;
+      ++(learned.refusal.transient ? learned.delta.transient_failures
+                                   : learned.delta.permanent_failures);
+      learned.delta.released_on_failure = released;
+      if ((learned.refusal.transient || released % 2 == 1) &&
+          depth < offer.components.size()) {
+        learned.prefix_begin = prefixes.size();
+        learned.depth = depth;
+        for (std::size_t k = 0; k < depth; ++k) prefixes.push_back(offer.components[k].variant);
+      }
     }
   }
   attempt.errors.reserve(refusals.size());
-  for (const auto& [i, refusal] : refusals) {
-    attempt.errors.push_back("offer " + std::to_string(i) + ": " + refusal.describe());
+  for (const auto& [i, n] : refusals) {
+    attempt.errors.push_back("offer " + std::to_string(i) + ": " + seen[n].refusal.describe());
   }
   attempt.stats = committer.stats();
   walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
+  walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
   return attempt;
 }
 

@@ -103,6 +103,16 @@ class QoSManager {
   /// strictly below it (the upgrade scanner passes the session's current
   /// offer so only strictly better entries are tried — and a lazy list never
   /// materialises past the bound).
+  ///
+  /// Nothing commits inside a walk until it ends, and commit_once() reserves
+  /// an offer's components in order, rolling back on the first refusal. So a
+  /// refusal at component k is a learned nogood for the rest of the walk:
+  /// any later offer whose first k+1 variants equal the refused prefix meets
+  /// the same ledger state and gets the same refusal. The walk answers such
+  /// an offer from its memo — replaying the refusal, its CommitStats share
+  /// and its trace annotations — without touching the servers or the
+  /// transport. The memo is bypassed (see memo_refusals_) wherever a refusal
+  /// is not a pure function of (ledger state, prefix).
   CommitAttempt commit_first(const ClientMachine& client, OfferList& offers,
                              const MMProfile& profile,
                              std::span<const std::size_t> exclude = {},
@@ -144,6 +154,12 @@ class QoSManager {
   /// Fingerprint of the manager knobs entering plan_cache_key (computed
   /// once; the config is immutable after construction).
   std::string plan_digest_;
+  /// Whether commit_first() may answer offers from its nogood memo: only
+  /// over the plain ServerFarm and TransportService (fault injectors and
+  /// test doubles may refuse by their own state), with the built-in
+  /// committer (no committer_factory) and single-try commits (a replayed
+  /// retry would skip the jitter stream's draws).
+  bool memo_refusals_;
   std::mutex fp_mu_;
   std::unordered_map<std::uint64_t, std::string> fp_memo_;  ///< guarded by fp_mu_
 };
