@@ -63,14 +63,14 @@ struct FarmSystem {
   std::unique_ptr<QoSManager> manager;
   std::unique_ptr<SessionManager> sessions;
   std::unique_ptr<PolicyEngine> policy;
-  ManagerPopulationBackend backend;
+  LocalClient client;
   std::vector<DocumentId> documents;
 
   explicit FarmSystem(int n, ClassHeadroom headroom = {})
       : transport(std::make_unique<TransportService>(Topology::dumbbell(
             kClients, n, /*access_bps=*/600'000'000,
             /*backbone_bps=*/static_cast<std::int64_t>(n) * 150'000'000))),
-        backend(make_backend(n, headroom)) {
+        client(make_client(n, headroom)) {
     transport->set_class_headroom(headroom);
     for (MultimediaDocument doc : base_corpus()) {
       for (int k = 1; k < n; ++k) {
@@ -94,7 +94,7 @@ struct FarmSystem {
   }
 
   PopulationMetrics run(const PopulationConfig& config) {
-    return Population(config, backend, documents).run();
+    return Population(config, client, documents).run();
   }
 
   /// Route negotiations through a preemption/upgrade engine (classes win by
@@ -107,7 +107,7 @@ struct FarmSystem {
     preemption.enabled = true;
     preemption.max_victims = 32;
     policy = std::make_unique<PolicyEngine>(*manager, *sessions, preemption);
-    backend.set_policy(policy.get());
+    client.set_policy(policy.get());
   }
 
   bool drained() const {
@@ -122,7 +122,7 @@ struct FarmSystem {
   }
 
  private:
-  ManagerPopulationBackend make_backend(int n, const ClassHeadroom& headroom) {
+  LocalClient make_client(int n, const ClassHeadroom& headroom) {
     for (int i = 0; i < n; ++i) {
       MediaServerConfig server;
       server.id = "server-" + std::to_string(i);
@@ -134,7 +134,7 @@ struct FarmSystem {
     }
     manager = std::make_unique<QoSManager>(catalog, farm, *transport);
     sessions = std::make_unique<SessionManager>(*manager);
-    return ManagerPopulationBackend(*manager, *sessions);
+    return LocalClient(*manager, *sessions);
   }
 };
 

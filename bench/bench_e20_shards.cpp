@@ -33,9 +33,7 @@
 #include "bench_util.hpp"
 #include "document/corpus.hpp"
 #include "result_signature.hpp"
-#include "service/service_client.hpp"
-#include "shard/sharded_backend.hpp"
-#include "shard/sharded_client.hpp"
+#include "sim/population.hpp"
 #include "test_service.hpp"
 #include "util/rng.hpp"
 
@@ -166,7 +164,6 @@ ScalingRun run_scaling(std::size_t shards) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kConcurrency; ++t) {
     threads.emplace_back([&, t] {
-      ShardedClient client(sharded);
       Rng rng(0xe20 + static_cast<std::uint64_t>(t));
       for (;;) {
         const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -176,7 +173,7 @@ ScalingRun run_scaling(std::size_t shards) {
         req.client = clients[static_cast<std::size_t>(t)];
         req.document = docs[rng.below(docs.size())];
         req.profile = TestSystem::tolerant_profile();
-        NegotiationResult result = client.submit(std::move(req));
+        NegotiationResult result = sharded.router().submit(std::move(req)).get();
         if (result.session_id != 0) {
           ++succeeded;
           sharded.sessions().complete(result.session_id);
@@ -225,7 +222,6 @@ bool run_degeneracy() {
   const NodeConfig node;
   NegotiationService direct(*direct_sys.manager, *direct_sys.sessions, node.service());
   direct.start();
-  ServiceClient direct_client(direct);
 
   std::vector<ShardSpec> specs(1);
   for (int i = 0; i < 2; ++i) {
@@ -243,7 +239,6 @@ bool run_degeneracy() {
     if (!sharded.add_document(std::move(doc)).empty()) return false;
   }
   sharded.start();
-  ShardedClient sharded_client(sharded);
 
   const std::vector<DocumentId> ids = direct_sys.catalog.list();
   const std::vector<ClientMachine> clients = make_clients(kClients);
@@ -256,8 +251,8 @@ bool run_degeneracy() {
     req.client = clients[rng.below(clients.size())];
     req.document = ids[rng.below(ids.size())];
     req.profile = TestSystem::tolerant_profile();
-    NegotiationResult a = direct_client.submit(req);
-    NegotiationResult b = sharded_client.submit(req);
+    NegotiationResult a = direct.submit(req).get();
+    NegotiationResult b = sharded.router().submit(req).get();
     identical = identical && result_signature(a) == result_signature(b) &&
                 (a.session_id != 0) == (b.session_id != 0);
     if (a.session_id != 0) open.emplace_back(a.session_id, b.session_id);
@@ -325,7 +320,6 @@ FaultRun run_cross_shard_faults() {
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&, t] {
-        ShardedClient client(sharded);
         Rng rng(base + static_cast<std::uint64_t>(t));
         for (int i = 0; i < 8; ++i) {
           NegotiationRequest req;
@@ -333,7 +327,7 @@ FaultRun run_cross_shard_faults() {
           req.client = clients[static_cast<std::size_t>(t)];
           req.document = docs[rng.below(docs.size())];
           req.profile = TestSystem::tolerant_profile();
-          NegotiationResult result = client.submit(std::move(req));
+          NegotiationResult result = sharded.router().submit(std::move(req)).get();
           if (result.session_id != 0) {
             ++successes;
             std::lock_guard<std::mutex> lock(mu);
@@ -391,8 +385,7 @@ bool run_population() {
   }
   config.duration_s = 60.0;
   config.seed = 13;
-  ShardedPopulationBackend backend(sharded);
-  const PopulationMetrics metrics = Population(config, backend, docs).run();
+  const PopulationMetrics metrics = Population(config, sharded.router(), docs).run();
   sharded.stop();
   return metrics.conserved() && sharded.drained() && sharded.shard_metrics().balanced();
 }
@@ -428,8 +421,8 @@ int main() {
 
   print_section("Degeneracy (one shard == the unsharded service, same seed)");
   const bool identical = run_degeneracy();
-  std::cout << "Claim: ShardedClient(N=1) is byte-identical (result signature) to the\n"
-               "unsharded ServiceClient over a 120-request mixed stream   ["
+  std::cout << "Claim: ShardRouter(N=1) is byte-identical (result signature) to the\n"
+               "unsharded NegotiationService over a 120-request mixed stream   ["
             << check(identical) << "]\n";
 
   print_section("Cross-shard conservation under a foreign-shard outage");

@@ -1,8 +1,11 @@
 #!/bin/sh
 # Gate on deprecated API surface. All former migration shims are deleted:
 #  - removed names (NegotiationOutcome / ServiceResponse / ServiceRequest /
-#    negotiate_document and the multi-argument negotiate() overload): their
+#    negotiate_document and the multi-argument negotiate() overload; the
+#    client and population-adapter classes NegotiationClient replaced): their
 #    deprecation window is over; nothing may reintroduce a reference.
+#  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
+#    perfbench/, which this gate does not sweep: no other code may use them.
 #  - no [[deprecated]] marker may appear anywhere in compiled code: a new
 #    migration shim needs its own PR (with an allowlist added here), not a
 #    silent reintroduction.
@@ -35,6 +38,17 @@ check "NegotiationOutcome" "NegotiationOutcome"
 check "ServiceResponse" "ServiceResponse"
 check "ServiceRequest" "ServiceRequest"
 check "negotiate_document" "\bnegotiate_document\b"
+# One client seam: NegotiationClient and its four implementations replaced
+# these client classes, population adapters and client-interface members.
+for name in ServiceClient ShardedClient ServicePopulationBackend WirePopulationBackend \
+    ShardedPopulationBackend drain_metrics submit_at; do
+    check "$name" "\b$name\b"
+done
+# The two aliases kept for perfbench/ may appear only on their own lines.
+check "PopulationBackend" "\bPopulationBackend\b" \
+    "/src/sim/population\.hpp:[0-9]*:using PopulationBackend = NegotiationClient;\$"
+check "ManagerPopulationBackend" "ManagerPopulationBackend" \
+    "/src/sim/population\.hpp:[0-9]*:using ManagerPopulationBackend = LocalClient;\$"
 # Legacy multi-argument negotiate() calls: anything passing 2+
 # comma-separated bare arguments. Current call sites pass a single
 # make_negotiation_request(...) / NegotiationRequest whose inner parentheses

@@ -8,15 +8,10 @@
 
 namespace qosnp {
 
-NegotiationResult LocalClient::submit_at(NegotiationRequest request, double now_s) {
+NegotiationResult LocalClient::negotiate(NegotiationRequest request, double now_s) {
   NegotiationResult result =
       policy_ != nullptr ? policy_->negotiate(request) : manager_->negotiate(request);
   if (observer_) observer_(result);
-  metrics_
-      .counter("qosnp_client_responses_total",
-               {{"verdict", std::string(to_string(result.verdict))}},
-               "LocalClient responses, by verdict")
-      .inc();
   const bool keep = result.has_commitment() &&
                     (result.verdict == NegotiationStatus::kSucceeded || request.accept_degraded);
   if (keep) {

@@ -5,25 +5,17 @@
 // (SUCCEEDED, or FAILEDWITHOFFER with accept_degraded) opens a session
 // pending confirmation; a declined degraded offer is released on the spot.
 // The returned result is stripped of the offer list and commitment — they
-// belong to the opened session.
-//
-// This is the glue that previously lived inside ManagerPopulationBackend;
-// the population backend is now a thin adapter over this class, and any
-// other caller wanting manager-direct semantics gets the identical
-// behaviour here.
+// belong to the opened session. Sessions are opened at the caller's clock.
 #pragma once
 
 #include <functional>
-#include <string>
+#include <utility>
 
 #include "core/negotiation_client.hpp"
 #include "core/qos_manager.hpp"
-#include "obs/metrics.hpp"
 #include "session/session.hpp"
 
 namespace qosnp {
-
-class PolicyEngine;
 
 class LocalClient final : public NegotiationClient {
  public:
@@ -33,7 +25,6 @@ class LocalClient final : public NegotiationClient {
   /// Route negotiations through a preemption/upgrade engine (which must
   /// wrap the same manager/sessions pair). nullptr restores the direct path.
   void set_policy(PolicyEngine* policy) { policy_ = policy; }
-  PolicyEngine* policy() const { return policy_; }
 
   /// Observe every raw NegotiationResult as produced by the manager, before
   /// admission strips the offers/commitment — the hook the differential
@@ -42,24 +33,21 @@ class LocalClient final : public NegotiationClient {
     observer_ = std::move(observer);
   }
 
-  /// Negotiate + admit with an explicit session-clock timestamp (the
-  /// population simulator passes its simulation time here).
-  NegotiationResult submit_at(NegotiationRequest request, double now_s);
+  NegotiationResult negotiate(NegotiationRequest request, double now_s) override;
 
-  NegotiationResult submit(NegotiationRequest request) override {
-    return submit_at(std::move(request), 0.0);
+  /// negotiate() with sessions opened at time 0.
+  NegotiationResult submit(NegotiationRequest request) {
+    return negotiate(std::move(request), 0.0);
   }
 
-  std::string drain_metrics() const override { return metrics_.expose(); }
-
-  SessionManager& sessions() { return *sessions_; }
+  SessionManager& sessions() override { return *sessions_; }
+  PolicyEngine* policy() override { return policy_; }
 
  private:
   QoSManager* manager_;
   SessionManager* sessions_;
   PolicyEngine* policy_ = nullptr;
   std::function<void(const NegotiationResult&)> observer_;
-  MetricsRegistry metrics_;
 };
 
 }  // namespace qosnp

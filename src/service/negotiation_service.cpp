@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "policy/preemption.hpp"
@@ -184,6 +185,15 @@ std::future<NegotiationResult> NegotiationService::submit(NegotiationRequest req
   submit_async(std::move(request),
                [promise](NegotiationResult result) { promise->set_value(std::move(result)); });
   return future;
+}
+
+NegotiationResult NegotiationService::negotiate(NegotiationRequest request, double /*now_s*/) {
+  if (config_.auto_confirm) {
+    throw std::invalid_argument(
+        "NegotiationService::negotiate: the service must run with auto_confirm=false "
+        "(the caller drives Step 6 itself)");
+  }
+  return submit(std::move(request)).get();
 }
 
 void NegotiationService::upgrade_scan_loop() {

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/negotiation_client.hpp"
 #include "core/negotiation_result.hpp"
 #include "core/qos_manager.hpp"
 #include "obs/histogram.hpp"
@@ -121,7 +122,7 @@ struct ServiceReport {
   std::string summary() const;
 };
 
-class NegotiationService {
+class NegotiationService final : public NegotiationClient {
  public:
   /// Throws std::invalid_argument when the config is unusable (zero
   /// workers, zero queue capacity, negative deadline or RTT) — a service
@@ -159,6 +160,11 @@ class NegotiationService {
   /// Future-returning wrapper over submit_async; same guarantees.
   std::future<NegotiationResult> submit(NegotiationRequest request);
 
+  /// NegotiationClient: submit() and block for the result, leaving Step 6
+  /// to the caller. Throws std::invalid_argument, before submitting, when
+  /// the service auto-confirms (its workers would take Step 6 themselves).
+  NegotiationResult negotiate(NegotiationRequest request, double now_s) override;
+
   std::size_t queue_depth() const { return queue_.size(); }
   /// Service clock: seconds since construction (the time base sessions are
   /// opened/confirmed against).
@@ -172,7 +178,10 @@ class NegotiationService {
   MetricsRegistry& metrics() { return *metrics_; }
   const MetricsRegistry& metrics() const { return *metrics_; }
 
-  SessionManager& sessions() { return *sessions_; }
+  SessionManager& sessions() override { return *sessions_; }
+  /// Sessions open on the service clock, not the caller's.
+  double session_now_s(double /*now_s*/) const override { return now_s(); }
+  PolicyEngine* policy() override { return config_.policy; }
 
   /// The validated configuration the service runs with.
   const ServiceConfig& config() const { return config_; }

@@ -53,6 +53,10 @@ std::size_t ShardDirectory::shard_of_key(std::string_view key) const {
   return it->shard;
 }
 
+std::size_t ShardDirectory::shard_of_request(const NegotiationRequest& request) const {
+  return shard_of_key(request.resolved != nullptr ? request.resolved->id : request.document);
+}
+
 void ShardDirectory::register_server(const ServerId& id, std::size_t shard) {
   if (shard >= shard_count_) {
     throw std::out_of_range("ShardDirectory: server '" + id + "' registered on shard " +

@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/negotiation_request.hpp"
 #include "document/model.hpp"
 #include "net/topology.hpp"
 #include "server/media_server.hpp"
@@ -54,6 +55,10 @@ class ShardDirectory {
   /// (shard_count, virtual_nodes).
   std::size_t shard_of_key(std::string_view key) const;
   std::size_t shard_of_document(const DocumentId& id) const { return shard_of_key(id); }
+  /// Home shard of a request: its resolved document's id when the request
+  /// skips the catalog, its catalog document id otherwise. Every router
+  /// routes by this one key.
+  std::size_t shard_of_request(const NegotiationRequest& request) const;
 
   /// Register ownership. Re-registering the same id on the same shard is
   /// idempotent; on a different shard it throws (split ownership of one

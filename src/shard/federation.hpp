@@ -19,7 +19,7 @@
 //                         refusal texts are EXACTLY the base committer's —
 //                         with one shard the walk degenerates to the
 //                         identical reserve sequence, which is what makes
-//                         ShardedClient(N=1) byte-identical to the
+//                         ShardRouter(N=1) byte-identical to the
 //                         unsharded service.
 //
 // See docs/SHARDING.md for the commit protocol and rollback ordering.

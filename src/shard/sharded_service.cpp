@@ -1,5 +1,6 @@
 #include "shard/sharded_service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace qosnp {
@@ -23,6 +24,16 @@ std::future<NegotiationResult> ShardRouter::submit(NegotiationRequest request) {
   submit_async(std::move(request),
                [promise](NegotiationResult result) { promise->set_value(std::move(result)); });
   return future;
+}
+
+NegotiationResult ShardRouter::negotiate(NegotiationRequest request, double /*now_s*/) {
+  if (std::any_of(shards_.begin(), shards_.end(),
+                  [](const NegotiationService* shard) { return shard->config().auto_confirm; })) {
+    throw std::invalid_argument(
+        "ShardRouter::negotiate: the shard services must run with auto_confirm=false "
+        "(the caller drives Step 6 itself)");
+  }
+  return submit(std::move(request)).get();
 }
 
 ShardedService::ShardedService(std::vector<ShardSpec> specs, const NodeConfig& node,

@@ -4,10 +4,10 @@
 // pool — behind one consistent-hash router.
 //
 //   ShardRouter    — routes each NegotiationRequest to its home shard
-//                    (ShardDirectory::shard_of_document over the request's
-//                    catalog key) and keeps the qosnp_shard_* balance
-//                    counters. Thread-safe: routing is pure and the shard
-//                    services are concurrent.
+//                    (ShardDirectory::shard_of_request) and keeps the
+//                    qosnp_shard_* balance counters; the federation's
+//                    NegotiationClient. Thread-safe: routing is pure and the
+//                    shard services are concurrent.
 //   ShardedService — owns the verticals and the shared pieces: one
 //                    ShardDirectory, the federated providers every shard
 //                    commits through (cross-shard documents reserve on each
@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/negotiation_client.hpp"
 #include "core/qos_manager.hpp"
 #include "document/catalog.hpp"
 #include "net/transport.hpp"
@@ -58,8 +59,10 @@ struct ShardSpec {
 
 /// Consistent-hash request router over the shard services. submit/
 /// submit_async mirror NegotiationService's own surface, so anything that
-/// can drive a service can drive the federation.
-class ShardRouter {
+/// can drive a service can drive the federation. As a NegotiationClient,
+/// Step-6 sessions live on the SessionManager every shard shares, on shard
+/// 0's clock (the shard services are constructed together).
+class ShardRouter final : public NegotiationClient {
  public:
   ShardRouter(std::vector<NegotiationService*> shards, const ShardDirectory& directory,
               ShardMetrics& metrics)
@@ -67,15 +70,18 @@ class ShardRouter {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// The home shard of a request: the consistent hash of its catalog key
-  /// (the resolved document's id when the request skips the catalog).
   std::size_t home_shard(const NegotiationRequest& request) const {
-    return directory_->shard_of_key(request.resolved != nullptr ? request.resolved->id
-                                                                : request.document);
+    return directory_->shard_of_request(request);
   }
 
   void submit_async(NegotiationRequest request, NegotiationService::CompletionFn done);
   std::future<NegotiationResult> submit(NegotiationRequest request);
+
+  /// Routed submit(), blocking for the result. Throws std::invalid_argument,
+  /// before routing, when the shard services auto-confirm.
+  NegotiationResult negotiate(NegotiationRequest request, double now_s) override;
+  SessionManager& sessions() override { return shards_.front()->sessions(); }
+  double session_now_s(double /*now_s*/) const override { return shards_.front()->now_s(); }
 
   NegotiationService& shard(std::size_t k) { return *shards_[k]; }
 

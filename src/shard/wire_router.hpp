@@ -56,8 +56,7 @@ class WireShardRouter {
 
   std::size_t shard_count() const { return clients_.size(); }
   std::size_t home_shard(const NegotiationRequest& request) const {
-    return directory_.shard_of_key(request.resolved != nullptr ? request.resolved->id
-                                                               : request.document);
+    return directory_.shard_of_request(request);
   }
 
   /// Route + submit, hopping to the next shard only on kOverloaded.

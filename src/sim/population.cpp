@@ -187,10 +187,10 @@ PopulationConfig PopulationConfig::validated(PopulationConfig config) {
   return config;
 }
 
-Population::Population(PopulationConfig config, PopulationBackend& backend,
+Population::Population(PopulationConfig config, NegotiationClient& client,
                        std::vector<DocumentId> documents)
     : config_(PopulationConfig::validated(std::move(config))),
-      backend_(&backend),
+      client_(&client),
       documents_(std::move(documents)) {
   require_config(!documents_.empty(), "Population", "no documents to request");
 }
@@ -203,11 +203,11 @@ PopulationMetrics Population::run() {
   arrival_rngs_.clear();
   class_of_session_.clear();
   housekeeping_pending_ = 0;
-  // Policy-enabled backend: attribute victim/upgrade events to the owning
+  // Policy-enabled client: attribute victim/upgrade events to the owning
   // class. A released victim leaves the system outside the population's own
   // lifecycle events, so without this hook the conservation law
   // admitted == completed + preempt_released + policy_preempted would break.
-  PolicyEngine* policy = backend_->policy();
+  PolicyEngine* policy = client_->policy();
   if (policy != nullptr) {
     policy->set_victim_observer([this](const VictimEvent& event) {
       auto it = class_of_session_.find(event.session);
@@ -276,7 +276,7 @@ void Population::arrive(std::size_t class_index) {
   request.session_class = cls.session_class;
   request.accept_degraded = draws.accept_degraded;
   request.cache = config_.cache;
-  const NegotiationResult result = backend_->negotiate(std::move(request), queue_.now());
+  const NegotiationResult result = client_->negotiate(std::move(request), queue_.now());
 
   switch (result.verdict) {
     case NegotiationStatus::kFailedTryLater:
@@ -292,7 +292,7 @@ void Population::arrive(std::size_t class_index) {
   }
   if (result.session_id == 0) {
     // A degraded offer the user declined (or, defensively, an admission
-    // failure): the backend already released the commitment.
+    // failure): the client already released the commitment.
     counts.refused += 1;
     return;
   }
@@ -302,7 +302,7 @@ void Population::arrive(std::size_t class_index) {
   const double choice_s = cls.profile.mm.time.choice_period_s;
   if (draws.abandon_s < std::min(draws.think_s, choice_s)) {
     queue_.schedule_in(draws.abandon_s, [this, class_index, session] {
-      backend_->sessions().reject(session);
+      client_->sessions().reject(session);
       metrics_.by_class[class_index].abandoned += 1;
     });
     return;
@@ -311,7 +311,7 @@ void Population::arrive(std::size_t class_index) {
     // The user answers too late: the choicePeriod expires and the resources
     // de-allocate at the deadline (paper Step 6).
     queue_.schedule_in(choice_s, [this, class_index, session] {
-      backend_->sessions().reject(session);
+      client_->sessions().reject(session);
       ClassCounts& late = metrics_.by_class[class_index];
       late.abandoned += 1;
       late.confirm_timeouts += 1;
@@ -320,7 +320,7 @@ void Population::arrive(std::size_t class_index) {
   }
   queue_.schedule_in(draws.think_s, [this, class_index, session, rng] {
     auto confirmed =
-        backend_->sessions().confirm(session, backend_->session_now_s(queue_.now()));
+        client_->sessions().confirm(session, client_->session_now_s(queue_.now()));
     ClassCounts& c = metrics_.by_class[class_index];
     if (!confirmed.ok()) {
       c.abandoned += 1;
@@ -335,7 +335,7 @@ void Population::arrive(std::size_t class_index) {
 
 void Population::begin_playout(std::size_t class_index, SessionId session, Rng rng) {
   const ClientClass& cls = config_.classes[class_index];
-  const auto view = backend_->sessions().snapshot(session);
+  const auto view = client_->sessions().snapshot(session);
   const double duration_s = view ? view->duration_s : 0.0;
   const double watched_s = std::max(1.0, duration_s * cls.watch_fraction);
   const double end_at = queue_.now() + watched_s;
@@ -352,12 +352,12 @@ void Population::schedule_next_violation(std::size_t class_index, SessionId sess
   const double at = queue_.now() + rng.exponential(cls.violation_rate_per_s);
   if (at >= end_at_s) return;
   queue_.schedule_at(at, [this, class_index, session, rng, end_at_s] {
-    const auto view = backend_->sessions().snapshot(session);
+    const auto view = client_->sessions().snapshot(session);
     if (!view || view->state != SessionState::kPlaying) return;  // already released
     ClassCounts& counts = metrics_.by_class[class_index];
     counts.violations += 1;
     const AdaptationResult adapted =
-        backend_->sessions().adapt(session, backend_->session_now_s(queue_.now()));
+        client_->sessions().adapt(session, client_->session_now_s(queue_.now()));
     if (adapted.adapted) {
       counts.adaptations += 1;
       counts.interruption_s += adapted.interruption_s;
@@ -373,7 +373,7 @@ void Population::schedule_next_violation(std::size_t class_index, SessionId sess
 }
 
 void Population::finish_playout(std::size_t class_index, SessionId session, double watched_s) {
-  SessionManager& sessions = backend_->sessions();
+  SessionManager& sessions = client_->sessions();
   const auto view = sessions.snapshot(session);
   if (!view || view->state != SessionState::kPlaying) {
     // Released earlier (failed adaptation, or preempted by the policy —
@@ -402,7 +402,7 @@ void Population::schedule_prune() {
   housekeeping_pending_ += 1;
   queue_.schedule_in(config_.prune_interval_s, [this] {
     housekeeping_pending_ -= 1;
-    backend_->sessions().prune_finished();
+    client_->sessions().prune_finished();
     if (keep_housekeeping()) schedule_prune();
   });
 }
@@ -414,7 +414,7 @@ void Population::schedule_upgrade_scan() {
     housekeeping_pending_ -= 1;
     // On the event loop, not a wall-clock thread: same-seed runs promote
     // the same sessions at the same simulated instants.
-    if (PolicyEngine* policy = backend_->policy()) policy->run_upgrades();
+    if (PolicyEngine* policy = client_->policy()) policy->run_upgrades();
     if (keep_housekeeping()) schedule_upgrade_scan();
   });
 }

@@ -32,6 +32,7 @@
 #include <unordered_map>
 
 #include "client/client_machine.hpp"
+#include "core/negotiation_client.hpp"
 #include "core/negotiation_request.hpp"
 #include "core/negotiation_result.hpp"
 #include "policy/local_client.hpp"
@@ -65,7 +66,7 @@ struct ClientClass {
   ClientMachine machine;
   UserProfile profile;
   /// Admission class stamped on every request this class submits — who wins
-  /// under congestion when the backend runs a preemption policy.
+  /// under congestion when the client runs a preemption policy.
   SessionClass session_class = SessionClass::kStandard;
 
   /// Base Poisson arrival rate, modulated by `diurnal`.
@@ -146,63 +147,10 @@ struct PopulationMetrics {
   double adaptation_success_rate() const;
 };
 
-/// How the population drives negotiation and admission. Implementations run
-/// Steps 1-5 and, on a kept offer, open the session pending confirmation
-/// (Step 6 stays with the population: confirm, abandon, or time out).
-class PopulationBackend {
- public:
-  virtual ~PopulationBackend() = default;
-
-  /// Negotiate one request. When an offer was committed and kept (SUCCEEDED,
-  /// or FAILEDWITHOFFER with request.accept_degraded), the result carries the
-  /// id of a session opened pending confirmation; a declined degraded offer
-  /// is released before returning. The returned result is stripped of the
-  /// offer list and commitment — they belong to the opened session.
-  virtual NegotiationResult negotiate(NegotiationRequest request, double sim_now_s) = 0;
-
-  virtual SessionManager& sessions() = 0;
-
-  /// Timestamp for SessionManager calls: the backend's session time base may
-  /// differ from the simulation clock (the service opens sessions against
-  /// its own wall clock).
-  virtual double session_now_s(double sim_now_s) const { return sim_now_s; }
-
-  /// The preemption/upgrade engine negotiations run through, when the
-  /// backend is policy-enabled. The population registers its victim/upgrade
-  /// observers here (per-class conservation accounting) and drives periodic
-  /// upgrade scans on the simulation clock. nullptr = class-blind backend.
-  virtual PolicyEngine* policy() { return nullptr; }
-};
-
-/// Direct in-process backend: a thin adapter over LocalClient (which owns
-/// the negotiate + Step-6 admission glue), with the simulation clock as the
-/// session time base. Single-threaded and the fastest way to push millions
-/// of simulated users through the stack.
-class ManagerPopulationBackend final : public PopulationBackend {
- public:
-  ManagerPopulationBackend(QoSManager& manager, SessionManager& sessions)
-      : client_(manager, sessions) {}
-
-  /// Observe every raw NegotiationResult as produced by the manager, before
-  /// admission strips the offers/commitment — the hook the differential
-  /// suite uses to compare against direct QoSManager::negotiate calls.
-  void set_result_observer(std::function<void(const NegotiationResult&)> observer) {
-    client_.set_result_observer(std::move(observer));
-  }
-
-  /// Route negotiations through a preemption/upgrade engine (which must wrap
-  /// the same manager/sessions pair). nullptr restores the direct path.
-  void set_policy(PolicyEngine* policy) { client_.set_policy(policy); }
-
-  NegotiationResult negotiate(NegotiationRequest request, double sim_now_s) override {
-    return client_.submit_at(std::move(request), sim_now_s);
-  }
-  SessionManager& sessions() override { return client_.sessions(); }
-  PolicyEngine* policy() override { return client_.policy(); }
-
- private:
-  LocalClient client_;
-};
+// perfbench/ names the population's client by these two spellings and is
+// built unchanged against src/, so they stay as aliases of the real types.
+using PopulationBackend = NegotiationClient;
+using ManagerPopulationBackend = LocalClient;
 
 /// The per-user random draws, consumed from the user's RNG in this fixed,
 /// documented order: document, accept-degraded stance, think time,
@@ -238,7 +186,7 @@ struct PopulationConfig {
   double prune_interval_s = 50.0;
   /// Run PolicyEngine::run_upgrades every this many simulated seconds (on
   /// the deterministic event loop, not a wall-clock thread). 0 disables
-  /// scanning; requires a policy-enabled backend to have any effect.
+  /// scanning; requires a policy-enabled client to have any effect.
   double upgrade_scan_interval_s = 0.0;
   /// Optional arrival hook (class index, simulation time) — load-curve
   /// histograms and the like.
@@ -251,17 +199,17 @@ struct PopulationConfig {
 };
 
 /// One population replicate: seeds the arrival processes, runs every
-/// lifecycle to its terminal state through the backend, and reports per-class
+/// lifecycle to its terminal state through the client, and reports per-class
 /// outcome counts. Constructing validates the config (throws
 /// std::invalid_argument; documents must be non-empty).
 class Population {
  public:
-  Population(PopulationConfig config, PopulationBackend& backend,
+  Population(PopulationConfig config, NegotiationClient& client,
              std::vector<DocumentId> documents);
 
   /// Run the replicate to completion. Each call is an independent replicate
   /// of the same configuration (fresh clock, fresh arrival processes) —
-  /// though against whatever state the backend's system is in by then.
+  /// though against whatever state the client's system is in by then.
   PopulationMetrics run();
 
  private:
@@ -276,7 +224,7 @@ class Population {
   bool keep_housekeeping() const;
 
   PopulationConfig config_;
-  PopulationBackend* backend_;
+  NegotiationClient* client_;
   std::vector<DocumentId> documents_;
 
   // Per-run state, reset at the top of run().

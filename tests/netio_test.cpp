@@ -10,8 +10,8 @@
 //     violations close the connection, payload violations keep it open);
 //   - overload (max connections) and oversized frames shed, idle
 //     connections reap, ping answers pong;
-//   - the population simulation over a WirePopulationBackend is
-//     byte-identical to the in-process service backend;
+//   - the population simulation over a RemoteClient is byte-identical to
+//     the in-process NegotiationService;
 //   - qosnp_net_* conservation laws balance after every scenario,
 //     server-stop-with-inflight included.
 #include "netio/server.hpp"
@@ -32,9 +32,9 @@
 
 #include "document/corpus.hpp"
 #include "netio/client.hpp"
+#include "netio/remote_client.hpp"
 #include "result_signature.hpp"
-#include "service/service_backend.hpp"
-#include "sim/remote_backend.hpp"
+#include "sim/population.hpp"
 #include "test_service.hpp"
 #include "wire/codec.hpp"
 
@@ -468,7 +468,7 @@ TEST(WireServerLoopback, StopWithInflightRequestsStaysBalanced) {
 
 // --- population over the wire ---------------------------------------------
 
-TEST(WirePopulation, BackendMatchesInProcessServiceBackend) {
+TEST(WirePopulation, RemoteClientMatchesInProcessService) {
   auto build_system = [](ServiceSystem& sys, std::vector<DocumentId>& documents) {
     CorpusConfig corpus;
     corpus.seed = 7;
@@ -498,9 +498,8 @@ TEST(WirePopulation, BackendMatchesInProcessServiceBackend) {
   build_system(direct_sys, direct_documents);
   NegotiationService direct(*direct_sys.manager, *direct_sys.sessions, svc);
   direct.start();
-  ServicePopulationBackend direct_backend(direct);
   const PopulationMetrics in_process =
-      Population(population_config(direct_sys), direct_backend, direct_documents).run();
+      Population(population_config(direct_sys), direct, direct_documents).run();
   direct.stop();
 
   // Wire twin: same seed, every negotiation crosses the loopback socket.
@@ -515,9 +514,9 @@ TEST(WirePopulation, BackendMatchesInProcessServiceBackend) {
   client_config.port = server.port();
   client_config.deadline_ms = 20'000.0;
   WireClient client(client_config);
-  WirePopulationBackend wire_backend(client, wired);
+  RemoteClient remote(client, wired);
   const PopulationMetrics over_wire =
-      Population(population_config(wire_sys), wire_backend, wire_documents).run();
+      Population(population_config(wire_sys), remote, wire_documents).run();
   client.close();
   server.stop();
   wired.stop();
@@ -530,11 +529,11 @@ TEST(WirePopulation, BackendMatchesInProcessServiceBackend) {
   EXPECT_TRUE(wire_sys.drained());
 }
 
-TEST(WirePopulation, BackendRefusesAutoConfirmingService) {
+TEST(WirePopulation, RemoteClientRefusesAutoConfirmingHost) {
   ServiceSystem sys(1);
   NegotiationService service(*sys.manager, *sys.sessions);  // auto_confirm defaults on
   WireClient client(WireClientConfig{});
-  EXPECT_THROW((WirePopulationBackend{client, service}), std::invalid_argument);
+  EXPECT_THROW((RemoteClient{client, service}), std::invalid_argument);
 }
 
 }  // namespace

@@ -438,8 +438,8 @@ TEST(PolicyPopulation, PerClassConservationUnderOverload) {
     PreemptionPolicy policy;
     policy.enabled = true;
     PolicyEngine engine(*sys.manager, *sys.sessions, policy);
-    ManagerPopulationBackend backend(*sys.manager, *sys.sessions);
-    backend.set_policy(&engine);
+    LocalClient client(*sys.manager, *sys.sessions);
+    client.set_policy(&engine);
 
     PopulationConfig config;
     config.classes = standard_population();
@@ -452,7 +452,7 @@ TEST(PolicyPopulation, PerClassConservationUnderOverload) {
     config.seed = seed;
     config.upgrade_scan_interval_s = 5.0;
 
-    Population population(config, backend, sys.catalog.list());
+    Population population(config, client, sys.catalog.list());
     const PopulationMetrics metrics = population.run();
     EXPECT_TRUE(metrics.conserved()) << "seed " << seed << '\n' << metrics.signature();
     EXPECT_EQ(sys.sessions->opened_total(), sys.sessions->released_total()) << "seed " << seed;

@@ -50,7 +50,7 @@ struct TwinSystems {
 };
 
 /// One single-class population over `seed`, capturing the raw result the
-/// backend observed for arrival index 0 (before admission strips it).
+/// client observed for arrival index 0 (before admission strips it).
 /// Returns nullopt when the replicate produced no arrivals at all.
 std::optional<std::string> observed_first_result(ServiceSystem& sys,
                                                  const std::vector<DocumentId>& documents,
@@ -62,12 +62,12 @@ std::optional<std::string> observed_first_result(ServiceSystem& sys,
   config.seed = seed;
   config.cache = cache;
 
-  ManagerPopulationBackend backend(*sys.manager, *sys.sessions);
+  LocalClient client(*sys.manager, *sys.sessions);
   std::optional<std::string> first;
-  backend.set_result_observer([&](const NegotiationResult& r) {
+  client.set_result_observer([&](const NegotiationResult& r) {
     if (!first) first = result_signature(r);
   });
-  Population population(config, backend, documents);
+  Population population(config, client, documents);
   const PopulationMetrics metrics = population.run();
   EXPECT_TRUE(metrics.conserved()) << metrics.signature();
   return first;

@@ -3,13 +3,13 @@
 //   arrivals  == admitted + shed + refused + abandoned
 //   admitted  == completed + preempt_released
 //   violations == adaptations + failed_adaptations
-// plus the backend-side law opened_total == released_total (every admitted
+// plus the client-side law opened_total == released_total (every admitted
 // session ends released) and the drained() invariant (no reservation
 // outlives its session). Same-seed replicates are byte-identical
 // (PopulationMetrics::signature()), pruning is invisible in the outcomes,
-// and the service-driven backend (labelled concurrency, so the tsan preset
-// covers it) produces the same outcome counts as the direct manager
-// backend.
+// the NegotiationService client (labelled concurrency, so the tsan preset
+// covers it) produces the same outcome counts as the direct LocalClient,
+// and a decorating NegotiationClient is invisible in the outcomes.
 #include "sim/population.hpp"
 
 #include <gtest/gtest.h>
@@ -17,10 +17,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "document/corpus.hpp"
-#include "service/service_backend.hpp"
+#include "service/negotiation_service.hpp"
 #include "test_service.hpp"
 
 namespace qosnp {
@@ -58,8 +59,8 @@ struct PopulationFixture {
 TEST(PopulationConservation, EveryReplicateConservesAndDrains) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     PopulationFixture fx(seed);
-    ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-    Population population(fx.config, backend, fx.documents);
+    LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+    Population population(fx.config, client, fx.documents);
     const PopulationMetrics metrics = population.run();
 
     const ClassCounts t = metrics.totals();
@@ -79,8 +80,8 @@ TEST(PopulationConservation, EveryReplicateConservesAndDrains) {
 TEST(PopulationConservation, SameSeedRunsAreByteIdentical) {
   auto run_once = [](std::uint64_t seed) {
     PopulationFixture fx(seed);
-    ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-    return Population(fx.config, backend, fx.documents).run().signature();
+    LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+    return Population(fx.config, client, fx.documents).run().signature();
   };
   for (std::uint64_t seed : {1ULL, 17ULL, 42ULL}) {
     EXPECT_EQ(run_once(seed), run_once(seed)) << "seed " << seed;
@@ -93,8 +94,8 @@ TEST(PopulationConservation, PruningIsInvisibleInTheOutcomes) {
   auto run_with_prune = [](double prune_interval_s) {
     PopulationFixture fx(5);
     fx.config.prune_interval_s = prune_interval_s;
-    ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-    Population population(fx.config, backend, fx.documents);
+    LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+    Population population(fx.config, client, fx.documents);
     const PopulationMetrics metrics = population.run();
     // Whatever finished after the last prune tick is all that can remain.
     return std::make_pair(metrics.signature(), fx.sys.sessions->prune_finished());
@@ -108,12 +109,12 @@ TEST(PopulationConservation, PruningIsInvisibleInTheOutcomes) {
   EXPECT_GT(unpruned_rest, 0u);
 }
 
-TEST(PopulationConservation, ServiceBackendMatchesManagerBackendOutcomes) {
+TEST(PopulationConservation, ServiceClientMatchesLocalClientOutcomes) {
   const std::uint64_t seed = 11;
 
   PopulationFixture direct_fx(seed);
-  ManagerPopulationBackend direct_backend(*direct_fx.sys.manager, *direct_fx.sys.sessions);
-  const PopulationMetrics direct = Population(direct_fx.config, direct_backend,
+  LocalClient direct_client(*direct_fx.sys.manager, *direct_fx.sys.sessions);
+  const PopulationMetrics direct = Population(direct_fx.config, direct_client,
                                               direct_fx.documents).run();
 
   PopulationFixture service_fx(seed);
@@ -122,9 +123,8 @@ TEST(PopulationConservation, ServiceBackendMatchesManagerBackendOutcomes) {
   service_config.auto_confirm = false;  // Step 6 belongs to the population
   NegotiationService service(*service_fx.sys.manager, *service_fx.sys.sessions, service_config);
   service.start();
-  ServicePopulationBackend service_backend(service);
   const PopulationMetrics through_service =
-      Population(service_fx.config, service_backend, service_fx.documents).run();
+      Population(service_fx.config, service, service_fx.documents).run();
   service.stop();
 
   EXPECT_TRUE(through_service.conserved()) << through_service.signature();
@@ -133,10 +133,72 @@ TEST(PopulationConservation, ServiceBackendMatchesManagerBackendOutcomes) {
   EXPECT_TRUE(service_fx.sys.drained());
 }
 
-TEST(Population, ServiceBackendRefusesAutoConfirmingService) {
+/// The decorator shape a benchmark harness wraps around the population's
+/// client: it forwards all four calls and only counts.
+class PassThroughClient final : public NegotiationClient {
+ public:
+  explicit PassThroughClient(NegotiationClient& inner) : inner_(&inner) {}
+
+  NegotiationResult negotiate(NegotiationRequest request, double now_s) override {
+    ++calls;
+    return inner_->negotiate(std::move(request), now_s);
+  }
+  SessionManager& sessions() override { return inner_->sessions(); }
+  double session_now_s(double now_s) const override { return inner_->session_now_s(now_s); }
+  PolicyEngine* policy() override { return inner_->policy(); }
+
+  std::uint64_t calls = 0;
+
+ private:
+  NegotiationClient* inner_;
+};
+
+TEST(PopulationConservation, DecoratedPolicyClientMatchesBareClient) {
+  auto run = [](bool decorated) {
+    ServiceSystem sys(3, /*access_bps=*/600'000'000, /*backbone_bps=*/300'000'000,
+                      /*server_bps=*/40'000'000, /*server_sessions=*/64);
+    PreemptionPolicy preemption;
+    preemption.enabled = true;
+    PolicyEngine engine(*sys.manager, *sys.sessions, preemption);
+    LocalClient client(*sys.manager, *sys.sessions);
+    client.set_policy(&engine);
+    PassThroughClient wrapper(client);
+
+    PopulationConfig config;
+    config.classes = standard_population();
+    for (std::size_t i = 0; i < config.classes.size(); ++i) {
+      config.classes[i].machine.node = sys.clients[i].node;
+      config.classes[i].arrival_rate_per_s *= 8.0;  // congested: the policy must act
+      config.classes[i].violation_rate_per_s = 0.02;
+    }
+    config.duration_s = 40.0;
+    config.seed = 3;
+    config.upgrade_scan_interval_s = 5.0;
+
+    NegotiationClient& driven = decorated ? static_cast<NegotiationClient&>(wrapper) : client;
+    const PopulationMetrics metrics = Population(config, driven, sys.catalog.list()).run();
+    EXPECT_TRUE(metrics.conserved()) << metrics.signature();
+    EXPECT_TRUE(sys.drained());
+    EXPECT_EQ(wrapper.calls > 0, decorated);
+    return metrics;
+  };
+  const PopulationMetrics bare = run(false);
+  const PopulationMetrics wrapped = run(true);
+  EXPECT_EQ(bare.signature(), wrapped.signature());
+  // The policy was reached through the decorator, not bypassed.
+  const ClassCounts t = wrapped.totals();
+  EXPECT_GT(t.policy_preempted + t.policy_degraded, 0u) << wrapped.signature();
+  EXPECT_GT(t.upgrades, 0u) << wrapped.signature();
+}
+
+TEST(Population, ServiceRefusesToNegotiateWhenAutoConfirming) {
   ServiceSystem sys(1);
   NegotiationService service(*sys.manager, *sys.sessions);  // auto_confirm defaults on
-  EXPECT_THROW(ServicePopulationBackend{service}, std::invalid_argument);
+  NegotiationRequest request;
+  request.client = sys.clients[0];
+  request.document = "article";
+  EXPECT_THROW(service.negotiate(request, 0.0), std::invalid_argument);
+  EXPECT_EQ(service.report().submitted, 0u);  // refused before submitting
 }
 
 TEST(Population, ImpatientClassAbandonsInsteadOfAdmitting) {
@@ -145,8 +207,8 @@ TEST(Population, ImpatientClassAbandonsInsteadOfAdmitting) {
   // beats every think time, so no negotiation-successful arrival is admitted.
   fx.config.classes.resize(1);
   fx.config.classes[0].abandon_rate_per_s = 1'000.0;
-  ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-  const PopulationMetrics metrics = Population(fx.config, backend, fx.documents).run();
+  LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+  const PopulationMetrics metrics = Population(fx.config, client, fx.documents).run();
 
   const ClassCounts t = metrics.totals();
   ASSERT_GT(t.arrivals, 0u);
@@ -163,8 +225,8 @@ TEST(Population, SlowThinkersTimeOutOfTheChoicePeriod) {
   ClientClass& cls = fx.config.classes[0];
   cls.abandon_rate_per_s = 0.0;
   cls.mean_think_s = 10'000.0;  // essentially every think time > choicePeriod
-  ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-  const PopulationMetrics metrics = Population(fx.config, backend, fx.documents).run();
+  LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+  const PopulationMetrics metrics = Population(fx.config, client, fx.documents).run();
 
   const ClassCounts t = metrics.totals();
   ASSERT_GT(t.arrivals, 0u);
@@ -179,8 +241,8 @@ TEST(Population, ViolationsDriveAdaptationAndItsConservation) {
   for (ClientClass& cls : fx.config.classes) {
     cls.violation_rate_per_s = 0.05;  // a violation roughly every 20 played seconds
   }
-  ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-  const PopulationMetrics metrics = Population(fx.config, backend, fx.documents).run();
+  LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+  const PopulationMetrics metrics = Population(fx.config, client, fx.documents).run();
 
   const ClassCounts t = metrics.totals();
   ASSERT_GT(t.violations, 0u);
@@ -208,8 +270,8 @@ TEST(Population, DiurnalCurveShapesTheArrivalProcess) {
     if (t_s >= 150.0 && t_s <= 250.0) near_peak += 1;
     if (t_s <= 50.0 || t_s >= 350.0) near_trough += 1;
   };
-  ManagerPopulationBackend backend(*fx.sys.manager, *fx.sys.sessions);
-  const PopulationMetrics metrics = Population(fx.config, backend, fx.documents).run();
+  LocalClient client(*fx.sys.manager, *fx.sys.sessions);
+  const PopulationMetrics metrics = Population(fx.config, client, fx.documents).run();
 
   ASSERT_GT(metrics.totals().arrivals, 100u);
   EXPECT_GT(near_peak, 4 * std::max<std::uint64_t>(near_trough, 1));
@@ -231,14 +293,14 @@ TEST(Population, DiurnalFactorIsARaisedCosine) {
 
 TEST(Population, ValidationRejectsNonsenseConfigs) {
   ServiceSystem sys(1);
-  ManagerPopulationBackend backend(*sys.manager, *sys.sessions);
+  LocalClient client(*sys.manager, *sys.sessions);
   const std::vector<DocumentId> docs = sys.catalog.list();
 
   auto expect_invalid = [&](auto mutate) {
     PopulationConfig config;
     config.classes = standard_population();
     mutate(config);
-    EXPECT_THROW(Population(config, backend, docs), std::invalid_argument);
+    EXPECT_THROW(Population(config, client, docs), std::invalid_argument);
   };
   expect_invalid([](PopulationConfig& c) { c.classes.clear(); });
   expect_invalid([](PopulationConfig& c) { c.duration_s = 0.0; });
@@ -255,7 +317,7 @@ TEST(Population, ValidationRejectsNonsenseConfigs) {
   // No documents at all is a construction error too.
   PopulationConfig ok;
   ok.classes = standard_population();
-  EXPECT_THROW(Population(ok, backend, {}), std::invalid_argument);
+  EXPECT_THROW(Population(ok, client, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -496,11 +496,11 @@ TEST(QoSManagerNogoodMemo, MemoWalkIsByteIdenticalToBypassedWalk) {
   EXPECT_LT(with_memo.failed_walks, 24);
 }
 
-/// PopulationBackend decorator tracing every negotiate call and summing the
+/// NegotiationClient decorator tracing every negotiate call and summing the
 /// walks' nogood hits.
-class HitCountingBackend final : public PopulationBackend {
+class HitCountingClient final : public NegotiationClient {
  public:
-  explicit HitCountingBackend(PopulationBackend& inner) : inner_(&inner) {}
+  explicit HitCountingClient(NegotiationClient& inner) : inner_(&inner) {}
   NegotiationResult negotiate(NegotiationRequest request, double sim_now_s) override {
     NegotiationTrace trace(request.id);
     request.trace = TraceContext(&trace);
@@ -517,7 +517,7 @@ class HitCountingBackend final : public PopulationBackend {
   std::uint64_t hits = 0;
 
  private:
-  PopulationBackend* inner_;
+  NegotiationClient* inner_;
 };
 
 /// A small congested mixed-class population with preemption and upgrade
@@ -555,9 +555,9 @@ std::string congested_population_signature(std::uint64_t seed, bool bypass,
   PreemptionPolicy preemption;
   preemption.enabled = true;
   PolicyEngine policy(manager, sessions, preemption);
-  ManagerPopulationBackend backend(manager, sessions);
-  backend.set_policy(&policy);
-  HitCountingBackend counting(backend);
+  LocalClient client(manager, sessions);
+  client.set_policy(&policy);
+  HitCountingClient counting(client);
 
   PopulationConfig config;
   config.classes = standard_population();

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "document/corpus.hpp"
-#include "shard/sharded_client.hpp"
 #include "test_system.hpp"
 #include "util/rng.hpp"
 
@@ -129,7 +128,6 @@ TEST(ShardConcurrency, MixedLoadThroughTheRouterDrainsBalanced) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ShardedClient client(sharded);
       Rng rng(0xc0ffee + static_cast<std::uint64_t>(t));
       for (int i = 0; i < kPerThread; ++i) {
         NegotiationRequest req;
@@ -137,7 +135,7 @@ TEST(ShardConcurrency, MixedLoadThroughTheRouterDrainsBalanced) {
         req.client = clients[static_cast<std::size_t>(t)];
         req.document = docs[rng.below(docs.size())];
         req.profile = TestSystem::tolerant_profile();
-        NegotiationResult result = client.submit(req);
+        NegotiationResult result = sharded.router().submit(req).get();
         if (result.session_id != 0) {
           ++succeeded;
           std::lock_guard<std::mutex> lock(mu);
@@ -190,14 +188,13 @@ TEST(ShardConcurrency, ConcurrentCrossShardCompletionsRaceCleanly) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ShardedClient client(sharded);
       for (int i = 0; i < 16; ++i) {
         NegotiationRequest req;
         req.id = static_cast<std::uint64_t>(t * 1000 + i);
         req.client = clients[static_cast<std::size_t>(t)];
         req.document = "cross-" + std::to_string((t + i) % kShards);
         req.profile = TestSystem::tolerant_profile();
-        NegotiationResult result = client.submit(req);
+        NegotiationResult result = sharded.router().submit(req).get();
         if (result.session_id != 0) {
           sharded.sessions().complete(result.session_id);  // complete immediately, racing
         }

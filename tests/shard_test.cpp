@@ -3,17 +3,18 @@
 //     instances, one shard owns everything, growing the ring remaps only a
 //     consistent-hash-sized fraction of keys, registration is idempotent
 //     and split ownership throws;
-//   - the 500+-seed differential: ShardedClient over a one-shard federation
-//     is byte-identical (result signature) to ServiceClient over the
+//   - the 500+-seed differential: the ShardRouter of a one-shard federation
+//     is byte-identical (result signature) to a NegotiationService over the
 //     identical unsharded world, request for request;
+//   - both routers route a request by ShardDirectory::shard_of_request;
 //   - cross-shard commits reserve on every owning shard and drain to zero;
 //   - the rollback property: injected mid-walk faults (faulty farms and
 //     transports on both shards) never leak a reservation;
 //   - WireShardRouter over real loopback backends: consistent-hash routing,
 //     retry-on-another-shard for kOverloaded ONLY, fast typed failure for
 //     kDeadlineExceeded;
-//   - the population simulator over a one-shard ShardedPopulationBackend is
-//     byte-identical to the in-process service backend.
+//   - the population simulator over a one-shard ShardRouter is
+//     byte-identical to the in-process NegotiationService.
 #include "shard/sharded_service.hpp"
 
 #include <gtest/gtest.h>
@@ -34,11 +35,8 @@
 #include "fault/fault_injector.hpp"
 #include "netio/server.hpp"
 #include "result_signature.hpp"
-#include "service/service_backend.hpp"
-#include "service/service_client.hpp"
-#include "shard/sharded_backend.hpp"
-#include "shard/sharded_client.hpp"
 #include "shard/wire_router.hpp"
+#include "sim/population.hpp"
 #include "test_service.hpp"
 
 namespace qosnp {
@@ -213,7 +211,7 @@ TEST(ShardDirectory, RegistrationIsIdempotentAndSplitOwnershipThrows) {
 
 // --- the N=1 differential ---------------------------------------------------
 
-TEST(ShardedDifferential, SingleShardClientIsByteIdenticalToServiceClient) {
+TEST(ShardedDifferential, SingleShardRouterIsByteIdenticalToService) {
   constexpr int kClients = 8;
   constexpr std::uint64_t kSeeds = 520;
 
@@ -225,13 +223,12 @@ TEST(ShardedDifferential, SingleShardClientIsByteIdenticalToServiceClient) {
   corpus.max_duration_s = 90.0;
   const std::vector<MultimediaDocument> docs = generate_corpus(corpus);
 
-  // The unsharded twin: ServiceSystem + NegotiationService + ServiceClient.
+  // The unsharded twin: ServiceSystem + NegotiationService.
   ServiceSystem direct_sys(kClients, 50'000'000, 200'000'000, 100'000'000, 32);
   for (MultimediaDocument doc : docs) direct_sys.catalog.add(std::move(doc));
   const NodeConfig node;  // defaults on both sides
   NegotiationService direct(*direct_sys.manager, *direct_sys.sessions, node.service());
   direct.start();
-  ServiceClient direct_client(direct);
 
   // The one-shard federation over the identical world.
   std::vector<ShardSpec> specs(1);
@@ -248,7 +245,6 @@ TEST(ShardedDifferential, SingleShardClientIsByteIdenticalToServiceClient) {
   EXPECT_TRUE(sharded.add_document(TestSystem::news_article()).empty());
   for (MultimediaDocument doc : docs) EXPECT_TRUE(sharded.add_document(std::move(doc)).empty());
   sharded.start();
-  ShardedClient sharded_client(sharded);
 
   std::vector<DocumentId> ids = direct_sys.catalog.list();
   const std::vector<ClientMachine> clients = make_clients(kClients);
@@ -260,8 +256,8 @@ TEST(ShardedDifferential, SingleShardClientIsByteIdenticalToServiceClient) {
         tolerant_request(seed, clients[rng.below(clients.size())], ids[rng.below(ids.size())]);
     req.accept_degraded = rng.below(2) == 0;
 
-    NegotiationResult direct_result = direct_client.submit(req);
-    NegotiationResult sharded_result = sharded_client.submit(req);
+    NegotiationResult direct_result = direct.submit(req).get();
+    NegotiationResult sharded_result = sharded.router().submit(req).get();
     ASSERT_EQ(result_signature(direct_result), result_signature(sharded_result))
         << "seed=" << seed << " doc=" << req.document;
     ASSERT_EQ(direct_result.session_id != 0, sharded_result.session_id != 0) << "seed=" << seed;
@@ -295,10 +291,10 @@ TEST(ShardedFederation, CrossShardDocumentReservesOnBothShardsAndDrains) {
   ShardedService sharded(two_shard_specs(4));
   EXPECT_TRUE(sharded.add_document(cross_document("cross", "server-a", "server-b")).empty());
   sharded.start();
-  ShardedClient client(sharded);
   const std::vector<ClientMachine> clients = make_clients(4);
 
-  NegotiationResult result = client.submit(tolerant_request(1, clients[0], "cross"));
+  NegotiationResult result =
+      sharded.router().submit(tolerant_request(1, clients[0], "cross")).get();
   ASSERT_EQ(result.verdict, NegotiationStatus::kSucceeded)
       << (result.problems.empty() ? "" : result.problems.front());
   ASSERT_NE(result.session_id, 0u);
@@ -514,9 +510,54 @@ TEST(WireShardRouterLoopback, DeadlineFailsFastWithoutHopping) {
   EXPECT_TRUE(healthy.sys.drained());
 }
 
+// --- the routing key ----------------------------------------------------------
+
+TEST(ShardRouting, ResolvedDocumentIdOutranksCatalogIdInBothRouters) {
+  // A renegotiation-style request: `resolved` carries "cross", `document`
+  // names an id that hashes to the other shard. Both routers must route by
+  // the resolved id.
+  const ShardDirectory directory(2);
+  const std::size_t home = directory.shard_of_key("cross");
+  int suffix = 0;
+  DocumentId elsewhere = "elsewhere-0";
+  while (directory.shard_of_key(elsewhere) == home) {
+    elsewhere = "elsewhere-" + std::to_string(++suffix);
+  }
+  const std::vector<ClientMachine> clients = make_clients(4);
+  NegotiationRequest req = tolerant_request(1, clients[0], elsewhere);
+  req.resolved = std::make_shared<const MultimediaDocument>(
+      cross_document("cross", "server-a", "server-b"));
+  ASSERT_EQ(directory.shard_of_request(req), home);
+
+  ShardedService sharded(two_shard_specs(4));
+  sharded.start();
+  EXPECT_EQ(sharded.router().home_shard(req), home);
+  NegotiationResult result = sharded.router().submit(req).get();
+  EXPECT_EQ(sharded.shard_metrics().routed[home]->value(), 1u);
+  EXPECT_EQ(sharded.shard_metrics().routed[1 - home]->value(), 0u);
+  if (result.session_id != 0) sharded.sessions().complete(result.session_id);
+  sharded.stop();
+  EXPECT_TRUE(sharded.drained());
+
+  // Over the wire a resolved reference is unencodable, but the routing
+  // decision is taken (and counted) first.
+  WireBackend backend0;
+  WireBackend backend1;
+  WireShardRouterConfig config;
+  config.backends = {backend_config(backend0.server->port()),
+                     backend_config(backend1.server->port())};
+  WireShardRouter router(config);
+  EXPECT_EQ(router.home_shard(req), home);
+  auto wired = router.submit(req);
+  ASSERT_FALSE(wired.ok());
+  EXPECT_EQ(wired.error().code, WireErrorCode::kUnencodable);
+  EXPECT_EQ(router.stats().routed[home], 1u);
+  EXPECT_EQ(router.stats().routed[1 - home], 0u);
+}
+
 // --- the population over the federation -------------------------------------
 
-TEST(ShardedPopulation, SingleShardBackendMatchesServiceBackend) {
+TEST(ShardedPopulation, SingleShardRouterMatchesService) {
   auto corpus_documents = [] {
     CorpusConfig corpus;
     corpus.seed = 7;
@@ -544,9 +585,8 @@ TEST(ShardedPopulation, SingleShardBackendMatchesServiceBackend) {
   const std::vector<DocumentId> direct_docs = direct_sys.catalog.list();
   NegotiationService direct(*direct_sys.manager, *direct_sys.sessions, node.service());
   direct.start();
-  ServicePopulationBackend direct_backend(direct);
   const PopulationMetrics in_process =
-      Population(population_config(direct_sys.clients), direct_backend, direct_docs).run();
+      Population(population_config(direct_sys.clients), direct, direct_docs).run();
   direct.stop();
 
   // One-shard federation twin: same seed, every negotiation routed.
@@ -564,11 +604,10 @@ TEST(ShardedPopulation, SingleShardBackendMatchesServiceBackend) {
   EXPECT_TRUE(sharded.add_document(TestSystem::news_article()).empty());
   for (auto& doc : corpus_documents()) EXPECT_TRUE(sharded.add_document(std::move(doc)).empty());
   sharded.start();
-  ShardedPopulationBackend sharded_backend(sharded);
   const std::vector<DocumentId> sharded_docs = sharded.catalog(0).list();
   ASSERT_EQ(sharded_docs, direct_docs);
   const PopulationMetrics federated =
-      Population(population_config(make_clients(3)), sharded_backend, sharded_docs).run();
+      Population(population_config(make_clients(3)), sharded.router(), sharded_docs).run();
   sharded.stop();
 
   EXPECT_TRUE(in_process.conserved()) << in_process.signature();
@@ -578,9 +617,12 @@ TEST(ShardedPopulation, SingleShardBackendMatchesServiceBackend) {
   EXPECT_TRUE(sharded.drained());
 }
 
-TEST(ShardedPopulation, BackendRefusesAutoConfirmingCluster) {
+TEST(ShardedPopulation, RouterRefusesToNegotiateForAutoConfirmingCluster) {
   ShardedService sharded(two_shard_specs(1));  // default NodeConfig auto-confirms
-  EXPECT_THROW((ShardedPopulationBackend{sharded}), std::invalid_argument);
+  const std::vector<ClientMachine> clients = make_clients(1);
+  EXPECT_THROW(sharded.router().negotiate(tolerant_request(1, clients[0], "cross"), 0.0),
+               std::invalid_argument);
+  EXPECT_EQ(sharded.shard_metrics().requests->value(), 0u);  // refused before routing
 }
 
 }  // namespace
