@@ -7,73 +7,59 @@
 namespace qosnp {
 
 NegotiationResult EnumeratingNegotiator::negotiate(const NegotiationRequest& request) {
-  const ClientMachine& client = request.client;
-  const UserProfile& profile = request.profile;
+  auto feasible = static_check(request, catalog_->find(request.document));
+  if (!feasible.ok()) return std::move(feasible.error());
   NegotiationResult outcome;
-  auto document = catalog_->find(request.document);
-  if (!document) {
+  auto offers = ordered_offers(feasible.value(), request.profile);
+  if (!offers.ok()) {
     outcome.verdict = NegotiationStatus::kFailedWithoutOffer;
-    outcome.problems.push_back("document '" + request.document + "' not found in the catalog");
+    outcome.problems.push_back(std::move(offers.error()));
     return outcome;
   }
-  const LocalCheck local = local_negotiation(client, profile.mm);
-  if (!local.ok) {
-    outcome.verdict = NegotiationStatus::kFailedWithLocalOffer;
-    outcome.problems = local.problems;
-    outcome.user_offer = local_offer_from(local.local_offer);
-    return outcome;
-  }
-  auto feasible = compatible_variants(document, client, profile.mm);
-  if (!feasible.ok()) {
-    outcome.verdict = NegotiationStatus::kFailedWithoutOffer;
-    outcome.problems.push_back(feasible.error());
-    return outcome;
-  }
-  outcome.offers = enumerate_offers(feasible.value(), profile.mm, cost_model_, enumeration_);
-  order_offers(outcome.offers.offers, profile);
+  outcome.offers = std::move(offers.value());
 
+  // Step 5 in one pass: the first offer, in the baseline's order, that the
+  // servers and the transport accept.
   ResourceCommitter committer(*farm_, *transport_, retry_);
   bool saw_transient = false;
   for (std::size_t i = 0; i < outcome.offers.offers.size(); ++i) {
-    auto committed = committer.commit(client, outcome.offers.offers[i]);
-    if (!committed.ok()) {
-      if (committed.error().transient) saw_transient = true;
-      outcome.problems.push_back(committed.error().message);
-      continue;
+    auto committed = committer.commit(request.client, outcome.offers.offers[i]);
+    if (committed.ok()) {
+      outcome.committed_index = i;
+      outcome.commitment = std::move(committed.value());
+      break;
     }
-    outcome.committed_index = i;
-    outcome.commitment = std::move(committed.value());
-    outcome.commit_stats = committer.stats();
-    const SystemOffer& offer = outcome.offers.offers[i];
-    outcome.user_offer = derive_user_offer(offer);
-    outcome.verdict = satisfies_user(offer, profile.mm) ? NegotiationStatus::kSucceeded
-                                                       : NegotiationStatus::kFailedWithOffer;
-    return outcome;
+    if (committed.error().transient) saw_transient = true;
+    outcome.problems.push_back(committed.error().message);
   }
   outcome.commit_stats = committer.stats();
-  outcome.verdict = saw_transient ? NegotiationStatus::kFailedTryLater
-                                 : NegotiationStatus::kFailedWithoutOffer;
+  settle_verdict(outcome, request.profile.mm, saw_transient);
   return outcome;
 }
 
-void CostOnlyNegotiator::order_offers(std::vector<SystemOffer>& offers,
-                                      const UserProfile& profile) {
-  // Fill sns/oif for reporting parity, then sort purely by cost.
-  for (SystemOffer& o : offers) {
+OfferList EnumeratingNegotiator::scored_offers(const FeasibleSet& feasible,
+                                               const UserProfile& profile) const {
+  OfferList list = enumerate_offers(feasible, profile.mm, cost_model_, enumeration_);
+  for (SystemOffer& o : list.offers) {
     o.sns = compute_sns(o, profile.mm, profile.importance);
     o.oif = compute_oif(o, profile.importance);
   }
-  std::sort(offers.begin(), offers.end(), [](const SystemOffer& a, const SystemOffer& b) {
-    return a.total_cost() < b.total_cost();
-  });
+  return list;
 }
 
-void QoSOnlyNegotiator::order_offers(std::vector<SystemOffer>& offers,
-                                     const UserProfile& profile) {
-  for (SystemOffer& o : offers) {
-    o.sns = compute_sns(o, profile.mm, profile.importance);
-    o.oif = compute_oif(o, profile.importance);
-  }
+Result<OfferList> CostOnlyNegotiator::ordered_offers(const FeasibleSet& feasible,
+                                                     const UserProfile& profile) const {
+  OfferList list = scored_offers(feasible, profile);
+  std::sort(list.offers.begin(), list.offers.end(),
+            [](const SystemOffer& a, const SystemOffer& b) {
+              return a.total_cost() < b.total_cost();
+            });
+  return list;
+}
+
+Result<OfferList> QoSOnlyNegotiator::ordered_offers(const FeasibleSet& feasible,
+                                                    const UserProfile& profile) const {
+  OfferList list = scored_offers(feasible, profile);
   // Pure QoS ranking: the importance of the QoS alone (no cost term).
   auto qos_score = [&profile](const SystemOffer& o) {
     double sum = 0.0;
@@ -82,99 +68,45 @@ void QoSOnlyNegotiator::order_offers(std::vector<SystemOffer>& offers,
     }
     return sum;
   };
-  std::sort(offers.begin(), offers.end(),
+  std::sort(list.offers.begin(), list.offers.end(),
             [&](const SystemOffer& a, const SystemOffer& b) { return qos_score(a) > qos_score(b); });
+  return list;
 }
 
-NegotiationResult BasicNegotiator::negotiate(const NegotiationRequest& request) {
-  const ClientMachine& client = request.client;
-  const UserProfile& profile = request.profile;
-  NegotiationResult outcome;
-  auto document = catalog_->find(request.document);
-  if (!document) {
-    outcome.verdict = NegotiationStatus::kFailedWithoutOffer;
-    outcome.problems.push_back("document '" + request.document + "' not found in the catalog");
-    return outcome;
-  }
-  const LocalCheck local = local_negotiation(client, profile.mm);
-  if (!local.ok) {
-    outcome.verdict = NegotiationStatus::kFailedWithLocalOffer;
-    outcome.problems = local.problems;
-    outcome.user_offer = local_offer_from(local.local_offer);
-    return outcome;
-  }
-  auto feasible = compatible_variants(document, client, profile.mm);
-  if (!feasible.ok()) {
-    outcome.verdict = NegotiationStatus::kFailedWithoutOffer;
-    outcome.problems.push_back(feasible.error());
-    return outcome;
-  }
-
+Result<OfferList> BasicNegotiator::ordered_offers(const FeasibleSet& feasible,
+                                                  const UserProfile& profile) const {
   // Static component choice: for each monomedia the first variant that
   // satisfies the *desired* QoS — the component "a priori known to support
   // a specific QoS". No desired-satisfying variant -> reject outright.
-  const FeasibleSet& fs = feasible.value();
   SystemOffer offer;
   std::vector<StreamRequirements> streams;
-  for (std::size_t i = 0; i < fs.monomedia.size(); ++i) {
+  for (std::size_t i = 0; i < feasible.monomedia.size(); ++i) {
     const Variant* chosen = nullptr;
-    for (const Variant* v : fs.variants[i]) {
-      const bool fits = std::visit(
-          [&](const auto& q) {
-            using T = std::decay_t<decltype(q)>;
-            if constexpr (std::is_same_v<T, VideoQoS>) {
-              return !profile.mm.video || profile.mm.video->satisfied_by(q);
-            } else if constexpr (std::is_same_v<T, AudioQoS>) {
-              return !profile.mm.audio || profile.mm.audio->satisfied_by(q);
-            } else if constexpr (std::is_same_v<T, TextQoS>) {
-              return !profile.mm.text || profile.mm.text->satisfied_by(q);
-            } else {
-              return !profile.mm.image || profile.mm.image->satisfied_by(q);
-            }
-          },
-          v->qos);
-      if (fits) {
+    for (const Variant* v : feasible.variants[i]) {
+      if (profile.mm.grade(v->qos).desired) {
         chosen = v;
         break;
       }
     }
     if (chosen == nullptr) {
-      outcome.verdict = NegotiationStatus::kFailedWithoutOffer;
-      outcome.problems.push_back("no variant of '" + fs.monomedia[i]->id +
-                                 "' supports the requested QoS");
-      return outcome;
+      return Err("no variant of '" + feasible.monomedia[i]->id + "' supports the requested QoS");
     }
     OfferComponent c;
-    c.monomedia = fs.monomedia[i];
+    c.monomedia = feasible.monomedia[i];
     c.variant = chosen;
-    c.requirements = map_variant(*chosen, fs.monomedia[i]->duration_s, profile.mm.time);
+    c.requirements = map_variant(*chosen, feasible.monomedia[i]->duration_s, profile.mm.time);
     streams.push_back(c.requirements);
     offer.components.push_back(c);
   }
-  offer.cost = cost_model_.document_cost(fs.document->copyright_cost, streams);
+  offer.cost = cost_model_.document_cost(feasible.document->copyright_cost, streams);
   offer.sns = compute_sns(offer, profile.mm, profile.importance);
   offer.oif = compute_oif(offer, profile.importance);
 
-  outcome.offers.document = fs.document;
-  outcome.offers.total_combinations = 1;
-  outcome.offers.offers.push_back(std::move(offer));
-
-  ResourceCommitter committer(*farm_, *transport_, retry_);
-  auto committed = committer.commit(client, outcome.offers.offers[0]);
-  outcome.commit_stats = committer.stats();
-  if (!committed.ok()) {
-    outcome.verdict = committed.error().transient ? NegotiationStatus::kFailedTryLater
-                                                 : NegotiationStatus::kFailedWithoutOffer;
-    outcome.problems.push_back(committed.error().message);
-    return outcome;
-  }
-  outcome.committed_index = 0;
-  outcome.commitment = std::move(committed.value());
-  const SystemOffer& final_offer = outcome.offers.offers[0];
-  outcome.user_offer = derive_user_offer(final_offer);
-  outcome.verdict = satisfies_user(final_offer, profile.mm) ? NegotiationStatus::kSucceeded
-                                                           : NegotiationStatus::kFailedWithOffer;
-  return outcome;
+  OfferList list;
+  list.document = feasible.document;
+  list.total_combinations = 1;
+  list.offers.push_back(std::move(offer));
+  return list;
 }
 
 }  // namespace qosnp

@@ -4,20 +4,20 @@
 // the evaluation of the capacity of certain system components a priori
 // known to support a specific QoS", and argues (Sec. 5) that classifying
 // offers by cost alone or QoS alone is "neither optimal nor suitable".
-// Each of those three alternatives is implemented behind one interface:
+// Each alternative differs from the paper's procedure only in which offers
+// it tries and in what order: all run QoSManager's catalog lookup and Steps
+// 1-2 (static_check) and its Step-5 verdict (settle_verdict), and the three
+// non-smart ones are orderings over one negotiate() whose commit walk is a
+// single pass, first committable offer wins:
 //
-//   * BasicNegotiator   — static negotiation: for each monomedia pick, a
-//     priori, the variant that satisfies the desired QoS (no alternatives
-//     considered); evaluate only whether those components have capacity;
-//     reject otherwise. No classification, no fallback ladder.
-//   * CostOnlyNegotiator — classify all feasible offers by cost (cheapest
-//     first), ignore SNS/OIF.
-//   * QoSOnlyNegotiator  — classify by QoS importance (best first), ignore
-//     cost.
-//   * SmartNegotiator    — the paper's procedure (wraps QoSManager).
+//   * BasicNegotiator    — static negotiation: per monomedia, the first
+//     variant a priori known to satisfy the desired QoS, so one offer and
+//     no fallback; rejected when some monomedia has no such variant.
+//   * CostOnlyNegotiator — every feasible offer, cheapest first.
+//   * QoSOnlyNegotiator  — every feasible offer, best QoS first, cost ignored.
+//   * SmartNegotiator    — the paper's procedure (wraps a QoSManager).
 #pragma once
 
-#include <memory>
 #include <string_view>
 
 #include "core/qos_manager.hpp"
@@ -31,30 +31,27 @@ class Negotiator {
   virtual NegotiationResult negotiate(const NegotiationRequest& request) = 0;
 };
 
-/// The paper's procedure.
+/// The paper's procedure, run by a caller-owned manager.
 class SmartNegotiator final : public Negotiator {
  public:
-  SmartNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
-                  CostModel cost_model = {}, NegotiationConfig config = {})
-      : manager_(catalog, farm, transport, std::move(cost_model), std::move(config)) {}
+  explicit SmartNegotiator(QoSManager& manager) : manager_(&manager) {}
 
   std::string_view name() const override { return "smart"; }
   NegotiationResult negotiate(const NegotiationRequest& request) override {
-    return manager_.negotiate(request);
+    return manager_->negotiate(request);
   }
-  QoSManager& manager() { return manager_; }
+  QoSManager& manager() { return *manager_; }
 
  private:
-  QoSManager manager_;
+  QoSManager* manager_;
 };
 
-/// Shared plumbing of the non-smart baselines. Inherently eager: each
-/// baseline imposes its own order_offers() sort (cost-only / QoS-only),
-/// which is not the classification order the lazy best-first stream yields,
-/// so the whole feasible space is materialised first regardless of
-/// EnumerationConfig::strategy (only max_offers / prune_dominated apply).
-/// The produced OfferList carries no stream and is not sns_ordered, so the
-/// commitment walk treats it exactly as before.
+/// The non-smart baselines: one negotiate() body over the offers a subclass
+/// lists in its own order. Inherently eager: each order is imposed on the
+/// materialised list, which is not the classification order the lazy
+/// best-first stream yields, so EnumerationConfig::strategy is ignored (only
+/// max_offers / prune_dominated apply). The produced OfferList carries no
+/// stream and is not sns_ordered.
 class EnumeratingNegotiator : public Negotiator {
  public:
   EnumeratingNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
@@ -63,11 +60,17 @@ class EnumeratingNegotiator : public Negotiator {
       : catalog_(&catalog), farm_(&farm), transport_(&transport),
         cost_model_(std::move(cost_model)), enumeration_(enumeration), retry_(retry) {}
 
-  NegotiationResult negotiate(const NegotiationRequest& request) override;
+  NegotiationResult negotiate(const NegotiationRequest& request) final;
 
  protected:
-  /// Order the enumerated offers; the first committable one wins.
-  virtual void order_offers(std::vector<SystemOffer>& offers, const UserProfile& profile) = 0;
+  /// The offers to try, in commit order. An error refuses the request with
+  /// FAILEDWITHOUTOFFER before anything is reserved.
+  virtual Result<OfferList> ordered_offers(const FeasibleSet& feasible,
+                                           const UserProfile& profile) const = 0;
+
+  /// Every offer of the feasible set with sns/oif filled (for reporting
+  /// parity; the orderings themselves ignore them).
+  OfferList scored_offers(const FeasibleSet& feasible, const UserProfile& profile) const;
 
   Catalog* catalog_;
   ServerProvider* farm_;
@@ -83,7 +86,8 @@ class CostOnlyNegotiator final : public EnumeratingNegotiator {
   std::string_view name() const override { return "cost-only"; }
 
  protected:
-  void order_offers(std::vector<SystemOffer>& offers, const UserProfile& profile) override;
+  Result<OfferList> ordered_offers(const FeasibleSet& feasible,
+                                   const UserProfile& profile) const override;
 };
 
 class QoSOnlyNegotiator final : public EnumeratingNegotiator {
@@ -92,26 +96,22 @@ class QoSOnlyNegotiator final : public EnumeratingNegotiator {
   std::string_view name() const override { return "qos-only"; }
 
  protected:
-  void order_offers(std::vector<SystemOffer>& offers, const UserProfile& profile) override;
+  Result<OfferList> ordered_offers(const FeasibleSet& feasible,
+                                   const UserProfile& profile) const override;
 };
 
 /// Static first-fit negotiation without alternatives.
-class BasicNegotiator final : public Negotiator {
+class BasicNegotiator final : public EnumeratingNegotiator {
  public:
   BasicNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
                   CostModel cost_model = {}, RetryPolicy retry = {})
-      : catalog_(&catalog), farm_(&farm), transport_(&transport),
-        cost_model_(std::move(cost_model)), retry_(retry) {}
+      : EnumeratingNegotiator(catalog, farm, transport, std::move(cost_model), {}, retry) {}
 
   std::string_view name() const override { return "basic"; }
-  NegotiationResult negotiate(const NegotiationRequest& request) override;
 
- private:
-  Catalog* catalog_;
-  ServerProvider* farm_;
-  TransportProvider* transport_;
-  CostModel cost_model_;
-  RetryPolicy retry_;
+ protected:
+  Result<OfferList> ordered_offers(const FeasibleSet& feasible,
+                                   const UserProfile& profile) const override;
 };
 
 }  // namespace qosnp

@@ -6,42 +6,15 @@ namespace qosnp {
 
 namespace {
 
-struct QosSatisfaction {
-  bool all_desired = true;
-  bool all_worst = true;
-};
-
-QosSatisfaction qos_satisfaction(const SystemOffer& offer, const MMProfile& profile) {
-  QosSatisfaction s;
+/// The offer's QoS grade: every component's grade, and-ed.
+MMProfile::Grade qos_satisfaction(const SystemOffer& offer, const MMProfile& profile) {
+  MMProfile::Grade all;
   for (const OfferComponent& c : offer.components) {
-    std::visit(
-        [&](const auto& q) {
-          using T = std::decay_t<decltype(q)>;
-          if constexpr (std::is_same_v<T, VideoQoS>) {
-            if (profile.video) {
-              if (!profile.video->satisfied_by(q)) s.all_desired = false;
-              if (!profile.video->tolerates(q)) s.all_worst = false;
-            }
-          } else if constexpr (std::is_same_v<T, AudioQoS>) {
-            if (profile.audio) {
-              if (!profile.audio->satisfied_by(q)) s.all_desired = false;
-              if (!profile.audio->tolerates(q)) s.all_worst = false;
-            }
-          } else if constexpr (std::is_same_v<T, TextQoS>) {
-            if (profile.text) {
-              if (!profile.text->satisfied_by(q)) s.all_desired = false;
-              if (!profile.text->tolerates(q)) s.all_worst = false;
-            }
-          } else {
-            if (profile.image) {
-              if (!profile.image->satisfied_by(q)) s.all_desired = false;
-              if (!profile.image->tolerates(q)) s.all_worst = false;
-            }
-          }
-        },
-        c.variant->qos);
+    const MMProfile::Grade g = profile.grade(c.variant->qos);
+    all.desired = all.desired && g.desired;
+    all.tolerated = all.tolerated && g.tolerated;
   }
-  return s;
+  return all;
 }
 
 }  // namespace
@@ -75,9 +48,9 @@ Sns compute_sns(const SystemOffer& offer, const MMProfile& profile,
     }
   }
 
-  const QosSatisfaction s = qos_satisfaction(offer, profile);
-  if (!s.all_worst) return Sns::kConstraint;
-  if (s.all_desired && cost_within) return Sns::kDesirable;
+  const MMProfile::Grade s = qos_satisfaction(offer, profile);
+  if (!s.tolerated) return Sns::kConstraint;
+  if (s.desired && cost_within) return Sns::kDesirable;
   return Sns::kAcceptable;
 }
 
@@ -93,8 +66,8 @@ double compute_oif(const SystemOffer& offer, const ImportanceProfile& importance
 }
 
 bool satisfies_user(const SystemOffer& offer, const MMProfile& profile) {
-  const QosSatisfaction s = qos_satisfaction(offer, profile);
-  return s.all_worst && offer.total_cost() <= profile.cost.max_cost;
+  const MMProfile::Grade s = qos_satisfaction(offer, profile);
+  return s.tolerated && offer.total_cost() <= profile.cost.max_cost;
 }
 
 void classify_offers(std::vector<SystemOffer>& offers, const MMProfile& profile,

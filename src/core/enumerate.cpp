@@ -280,30 +280,13 @@ void OfferStreamSeed::build_memo() {
   }
 }
 
-/// Same per-medium predicates qos_satisfaction() applies: an absent
-/// per-medium profile constrains nothing (counts as satisfied).
+/// The per-medium grade compute_sns() applies too (MMProfile::grade).
 void OfferStreamSeed::grade(const Variant& v, VariantMemo& m) const {
-  std::visit(
-        [&](const auto& q) {
-          using T = std::decay_t<decltype(q)>;
-          if constexpr (std::is_same_v<T, VideoQoS>) {
-            m.desired_ok = !profile.video || profile.video->satisfied_by(q);
-            m.worst_ok = !profile.video || profile.video->tolerates(q);
-          } else if constexpr (std::is_same_v<T, AudioQoS>) {
-            m.desired_ok = !profile.audio || profile.audio->satisfied_by(q);
-            m.worst_ok = !profile.audio || profile.audio->tolerates(q);
-          } else if constexpr (std::is_same_v<T, TextQoS>) {
-            m.desired_ok = !profile.text || profile.text->satisfied_by(q);
-            m.worst_ok = !profile.text || profile.text->tolerates(q);
-          } else {
-            m.desired_ok = !profile.image || profile.image->satisfied_by(q);
-            m.worst_ok = !profile.image || profile.image->tolerates(q);
-          }
-          // A desired-satisfying variant below the worst-acceptable floor
-          // (ill-formed profile) grades CONSTRAINT, exactly like compute_sns.
-          m.desired_ok = m.desired_ok && m.worst_ok;
-        },
-        v.qos);
+  const MMProfile::Grade g = profile.grade(v.qos);
+  m.worst_ok = g.tolerated;
+  // A desired-satisfying variant below the worst-acceptable floor
+  // (ill-formed profile) grades CONSTRAINT, exactly like compute_sns.
+  m.desired_ok = g.desired && g.tolerated;
 }
 
 struct OfferStream::Impl {

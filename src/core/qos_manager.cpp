@@ -20,6 +20,11 @@ QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider
                      dynamic_cast<ServerFarm*>(farm_) != nullptr &&
                      dynamic_cast<TransportService*>(transport_) != nullptr) {}
 
+namespace {
+
+/// The "local offer" presented with FAILEDWITHLOCALOFFER: the user's
+/// desired values clipped to the client machine capabilities, at no cost
+/// (nothing was reserved).
 UserOffer local_offer_from(const MMProfile& clipped) {
   UserOffer offer;
   if (clipped.video) offer.video = clipped.video->desired;
@@ -29,8 +34,6 @@ UserOffer local_offer_from(const MMProfile& clipped) {
   offer.cost = Money{};
   return offer;
 }
-
-namespace {
 
 /// A refusal the walk met, with what it takes to replay it. When it is a
 /// nogood, its refused prefix is prefixes[prefix_begin, prefix_begin + depth).
@@ -168,51 +171,91 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
   return attempt;
 }
 
-NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
-  const TraceContext trace = request.trace;
+Result<FeasibleSet, NegotiationResult> static_check(
+    const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document) {
+  NegotiationResult refused;
+  refused.verdict = NegotiationStatus::kFailedWithoutOffer;
+  if (!document) {
+    // The catalog miss is a Step-2 failure (the document cannot be checked
+    // against anything); give the trace its compatibility span so every
+    // resolved request still shows where it stopped.
+    ScopedSpan span(request.trace, Stage::kCompatibility);
+    span.annotate("error", "document not found");
+    refused.problems.push_back("document '" + request.document + "' not found in the catalog");
+    return Err(std::move(refused));
+  }
 
+  // Step 1: static local negotiation.
+  {
+    ScopedSpan span(request.trace, Stage::kLocalCheck);
+    LocalCheck local = local_negotiation(request.client, request.profile.mm);
+    if (!local.ok) {
+      span.annotate("ok", "false");
+      refused.verdict = NegotiationStatus::kFailedWithLocalOffer;
+      refused.problems = std::move(local.problems);
+      refused.user_offer = local_offer_from(local.local_offer);
+      return Err(std::move(refused));
+    }
+  }
+
+  // Step 2: static compatibility checking.
+  ScopedSpan span(request.trace, Stage::kCompatibility);
+  auto feasible = compatible_variants(std::move(document), request.client, request.profile.mm);
+  if (!feasible.ok()) {
+    span.annotate("error", feasible.error());
+    refused.problems.push_back(std::move(feasible.error()));
+    return Err(std::move(refused));
+  }
+  return std::move(feasible.value());
+}
+
+void settle_verdict(NegotiationResult& result, const MMProfile& requested, bool saw_transient) {
+  if (!result.has_commitment()) {
+    // FAILEDTRYLATER promises that trying later could succeed; keep that
+    // promise only when some refusal was transient (capacity, outage).
+    // Purely permanent refusals (unknown server, no route) cannot heal.
+    result.verdict = saw_transient ? NegotiationStatus::kFailedTryLater
+                                   : NegotiationStatus::kFailedWithoutOffer;
+    return;
+  }
+  const SystemOffer& committed = result.offers.offers[result.committed_index];
+  result.user_offer = derive_user_offer(committed);
+  result.verdict = satisfies_user(committed, requested) ? NegotiationStatus::kSucceeded
+                                                        : NegotiationStatus::kFailedWithOffer;
+}
+
+NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   // Resolved documents (renegotiation) skip the catalog and the plan cache:
   // the session's reference may no longer match any catalog entry, so no
   // epoch can vouch for a cached plan.
   if (request.resolved) {
-    auto plan = build_plan(request.client, request.resolved, request.profile, trace);
-    return run_plan(request, *plan, trace, /*exclusive=*/true);
+    auto plan = build_plan(request, request.resolved);
+    return run_plan(request, *plan, /*exclusive=*/true);
   }
 
+  // A catalog miss has no epoch to cache under; build_plan reports it.
   const Catalog::Entry entry = catalog_->find_entry(request.document);
-  if (!entry.document) {
-    NegotiationResult result;
-    // The catalog miss is a Step-2 failure (the document cannot be checked
-    // against anything); give the trace its compatibility span so every
-    // resolved request still shows where it stopped.
-    ScopedSpan span(trace, Stage::kCompatibility);
-    span.annotate("error", "document not found");
-    result.verdict = NegotiationStatus::kFailedWithoutOffer;
-    result.problems.push_back("document '" + request.document + "' not found in the catalog");
-    return result;
-  }
-
   NegotiationPlanCache* cache = config_.plan_cache.get();
-  if (cache == nullptr || request.cache == CacheUse::kBypass) {
-    auto plan = build_plan(request.client, entry.document, request.profile, trace);
-    return run_plan(request, *plan, trace, /*exclusive=*/true);
+  if (!entry.document || cache == nullptr || request.cache == CacheUse::kBypass) {
+    auto plan = build_plan(request, entry.document);
+    return run_plan(request, *plan, /*exclusive=*/true);
   }
 
   std::string key;
   std::shared_ptr<const NegotiationPlan> plan;
   {
-    ScopedSpan span(trace, Stage::kPlanCache);
+    ScopedSpan span(request.trace, Stage::kPlanCache);
     key = plan_cache_key(document_fp(entry), request.client, request.profile, plan_digest_);
     if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, entry.epoch);
     span.annotate("hit", plan ? "true" : "false");
   }
   if (!plan) {
-    auto fresh = build_plan(request.client, entry.document, request.profile, trace);
+    auto fresh = build_plan(request, entry.document);
     fresh->document_epoch = entry.epoch;
     cache->store(key, fresh);
     plan = std::move(fresh);
   }
-  return run_plan(request, *plan, trace, /*exclusive=*/false);
+  return run_plan(request, *plan, /*exclusive=*/false);
 }
 
 std::string QoSManager::document_fp(const Catalog::Entry& entry) {
@@ -226,61 +269,37 @@ std::string QoSManager::document_fp(const Catalog::Entry& entry) {
 }
 
 std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
-    const ClientMachine& client, std::shared_ptr<const MultimediaDocument> document,
-    const UserProfile& profile, TraceContext trace) {
+    const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document) {
   auto plan = std::make_shared<NegotiationPlan>();
-  plan->document = std::move(document);
-  if (!plan->document) {
-    ScopedSpan span(trace, Stage::kCompatibility);
-    span.annotate("error", "no document");
+  plan->document = document;
+  auto checked = static_check(request, std::move(document));
+  if (!checked.ok()) {
+    NegotiationResult& refused = checked.error();
     plan->terminal = true;
-    plan->verdict = NegotiationStatus::kFailedWithoutOffer;
-    plan->problems.push_back("no document");
+    plan->verdict = refused.verdict;
+    plan->problems = std::move(refused.problems);
+    plan->user_offer = std::move(refused.user_offer);
     return plan;
   }
-
-  // Step 1: static local negotiation.
-  {
-    ScopedSpan span(trace, Stage::kLocalCheck);
-    const LocalCheck local = local_negotiation(client, profile.mm);
-    if (!local.ok) {
-      span.annotate("ok", "false");
-      plan->terminal = true;
-      plan->verdict = NegotiationStatus::kFailedWithLocalOffer;
-      plan->problems = local.problems;
-      plan->user_offer = local_offer_from(local.local_offer);
-      return plan;
-    }
-  }
-
-  // Step 2: static compatibility checking.
-  ScopedSpan compat_span(trace, Stage::kCompatibility);
-  auto feasible = compatible_variants(plan->document, client, profile.mm);
-  if (!feasible.ok()) {
-    compat_span.annotate("error", feasible.error());
-    plan->terminal = true;
-    plan->verdict = NegotiationStatus::kFailedWithoutOffer;
-    plan->problems.push_back(feasible.error());
-    return plan;
-  }
-  compat_span.end();
+  FeasibleSet& feasible = checked.value();
+  const UserProfile& profile = request.profile;
 
   // Steps 3+4: build the offer space and the classification precomputation.
-  ScopedSpan enum_span(trace, Stage::kEnumeration);
+  ScopedSpan enum_span(request.trace, Stage::kEnumeration);
   if (config_.enumeration.prune_dominated) {
-    const std::size_t dropped = prune_dominated_variants(feasible.value());
+    const std::size_t dropped = prune_dominated_variants(feasible);
     if (dropped > 0) {
       QOSNP_LOG_DEBUG("negotiate", "pruned ", dropped, " dominated variants");
     }
   }
-  plan->feasible = feasible.value();
+  plan->feasible = feasible;
   std::size_t total = 0;
   std::size_t known = 0;
   if (config_.enumeration.strategy == EnumerationStrategy::kBestFirst) {
     // Lazy best-first stream: Steps 3+4 are fused into the enumeration and
     // offers materialise one at a time as Step 5 walks them. The seed holds
     // all the memoisation; each request spawns its own cursor over it.
-    plan->seed = make_offer_stream_seed(std::move(feasible.value()), profile.mm,
+    plan->seed = make_offer_stream_seed(std::move(feasible), profile.mm,
                                         profile.importance, cost_model_, config_.policy);
     total = seed_total_combinations(*plan->seed);
     known = std::min(total, config_.enumeration.max_offers);
@@ -303,8 +322,7 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
 }
 
 NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
-                                       const NegotiationPlan& plan, TraceContext trace,
-                                       bool exclusive) {
+                                       const NegotiationPlan& plan, bool exclusive) {
   NegotiationResult result;
   result.verdict = plan.verdict;
   result.problems = plan.problems;
@@ -336,25 +354,16 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
 
   // Step 5: resource commitment.
   CommitAttempt attempt = commit_first(request.client, result.offers, request.profile.mm, {},
-                                       trace, request.session_class);
+                                       request.trace, request.session_class);
   result.commit_stats = attempt.stats;
+  result.committed_index = attempt.index;
+  result.commitment = std::move(attempt.commitment);
+  settle_verdict(result, request.profile.mm, attempt.saw_transient);
   if (!attempt.ok()) {
-    // FAILEDTRYLATER promises that trying later could succeed; keep that
-    // promise only when some refusal was transient (capacity, outage).
-    // Purely permanent refusals (unknown server, no route) cannot heal.
-    result.verdict = attempt.saw_transient ? NegotiationStatus::kFailedTryLater
-                                           : NegotiationStatus::kFailedWithoutOffer;
     result.problems.insert(result.problems.end(), std::make_move_iterator(attempt.errors.begin()),
                            std::make_move_iterator(attempt.errors.end()));
     return result;
   }
-  result.committed_index = attempt.index;
-  result.commitment = std::move(attempt.commitment);
-  const SystemOffer& committed = result.offers.offers[attempt.index];
-  result.user_offer = derive_user_offer(committed);
-  result.verdict = satisfies_user(committed, request.profile.mm)
-                       ? NegotiationStatus::kSucceeded
-                       : NegotiationStatus::kFailedWithOffer;
   QOSNP_LOG_INFO("negotiate", "document '", plan.document->id, "' for ", request.client.name,
                  ": ", to_string(result.verdict), " (offer ", attempt.index, " of ",
                  result.offers.known_count(), ")");

@@ -127,18 +127,18 @@ class QoSManager {
   NegotiationPlanCache* plan_cache() const { return config_.plan_cache.get(); }
 
  private:
-  /// Steps 1-4 for one (client, document, profile): the cacheable part.
-  /// Emits the local-check/compatibility/enumeration spans it executes.
-  std::shared_ptr<NegotiationPlan> build_plan(const ClientMachine& client,
-                                              std::shared_ptr<const MultimediaDocument> document,
-                                              const UserProfile& profile, TraceContext trace);
+  /// Steps 1-4 for `request` over `document` (null = a catalog miss): the
+  /// cacheable part. Emits the local-check/compatibility/enumeration spans it
+  /// executes.
+  std::shared_ptr<NegotiationPlan> build_plan(const NegotiationRequest& request,
+                                              std::shared_ptr<const MultimediaDocument> document);
   /// Step 5 (+ verdict) over a built or replayed plan. The single exit path
   /// of every negotiation, so cached and uncached requests produce
   /// byte-identical results. `exclusive` marks a plan owned by this request
   /// alone (freshly built, not stored): its eager offer list is moved out
   /// instead of copied.
   NegotiationResult run_plan(const NegotiationRequest& request, const NegotiationPlan& plan,
-                             TraceContext trace, bool exclusive);
+                             bool exclusive);
 
   /// The document part of the cache key, memoised per catalog epoch (an
   /// epoch is catalog-wide monotone, so it identifies one immutable entry
@@ -164,9 +164,19 @@ class QoSManager {
   std::unordered_map<std::uint64_t, std::string> fp_memo_;  ///< guarded by fp_mu_
 };
 
-/// The "local offer" presented with FAILEDWITHLOCALOFFER: the user's
-/// desired values clipped to the client machine capabilities, at no cost
-/// (nothing was reserved).
-UserOffer local_offer_from(const MMProfile& clipped);
+/// The catalog lookup and Steps 1-2 for `request` against `document` (null =
+/// request.document is not in the catalog, a Step-2 failure): the feasible
+/// variant sets, or the terminal result (verdict, problems and, after Step 1,
+/// the local offer). Records the kLocalCheck/kCompatibility spans on
+/// request.trace. Every negotiator runs these steps through here.
+Result<FeasibleSet, NegotiationResult> static_check(
+    const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document);
+
+/// Step 5's verdict once a walk has ended with result.committed_index set
+/// (or SIZE_MAX when nothing committed): FAILEDTRYLATER when a refusal was
+/// transient — trying later could help — else FAILEDWITHOUTOFFER; on a
+/// commitment, SUCCEEDED when the offer satisfies `requested`, else
+/// FAILEDWITHOFFER, with the committed offer as the user offer.
+void settle_verdict(NegotiationResult& result, const MMProfile& requested, bool saw_transient);
 
 }  // namespace qosnp

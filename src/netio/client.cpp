@@ -29,7 +29,7 @@ WireClientConfig WireClientConfig::validated(WireClientConfig config) {
                  "connect_backoff_ms must not be negative");
   require_config(config.deadline_ms >= 0.0, "WireClientConfig",
                  "deadline_ms must not be negative");
-  require_config(config.max_frame_bytes >= wire::kHeaderBytes + wire::kTrailerBytes + 2,
+  require_config(config.max_frame_bytes >= wire::kMinMaxFrameBytes,
                  "WireClientConfig", "max_frame_bytes cannot carry any frame");
   return config;
 }

@@ -98,7 +98,7 @@ NodeConfig& NodeConfig::max_connections(std::size_t n) {
 }
 
 NodeConfig& NodeConfig::max_frame_bytes(std::size_t n) {
-  require_field(n > wire::kHeaderBytes + wire::kTrailerBytes, "max_frame_bytes",
+  require_field(n >= wire::kMinMaxFrameBytes, "max_frame_bytes",
                 "must fit at least one non-empty frame");
   wire_.max_frame_bytes = n;
   return *this;

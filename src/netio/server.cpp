@@ -38,7 +38,7 @@ WireServerConfig WireServerConfig::validated(WireServerConfig config) {
                  "max_connections must be at least 1");
   require_config(config.listen_backlog > 0, "WireServerConfig",
                  "listen_backlog must be at least 1");
-  require_config(config.max_frame_bytes >= wire::kHeaderBytes + wire::kTrailerBytes + 2,
+  require_config(config.max_frame_bytes >= wire::kMinMaxFrameBytes,
                  "WireServerConfig", "max_frame_bytes cannot carry any frame");
   require_config(config.idle_timeout_ms >= 0.0, "WireServerConfig",
                  "idle_timeout_ms must not be negative");

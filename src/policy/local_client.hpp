@@ -1,11 +1,8 @@
-// LocalClient: the in-process NegotiationClient. One call runs Steps 1-5
-// directly (QoSManager::negotiate, or PolicyEngine::negotiate when a
-// preemption engine is attached) on the calling thread and then performs
-// the same Step-6 admission the concurrent service applies: a kept offer
-// (SUCCEEDED, or FAILEDWITHOFFER with accept_degraded) opens a session
-// pending confirmation; a declined degraded offer is released on the spot.
-// The returned result is stripped of the offer list and commitment — they
-// belong to the opened session. Sessions are opened at the caller's clock.
+// LocalClient: the in-process NegotiationClient. One call runs the whole
+// admission routine (policy/admission.hpp) on the calling thread: Steps 1-5
+// through QoSManager::negotiate, or PolicyEngine::negotiate when a
+// preemption engine is attached, then the Step-6 admission the concurrent
+// service applies too. Sessions are opened at the caller's clock.
 #pragma once
 
 #include <functional>
@@ -13,6 +10,7 @@
 
 #include "core/negotiation_client.hpp"
 #include "core/qos_manager.hpp"
+#include "policy/admission.hpp"
 #include "session/session.hpp"
 
 namespace qosnp {
@@ -30,10 +28,12 @@ class LocalClient final : public NegotiationClient {
   /// admission strips the offers/commitment — the hook the differential
   /// suites use to compare against direct QoSManager::negotiate calls.
   void set_result_observer(std::function<void(const NegotiationResult&)> observer) {
-    observer_ = std::move(observer);
+    hooks_.negotiated = std::move(observer);
   }
 
-  NegotiationResult negotiate(NegotiationRequest request, double now_s) override;
+  NegotiationResult negotiate(NegotiationRequest request, double now_s) override {
+    return admit(*manager_, policy_, *sessions_, request, now_s, hooks_);
+  }
 
   /// negotiate() with sessions opened at time 0.
   NegotiationResult submit(NegotiationRequest request) {
@@ -47,7 +47,7 @@ class LocalClient final : public NegotiationClient {
   QoSManager* manager_;
   SessionManager* sessions_;
   PolicyEngine* policy_ = nullptr;
-  std::function<void(const NegotiationResult&)> observer_;
+  AdmissionHooks hooks_;
 };
 
 }  // namespace qosnp

@@ -1,6 +1,8 @@
 #include "profile/profiles.hpp"
 
 #include <algorithm>
+#include <type_traits>
+#include <variant>
 
 namespace qosnp {
 
@@ -17,6 +19,26 @@ bool MMProfile::wants(MediaKind kind) const {
     case MediaKind::kImage: return image.has_value();
   }
   return false;
+}
+
+MMProfile::Grade MMProfile::grade(const MonomediaQoS& qos) const {
+  return std::visit(
+      [this](const auto& q) {
+        auto against = [&q](const auto& medium) {
+          return medium ? Grade{medium->satisfied_by(q), medium->tolerates(q)} : Grade{};
+        };
+        using T = std::decay_t<decltype(q)>;
+        if constexpr (std::is_same_v<T, VideoQoS>) {
+          return against(video);
+        } else if constexpr (std::is_same_v<T, AudioQoS>) {
+          return against(audio);
+        } else if constexpr (std::is_same_v<T, TextQoS>) {
+          return against(text);
+        } else {
+          return against(image);
+        }
+      },
+      qos);
 }
 
 UserProfile default_user_profile() {

@@ -79,6 +79,14 @@ struct MMProfile {
   TimeProfile time;
 
   bool wants(MediaKind kind) const;
+
+  /// How `qos` fares against the request for its medium. A medium the
+  /// profile does not request imposes no constraint (both flags true).
+  struct Grade {
+    bool desired = true;    ///< satisfied_by the desired values
+    bool tolerated = true;  ///< meets the worst acceptable values
+  };
+  Grade grade(const MonomediaQoS& qos) const;
 };
 
 /// A named, stored user profile managed by the profile manager.

@@ -94,6 +94,13 @@ NegotiationService::NegotiationService(QoSManager& manager, SessionManager& sess
                                      "Accept-to-response latency in milliseconds");
   queue_wait_ms_ = &metrics_->histogram("qosnp_queue_wait_ms", {},
                                         "Accept-to-pickup queue wait in milliseconds");
+  admission_hooks_.opened = [this](SessionId id, ScopedSpan& admission) {
+    sessions_opened_total_->inc();
+    if (config_.auto_confirm && sessions_->confirm(id, now_s()).ok()) {
+      sessions_confirmed_total_->inc();
+      admission.annotate("confirmed", "true");
+    }
+  };
   // A cache-enabled manager gets its counters mirrored into the same
   // registry the service reports from (last binding service wins).
   if (auto* cache = manager_->plan_cache()) cache->bind_metrics(*metrics_);
@@ -242,45 +249,13 @@ NegotiationResult NegotiationService::process(Item& item, std::size_t worker_ind
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(config_.simulated_rtt_ms));
     }
-    const TraceContext ctx(item.trace.get());
     // The service owns per-request tracing: its trace (or none) replaces
     // whatever context the submitter put on the request.
-    item.request.trace = ctx;
-    response = config_.policy != nullptr ? config_.policy->negotiate(item.request)
-                                         : manager_->negotiate(item.request);
+    item.request.trace = TraceContext(item.trace.get());
+    response = admit(*manager_, config_.policy, *sessions_, item.request, now_s(),
+                     admission_hooks_);
     commit_attempts_total_->add(static_cast<std::uint64_t>(response.commit_stats.attempts));
     commit_retries_total_->add(static_cast<std::uint64_t>(response.commit_stats.retries));
-    const bool take = response.has_commitment() &&
-                      (response.verdict == NegotiationStatus::kSucceeded ||
-                       item.request.accept_degraded);
-    if (take) {
-      ScopedSpan admission(ctx, Stage::kAdmission);
-      auto opened = sessions_->open(item.request.client, item.request.profile,
-                                    std::move(response), now_s(), item.request.session_class);
-      if (opened.ok()) {
-        sessions_opened_total_->inc();
-        response.session_id = opened.value();
-        admission.annotate("session", response.session_id);
-        if (config_.auto_confirm) {
-          if (sessions_->confirm(response.session_id, now_s()).ok()) {
-            sessions_confirmed_total_->inc();
-            admission.annotate("confirmed", "true");
-          }
-        }
-      } else {
-        admission.annotate("error", opened.error());
-        QOSNP_LOG_WARN("service", "session open failed: ", opened.error());
-      }
-    } else if (response.has_commitment()) {
-      // A declined degraded offer: release the reservations right here —
-      // nothing stays reserved for a user who walked away.
-      response.commitment.release();
-    }
-    // The resolved future carries no offer list or commitment: they belong
-    // to the opened session (response.session_id) or were just released.
-    response.offers = OfferList{};
-    response.commitment = Commitment{};
-    response.committed_index = SIZE_MAX;
   }
 
   response.request_id = item.request.id;

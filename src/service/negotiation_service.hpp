@@ -39,6 +39,7 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/admission.hpp"
 #include "service/bounded_queue.hpp"
 #include "session/session.hpp"
 #include "sim/metrics.hpp"
@@ -209,6 +210,8 @@ class NegotiationService final : public NegotiationClient {
   ServiceConfig config_;
   MetricsRegistry own_metrics_;
   MetricsRegistry* metrics_;
+  /// Counts opened sessions and auto-confirms them (config_.auto_confirm).
+  AdmissionHooks admission_hooks_;
   Stopwatch clock_;
   BoundedQueue<Item> queue_;
   std::vector<std::thread> workers_;

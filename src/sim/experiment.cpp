@@ -132,9 +132,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<Negotiator> negotiator;
   switch (config.strategy) {
     case Strategy::kSmart:
-      negotiator = std::make_unique<SmartNegotiator>(catalog, *server_provider,
-                                                     *transport_provider, CostModel{},
-                                                     nego_config);
+      negotiator = std::make_unique<SmartNegotiator>(*qos_manager);
       break;
     case Strategy::kBasic:
       negotiator = std::make_unique<BasicNegotiator>(catalog, *server_provider,

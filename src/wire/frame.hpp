@@ -31,6 +31,9 @@ inline constexpr std::uint32_t kMagic = 0x51504E31u;  // "QNP1" big-endian text
 inline constexpr std::uint16_t kProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 20;
 inline constexpr std::size_t kTrailerBytes = 4;
+/// Smallest max_frame_bytes any peer or config accepts: a header and a
+/// trailer around a two-byte payload.
+inline constexpr std::size_t kMinMaxFrameBytes = kHeaderBytes + kTrailerBytes + 2;
 /// Default ceiling on one frame's total size; both peers may configure
 /// their own, and a declared payload past it is shed with kFrameTooLarge.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;

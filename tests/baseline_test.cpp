@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_system.hpp"
 
 namespace qosnp {
@@ -11,7 +13,8 @@ using testing::TestSystem;
 
 TEST(Baselines, NamesAreDistinct) {
   TestSystem sys;
-  SmartNegotiator smart(sys.catalog, sys.farm, *sys.transport);
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+  SmartNegotiator smart(manager);
   BasicNegotiator basic(sys.catalog, sys.farm, *sys.transport);
   CostOnlyNegotiator cost(sys.catalog, sys.farm, *sys.transport, CostModel{});
   QoSOnlyNegotiator qos(sys.catalog, sys.farm, *sys.transport, CostModel{});
@@ -63,7 +66,8 @@ TEST(BasicNegotiator, FailsTryLaterWithoutFallback) {
   NegotiationResult outcome = basic.negotiate(make_negotiation_request(sys.client, "article", profile));
   EXPECT_EQ(outcome.verdict, NegotiationStatus::kFailedTryLater);
   // The smart procedure serves the same request from the other server.
-  SmartNegotiator smart(sys.catalog, sys.farm, *sys.transport);
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+  SmartNegotiator smart(manager);
   NegotiationResult smart_outcome = smart.negotiate(make_negotiation_request(sys.client, "article", profile));
   EXPECT_TRUE(smart_outcome.verdict == NegotiationStatus::kSucceeded ||
               smart_outcome.verdict == NegotiationStatus::kFailedWithOffer);
@@ -100,24 +104,53 @@ TEST(QoSOnlyNegotiator, PicksRichestOfferIgnoringCost) {
 }
 
 TEST(Baselines, LocalAndCompatibilityChecksStillApply) {
+  // Every negotiator stops at the catalog lookup and Steps 1-2 exactly where
+  // the paper's procedure does, with the same verdict, problems and offer.
   TestSystem sys;
-  ClientMachine bw = sys.client;
-  bw.screen = ScreenSpec{640, 480, ColorDepth::kBlackWhite};
-  UserProfile profile = TestSystem::tolerant_profile();
-  profile.mm.video->worst = VideoQoS{ColorDepth::kColor, 10, 320};
-  for (auto* negotiator : std::initializer_list<Negotiator*>{}) {
-    (void)negotiator;
-  }
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+  SmartNegotiator smart(manager);
   BasicNegotiator basic(sys.catalog, sys.farm, *sys.transport);
   CostOnlyNegotiator cost(sys.catalog, sys.farm, *sys.transport, CostModel{});
-  EXPECT_EQ(basic.negotiate(make_negotiation_request(bw, "article", profile)).verdict,
-            NegotiationStatus::kFailedWithLocalOffer);
-  EXPECT_EQ(cost.negotiate(make_negotiation_request(bw, "article", profile)).verdict,
-            NegotiationStatus::kFailedWithLocalOffer);
-  EXPECT_EQ(basic.negotiate(make_negotiation_request(sys.client, "ghost", profile)).verdict,
-            NegotiationStatus::kFailedWithoutOffer);
-  EXPECT_EQ(cost.negotiate(make_negotiation_request(sys.client, "ghost", profile)).verdict,
-            NegotiationStatus::kFailedWithoutOffer);
+  QoSOnlyNegotiator qos(sys.catalog, sys.farm, *sys.transport, CostModel{});
+
+  UserProfile profile = TestSystem::tolerant_profile();
+  profile.mm.video->worst = VideoQoS{ColorDepth::kColor, 10, 320};
+  ClientMachine bw = sys.client;  // Step 1: cannot render the worst video
+  bw.screen = ScreenSpec{640, 480, ColorDepth::kBlackWhite};
+  ClientMachine no_video = sys.client;  // Step 2: decodes no video variant
+  no_video.decoders = {CodingFormat::kPCM, CodingFormat::kADPCM, CodingFormat::kPlainText};
+  struct Case {
+    const char* what;
+    NegotiationRequest request;
+    NegotiationStatus verdict;
+  };
+  const Case cases[] = {
+      {"catalog miss", make_negotiation_request(sys.client, "ghost", profile),
+       NegotiationStatus::kFailedWithoutOffer},
+      {"step 1", make_negotiation_request(bw, "article", profile),
+       NegotiationStatus::kFailedWithLocalOffer},
+      {"step 2", make_negotiation_request(no_video, "article", profile),
+       NegotiationStatus::kFailedWithoutOffer},
+  };
+  for (const Case& c : cases) {
+    const NegotiationResult expected = manager.negotiate(c.request);
+    ASSERT_EQ(expected.verdict, c.verdict) << c.what;
+    ASSERT_FALSE(expected.problems.empty()) << c.what;
+    for (Negotiator* negotiator : {static_cast<Negotiator*>(&smart),
+                                   static_cast<Negotiator*>(&basic),
+                                   static_cast<Negotiator*>(&cost),
+                                   static_cast<Negotiator*>(&qos)}) {
+      SCOPED_TRACE(std::string(c.what) + " / " + std::string(negotiator->name()));
+      const NegotiationResult got = negotiator->negotiate(c.request);
+      EXPECT_EQ(got.verdict, expected.verdict);
+      EXPECT_EQ(got.problems, expected.problems);
+      ASSERT_EQ(got.user_offer.has_value(), expected.user_offer.has_value());
+      if (got.user_offer) {
+        EXPECT_EQ(got.user_offer->describe(), expected.user_offer->describe());
+      }
+      EXPECT_FALSE(got.has_commitment());
+    }
+  }
 }
 
 TEST(Baselines, SmartServiceRateDominatesBasicUnderLoad) {
@@ -128,7 +161,8 @@ TEST(Baselines, SmartServiceRateDominatesBasicUnderLoad) {
                        /*server_bps=*/200'000'000);
   TestSystem basic_sys(/*access_bps=*/200'000'000, /*backbone_bps=*/30'000'000,
                        /*server_bps=*/200'000'000);
-  SmartNegotiator smart(smart_sys.catalog, smart_sys.farm, *smart_sys.transport);
+  QoSManager smart_manager(smart_sys.catalog, smart_sys.farm, *smart_sys.transport);
+  SmartNegotiator smart(smart_manager);
   BasicNegotiator basic(basic_sys.catalog, basic_sys.farm, *basic_sys.transport);
   const UserProfile profile = TestSystem::tolerant_profile();
 

@@ -63,6 +63,11 @@ TEST(NodeConfig, WireFieldsFlowThroughTheFinisher) {
   EXPECT_EQ(net.metrics, &registry);
 }
 
+TEST(NodeConfig, SmallestAcceptedFrameLimitFlowsThroughTheFinisher) {
+  const auto net = NodeConfig{}.max_frame_bytes(wire::kMinMaxFrameBytes).wire_server();
+  EXPECT_EQ(net.max_frame_bytes, wire::kMinMaxFrameBytes);
+}
+
 TEST(NodeConfig, CacheFieldsFlowThroughTheFinisher) {
   const auto policy = NodeConfig{}.cache_shards(3).cache_capacity(99).cache_policy();
   EXPECT_EQ(policy.shards, 3u);
@@ -101,6 +106,9 @@ TEST(NodeConfig, EveryBadFieldNamesItselfInTheError) {
   expect_field_error([] { NodeConfig{}.max_connections(0); },
                      "NodeConfig.max_connections: must be >= 1");
   expect_field_error([] { NodeConfig{}.max_frame_bytes(8); },
+                     "NodeConfig.max_frame_bytes: must fit at least one non-empty frame");
+  // One below the wire layer's floor: rejected here, not later in wire_server().
+  expect_field_error([] { NodeConfig{}.max_frame_bytes(wire::kMinMaxFrameBytes - 1); },
                      "NodeConfig.max_frame_bytes: must fit at least one non-empty frame");
   expect_field_error([] { NodeConfig{}.idle_timeout_ms(-10.0); },
                      "NodeConfig.idle_timeout_ms: must not be negative");

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/local_client.hpp"
 #include "test_service.hpp"
 #include "test_system.hpp"
 
@@ -143,6 +144,26 @@ TEST(Trace, ManagerRecordsOneSpanPerExecutedStage) {
     EXPECT_EQ(trace.spans()[span.parent].stage, Stage::kCommitWalk);
   }
   EXPECT_EQ(committed, 1u);
+}
+
+// LocalClient runs the service's admission routine, so a traced request
+// records the Step-6 admission span naming the opened session.
+TEST(Trace, LocalClientRecordsItsAdmission) {
+  TestSystem sys;
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+  SessionManager sessions(manager);
+  LocalClient client(manager, sessions);
+  NegotiationTrace trace(1);
+  const NegotiationResult result = client.negotiate(
+      make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile(),
+                               TraceContext(&trace)),
+      0.0);
+  ASSERT_NE(result.session_id, 0u);
+  const Span* admission = trace.find(Stage::kAdmission);
+  ASSERT_NE(admission, nullptr);
+  EXPECT_EQ(admission->attr("session"), std::to_string(result.session_id));
+  EXPECT_FALSE(admission->has_attr("confirmed"));  // Step 6 is the caller's
+  sessions.complete(result.session_id);
 }
 
 // With every server down, the refusal component is attributed end-to-end:

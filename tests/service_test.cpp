@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "policy/local_client.hpp"
 #include "test_service.hpp"
 #include "util/log.hpp"
 
@@ -178,35 +179,44 @@ TEST(NegotiationService, QueueDeadlineShedsAgedRequests) {
 }
 
 TEST(NegotiationService, DeclinedDegradedOfferReleasesItsCommitment) {
-  ServiceSystem sys;
-  ServiceConfig config;
-  config.workers = 2;
-  NegotiationService service(*sys.manager, *sys.sessions, config);
-  service.start();
+  // Both in-process clients run the same Step-6 admission; hold each to it.
+  for (const bool via_service : {true, false}) {
+    SCOPED_TRACE(via_service ? "NegotiationService" : "LocalClient");
+    ServiceSystem sys;
+    ServiceConfig config;
+    config.workers = 2;
+    NegotiationService service(*sys.manager, *sys.sessions, config);
+    LocalClient local(*sys.manager, *sys.sessions);
+    service.start();
+    auto negotiate = [&](NegotiationRequest request) {
+      return via_service ? service.submit(std::move(request)).get()
+                         : local.negotiate(std::move(request), 0.0);
+    };
 
-  // A one-cent budget makes every offer unacceptable on cost, so the
-  // procedure ends FAILEDWITHOFFER with a real commitment behind the offer.
-  UserProfile stingy = TestSystem::tolerant_profile();
-  stingy.mm.cost.max_cost = Money::cents(1);
+    // A one-cent budget makes every offer unacceptable on cost, so the
+    // procedure ends FAILEDWITHOFFER with a real commitment behind the offer.
+    UserProfile stingy = TestSystem::tolerant_profile();
+    stingy.mm.cost.max_cost = Money::cents(1);
 
-  NegotiationRequest declined = make_request(sys, 1, stingy);
-  declined.accept_degraded = false;
-  const NegotiationResult declined_resp = service.submit(std::move(declined)).get();
-  EXPECT_EQ(declined_resp.verdict, NegotiationStatus::kFailedWithOffer);
-  EXPECT_EQ(declined_resp.session_id, 0u);
-  // Step 6 decline: the worker released the commitment immediately.
-  EXPECT_TRUE(sys.drained());
+    NegotiationRequest declined = make_request(sys, 1, stingy);
+    declined.accept_degraded = false;
+    const NegotiationResult declined_resp = negotiate(std::move(declined));
+    EXPECT_EQ(declined_resp.verdict, NegotiationStatus::kFailedWithOffer);
+    EXPECT_EQ(declined_resp.session_id, 0u);
+    // Step 6 decline: the commitment was released immediately.
+    EXPECT_TRUE(sys.drained());
 
-  NegotiationRequest accepted = make_request(sys, 2, stingy);
-  accepted.accept_degraded = true;
-  const NegotiationResult accepted_resp = service.submit(std::move(accepted)).get();
-  EXPECT_EQ(accepted_resp.verdict, NegotiationStatus::kFailedWithOffer);
-  ASSERT_NE(accepted_resp.session_id, 0u);
-  EXPECT_EQ(sys.sessions->active_count(), 1u);
+    NegotiationRequest accepted = make_request(sys, 2, stingy);
+    accepted.accept_degraded = true;
+    const NegotiationResult accepted_resp = negotiate(std::move(accepted));
+    EXPECT_EQ(accepted_resp.verdict, NegotiationStatus::kFailedWithOffer);
+    ASSERT_NE(accepted_resp.session_id, 0u);
+    EXPECT_EQ(sys.sessions->active_count(), 1u);
 
-  service.stop();
-  sys.sessions->complete(accepted_resp.session_id);
-  EXPECT_TRUE(sys.drained());
+    service.stop();
+    sys.sessions->complete(accepted_resp.session_id);
+    EXPECT_TRUE(sys.drained());
+  }
 }
 
 TEST(NegotiationService, StopDrainsTheBacklogBeforeJoining) {
