@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
     for (SessionId sid : sessions.sessions_using_flow(flow)) {
       our_session_hit = true;
       const auto before = sessions.snapshot(sid);
-      AdaptationResult adapted = sessions.adapt(sid, 34.0);
+      TransitionResult adapted = sessions.adapt(sid, 34.0);
       const auto after = sessions.snapshot(sid);
-      if (adapted.adapted) {
+      if (adapted.moved) {
         std::cout << "   session " << sid << " transitioned: offer #" << before->current_offer
                   << " -> #" << adapted.new_offer << " at position " << before->position_s
                   << "s (interruption " << adapted.interruption_s << "s)\n";

@@ -2,8 +2,10 @@
 # Gate on deprecated API surface. All former migration shims are deleted:
 #  - removed names (NegotiationOutcome / ServiceResponse / ServiceRequest /
 #    negotiate_document and the multi-argument negotiate() overload; the
-#    client and population-adapter classes NegotiationClient replaced): their
-#    deprecation window is over; nothing may reintroduce a reference.
+#    client and population-adapter classes NegotiationClient replaced; the
+#    per-kind transition results TransitionResult replaced; the service and
+#    simulator metrics fields and experiment options nothing read or set):
+#    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
 #  - no [[deprecated]] marker may appear anywhere in compiled code: a new
@@ -42,6 +44,14 @@ check "negotiate_document" "\bnegotiate_document\b"
 # these client classes, population adapters and client-interface members.
 for name in ServiceClient ShardedClient ServicePopulationBackend WirePopulationBackend \
     ShardedPopulationBackend drain_metrics submit_at; do
+    check "$name" "\b$name\b"
+done
+# One transition routine: adapt, preempt_degrade and try_upgrade return
+# TransitionResult; the service report no longer exports onto SimMetrics; the
+# simulator keeps no wall-clock negotiation time; and the ExperimentConfig
+# fields nothing set are gone (their defaults are the code's behaviour).
+for name in AdaptationResult PreemptionVictimResult UpgradeResult to_sim_metrics \
+    negotiation_ms_total mean_negotiation_ms accept_degraded_probability server_max_sessions; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

@@ -125,9 +125,9 @@ NegotiationResult PolicyEngine::negotiate(const NegotiationRequest& request) {
     for (const PlayingSession& candidate : candidates) {
       if (victims_used >= policy_.max_victims) break;
       if (result.has_commitment()) break;
-      PreemptionVictimResult victim =
+      TransitionResult victim =
           sessions_->preempt_degrade(candidate.id, policy_.allow_release, span.context());
-      if (!victim.degraded && !victim.released) continue;  // untouched, try the next one
+      if (!victim.moved && !victim.released) continue;  // untouched, try the next one
       ++victims_used;
       VictimEvent event;
       event.session = candidate.id;
@@ -187,8 +187,8 @@ std::size_t PolicyEngine::run_upgrades(TraceContext trace) {
   for (const PlayingSession& candidate : candidates) {
     if (attempts >= policy_.max_upgrades_per_scan) break;
     ++attempts;
-    UpgradeResult upgrade = sessions_->try_upgrade(candidate.id, span.context());
-    if (!upgrade.upgraded) continue;
+    TransitionResult upgrade = sessions_->try_upgrade(candidate.id, span.context());
+    if (!upgrade.moved) continue;
     ++promoted;
     UpgradeEvent event;
     event.session = candidate.id;

@@ -11,23 +11,6 @@
 
 namespace qosnp {
 
-SimMetrics ServiceReport::to_sim_metrics() const {
-  SimMetrics m;
-  m.arrivals = submitted;
-  for (std::size_t i = 0; i < by_status.size(); ++i) m.by_status[i] = by_status[i];
-  m.confirmed = sessions_confirmed;
-  m.negotiation_ms_total = latency.sum_ms();
-  m.service_requests = submitted;
-  m.shed_queue_full = shed_queue_full;
-  m.shed_deadline = shed_deadline;
-  m.queue_high_water = queue_high_water;
-  m.latency_p50_ms = latency.quantile_ms(0.50);
-  m.latency_p95_ms = latency.quantile_ms(0.95);
-  m.latency_p99_ms = latency.quantile_ms(0.99);
-  m.service_throughput_rps = throughput_rps();
-  return m;
-}
-
 std::string ServiceReport::summary() const {
   std::ostringstream os;
   os << "submitted=" << submitted << " processed=" << processed

@@ -42,7 +42,6 @@
 #include "policy/admission.hpp"
 #include "service/bounded_queue.hpp"
 #include "session/session.hpp"
-#include "sim/metrics.hpp"
 #include "util/stopwatch.hpp"
 
 namespace qosnp {
@@ -118,8 +117,6 @@ struct ServiceReport {
     return wall_s <= 0.0 ? 0.0 : static_cast<double>(processed) / wall_s;
   }
 
-  /// Export onto the simulation metrics surface the benches report.
-  SimMetrics to_sim_metrics() const;
   std::string summary() const;
 };
 

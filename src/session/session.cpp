@@ -1,6 +1,7 @@
 #include "session/session.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/log.hpp"
 
@@ -133,8 +134,43 @@ void SessionManager::advance(SessionId id, double dt_s) {
   if (s.position_s >= s.duration_s) return finish_locked(lk, it, SessionState::kCompleted, "");
 }
 
-AdaptationResult SessionManager::adapt(SessionId id, double /*now_s*/) {
-  AdaptationResult result;
+/// One kind of move along a session's own offer list: which offers its
+/// Step-5 walk may commit, in which order it commits, and what a failed
+/// walk does.
+struct SessionManager::TransitionRule {
+  enum class Window {
+    kAllButCurrent,  ///< every offer except the current one (the paper's adaptation)
+    kUntried,        ///< every offer never played by this session
+    kWorse,          ///< offers indexed after the current one
+    kBetter,         ///< offers indexed before it (end_index bounds the walk)
+  };
+  Window window = Window::kAllButCurrent;
+  /// Reserve the new offer before releasing the current one. Off is
+  /// break-before-make, whose failure must abort (nothing is held).
+  bool make_before_break = false;
+  int SessionStats::*moved = nullptr;  ///< the counter a success bumps
+  const char* log_tag = "";
+  /// A failed walk aborts the session with this reason (bumping `failed`
+  /// when set); empty leaves it untouched, make-before-break only.
+  std::string_view abort_reason;
+  int SessionStats::*failed = nullptr;
+};
+
+void SessionManager::install_locked(Session& s, std::size_t index, Commitment&& commitment,
+                                    int SessionStats::*counter) {
+  unindex_commitment_locked(s);
+  s.commitment = std::move(commitment);  // old reservations, if still held, release here
+  s.current_offer = index;
+  if (std::find(s.tried.begin(), s.tried.end(), index) == s.tried.end()) s.tried.push_back(index);
+  index_commitment_locked(s);
+  s.stats.*counter += 1;
+  s.stats.interrupted_s += policy_.transition_latency_s;
+  s.stats.charged = s.committed().total_cost();
+}
+
+TransitionResult SessionManager::transition(SessionId id, const TransitionRule& rule,
+                                            TraceContext trace) {
+  TransitionResult result;
   std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
@@ -146,57 +182,89 @@ AdaptationResult SessionManager::adapt(SessionId id, double /*now_s*/) {
     result.errors.push_back("session is " + std::string(to_string(s.state)));
     return result;
   }
+  result.old_offer = s.current_offer;
 
-  // The ordered set of system offers, except the one in difficulty (and,
-  // under the stricter policy, every offer already tried).
   std::vector<std::size_t> exclude;
-  if (policy_.exclude_all_tried) {
-    exclude = s.tried;
-  } else {
-    exclude.push_back(s.current_offer);
+  std::size_t end_index = SIZE_MAX;
+  switch (rule.window) {
+    case TransitionRule::Window::kAllButCurrent: exclude.push_back(s.current_offer); break;
+    case TransitionRule::Window::kUntried: exclude = s.tried; break;
+    case TransitionRule::Window::kWorse:
+      exclude.resize(s.current_offer + 1);
+      std::iota(exclude.begin(), exclude.end(), std::size_t{0});
+      break;
+    case TransitionRule::Window::kBetter:
+      if (s.current_offer == 0) return result;  // already at the top
+      end_index = s.current_offer;  // a lazy list never materialises past it
+      break;
   }
 
-  CommitAttempt attempt;
-  if (policy_.make_before_break) {
-    attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, {},
-                                     s.session_class);
-    if (attempt.ok()) {
-      unindex_commitment_locked(s);
-      s.commitment = std::move(attempt.commitment);  // old reservations release here
-    }
-  } else {
+  if (!rule.make_before_break) {
     // The paper's literal transition: stop (release) first, then re-run
-    // Step 5 on the remaining offers.
+    // Step 5 on the window.
     unindex_commitment_locked(s);
     s.commitment.release();
-    attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, {},
-                                     s.session_class);
-    if (attempt.ok()) s.commitment = std::move(attempt.commitment);
   }
-
+  CommitAttempt attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, trace,
+                                                 s.session_class, end_index);
   s.stats.commit.merge(attempt.stats);
   if (!attempt.ok()) {
-    s.stats.failed_adaptations += 1;
     result.errors = std::move(attempt.errors);
-    QOSNP_LOG_INFO("adapt", "session ", id, " aborted: no alternate configuration");
-    return finish_locked(lk, it, SessionState::kAborted, "no alternate configuration available",
+    if (rule.abort_reason.empty()) return result;
+    if (rule.failed != nullptr) s.stats.*rule.failed += 1;
+    result.released = true;
+    QOSNP_LOG_INFO(rule.log_tag, "session ", id, " released: ", rule.abort_reason);
+    return finish_locked(lk, it, SessionState::kAborted, std::string(rule.abort_reason),
                          std::move(result));
   }
 
-  s.current_offer = attempt.index;
-  if (std::find(s.tried.begin(), s.tried.end(), attempt.index) == s.tried.end()) {
-    s.tried.push_back(attempt.index);
-  }
-  index_commitment_locked(s);
-  s.stats.transitions += 1;
-  s.stats.interrupted_s += policy_.transition_latency_s;
-  s.stats.charged = s.committed().total_cost();
-  result.adapted = true;
+  install_locked(s, attempt.index, std::move(attempt.commitment), rule.moved);
+  result.moved = true;
   result.new_offer = attempt.index;
   result.interruption_s = policy_.transition_latency_s;
-  QOSNP_LOG_INFO("adapt", "session ", id, " transitioned to offer ", attempt.index,
-                 " at position ", s.position_s, "s");
+  QOSNP_LOG_INFO(rule.log_tag, "session ", id, " moved from offer ", result.old_offer, " to ",
+                 result.new_offer, " at position ", s.position_s, "s");
   return result;
+}
+
+TransitionResult SessionManager::adapt(SessionId id, double /*now_s*/) {
+  // The ordered set of system offers, except the one in difficulty (and,
+  // under the stricter policy, every offer already tried).
+  return transition(id,
+                    {.window = policy_.exclude_all_tried ? TransitionRule::Window::kUntried
+                                                         : TransitionRule::Window::kAllButCurrent,
+                     .make_before_break = policy_.make_before_break,
+                     .moved = &SessionStats::transitions,
+                     .log_tag = "adapt",
+                     .abort_reason = "no alternate configuration available",
+                     .failed = &SessionStats::failed_adaptations},
+                    {});
+}
+
+TransitionResult SessionManager::preempt_degrade(SessionId id, bool allow_release,
+                                                 TraceContext trace) {
+  // Only offers strictly worse than the current one are eligible: the policy
+  // invariant "a preempted victim's new offer is always a later entry in its
+  // own offer list" is enforced structurally. Releasing first is the point
+  // of preempting (the victim's resources are what the higher class needs);
+  // without allow_release a worse offer must fit alongside the current one.
+  return transition(id,
+                    {.window = TransitionRule::Window::kWorse,
+                     .make_before_break = !allow_release,
+                     .moved = &SessionStats::preempt_degrades,
+                     .log_tag = "preempt",
+                     .abort_reason = allow_release ? kPreemptedAbortReason : std::string_view{}},
+                    trace);
+}
+
+TransitionResult SessionManager::try_upgrade(SessionId id, TraceContext trace) {
+  return transition(id,
+                    {.window = TransitionRule::Window::kBetter,
+                     .make_before_break = true,
+                     .moved = &SessionStats::upgrades,
+                     .log_tag = "upgrade",
+                     .abort_reason = {}},  // a failed upgrade leaves the session as it was
+                    trace);
 }
 
 RenegotiationResult SessionManager::renegotiate(SessionId id, const UserProfile& new_profile,
@@ -223,16 +291,12 @@ RenegotiationResult SessionManager::renegotiate(SessionId id, const UserProfile&
     return result;
   }
 
-  unindex_commitment_locked(s);
+  // A new offer list starts a new ladder.
   s.offers = std::move(renegotiated.offers);
-  s.current_offer = renegotiated.committed_index;
-  s.tried.assign(1, renegotiated.committed_index);
-  s.commitment = std::move(renegotiated.commitment);  // old reservations release here
+  s.tried.clear();
   s.profile = new_profile;
-  index_commitment_locked(s);
-  s.stats.renegotiations += 1;
-  s.stats.interrupted_s += policy_.transition_latency_s;
-  s.stats.charged = s.committed().total_cost();
+  install_locked(s, renegotiated.committed_index, std::move(renegotiated.commitment),
+                 &SessionStats::renegotiations);
   result.switched = true;
   result.offer = derive_user_offer(s.committed());
   QOSNP_LOG_INFO("renegotiate", "session ", id, " switched to ", result.offer->describe());
@@ -302,108 +366,6 @@ std::vector<PlayingSession> SessionManager::playing_sessions_with_class() const 
   std::sort(out.begin(), out.end(),
             [](const PlayingSession& a, const PlayingSession& b) { return a.id < b.id; });
   return out;
-}
-
-PreemptionVictimResult SessionManager::preempt_degrade(SessionId id, bool allow_release,
-                                                       TraceContext trace) {
-  PreemptionVictimResult result;
-  std::unique_lock lk(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    result.errors.push_back(not_live_locked(id));
-    return result;
-  }
-  Session& s = *it->second;
-  if (s.state != SessionState::kPlaying) {
-    result.errors.push_back("session is " + std::string(to_string(s.state)));
-    return result;
-  }
-  result.old_offer = s.current_offer;
-
-  // Only offers strictly worse than (indexed after) the current one are
-  // eligible — the policy invariant "a preempted victim's new offer is
-  // always a later entry in its own offer list" is enforced structurally.
-  std::vector<std::size_t> exclude(s.current_offer + 1);
-  for (std::size_t i = 0; i <= s.current_offer; ++i) exclude[i] = i;
-
-  CommitAttempt attempt;
-  if (allow_release) {
-    // Break-before-make: freeing the victim's resources first is the whole
-    // point (they are what the higher-class request needs).
-    unindex_commitment_locked(s);
-    s.commitment.release();
-    attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, trace,
-                                     s.session_class);
-    s.stats.commit.merge(attempt.stats);
-    if (!attempt.ok()) {
-      result.errors = std::move(attempt.errors);
-      result.released = true;
-      QOSNP_LOG_INFO("preempt", "session ", id, " released: no worse offer fits");
-      return finish_locked(lk, it, SessionState::kAborted, std::string(kPreemptedAbortReason),
-                           std::move(result));
-    }
-    s.commitment = std::move(attempt.commitment);
-  } else {
-    // Make-before-break: degrade only when a worse offer fits alongside the
-    // current one; otherwise the victim is left untouched.
-    attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, trace,
-                                     s.session_class);
-    s.stats.commit.merge(attempt.stats);
-    if (!attempt.ok()) {
-      result.errors = std::move(attempt.errors);
-      return result;
-    }
-    unindex_commitment_locked(s);
-    s.commitment = std::move(attempt.commitment);  // old reservations release here
-  }
-
-  s.current_offer = attempt.index;
-  if (std::find(s.tried.begin(), s.tried.end(), attempt.index) == s.tried.end()) {
-    s.tried.push_back(attempt.index);
-  }
-  index_commitment_locked(s);
-  s.stats.preempt_degrades += 1;
-  s.stats.interrupted_s += policy_.transition_latency_s;
-  s.stats.charged = s.committed().total_cost();
-  result.degraded = true;
-  result.new_offer = attempt.index;
-  QOSNP_LOG_INFO("preempt", "session ", id, " degraded from offer ", result.old_offer, " to ",
-                 result.new_offer);
-  return result;
-}
-
-UpgradeResult SessionManager::try_upgrade(SessionId id, TraceContext trace) {
-  UpgradeResult result;
-  std::lock_guard lk(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return result;
-  Session& s = *it->second;
-  if (s.state != SessionState::kPlaying) return result;
-  result.old_offer = s.current_offer;
-  if (s.current_offer == 0 || s.current_offer == SIZE_MAX) return result;  // already at the top
-
-  // Make-before-break over the offers strictly better than the current one
-  // (end_index bounds the walk, so a lazy list never materialises past it).
-  CommitAttempt attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, {}, trace,
-                                                 s.session_class, s.current_offer);
-  s.stats.commit.merge(attempt.stats);
-  if (!attempt.ok()) return result;
-
-  unindex_commitment_locked(s);
-  s.commitment = std::move(attempt.commitment);  // old reservations release here
-  s.current_offer = attempt.index;
-  if (std::find(s.tried.begin(), s.tried.end(), attempt.index) == s.tried.end()) {
-    s.tried.push_back(attempt.index);
-  }
-  index_commitment_locked(s);
-  s.stats.upgrades += 1;
-  s.stats.interrupted_s += policy_.transition_latency_s;
-  s.stats.charged = s.committed().total_cost();
-  result.upgraded = true;
-  result.new_offer = attempt.index;
-  QOSNP_LOG_INFO("upgrade", "session ", id, " promoted from offer ", result.old_offer, " to ",
-                 result.new_offer);
-  return result;
 }
 
 std::vector<SessionId> SessionManager::sessions_using_flow(FlowId flow) const {

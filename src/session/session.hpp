@@ -4,7 +4,10 @@
 // violation the QoS manager "considers the ordered set of system offers,
 // except the current one (which is in difficulty), and executes Step 5",
 // then transitions the playout: stop, note the current position, restart
-// from that position on the alternate configuration.
+// from that position on the alternate configuration. Adaptation, policy
+// preemption and upgrade are that one procedure over different windows of
+// the session's offer list (one private walk, one TransitionResult);
+// renegotiation shares its install step.
 #pragma once
 
 #include <cstdint>
@@ -101,10 +104,17 @@ struct AdaptationPolicy {
   double transition_latency_s = 0.5;
 };
 
-struct AdaptationResult {
-  bool adapted = false;
-  std::size_t new_offer = SIZE_MAX;
-  double interruption_s = 0.0;
+/// Outcome of one move of a playing session along its own offer list:
+/// adapt, preempt_degrade and try_upgrade all return it. Exactly one of
+/// moved/released is true on any change; both false means the session was
+/// left untouched (not live or not playing, already at its best offer, or a
+/// make-before-break walk found no offer that fits alongside).
+struct TransitionResult {
+  bool moved = false;     ///< the session now plays `new_offer`
+  bool released = false;  ///< no offer in the window committed: session aborted
+  std::size_t old_offer = SIZE_MAX;
+  std::size_t new_offer = SIZE_MAX;  ///< moved only
+  double interruption_s = 0.0;       ///< moved only: the policy's transition latency
   std::vector<std::string> errors;
 };
 
@@ -114,24 +124,6 @@ struct RenegotiationResult {
   NegotiationStatus status = NegotiationStatus::kFailedTryLater;
   std::optional<UserOffer> offer;  ///< the configuration now playing (on success)
   std::vector<std::string> problems;
-};
-
-/// What preempt_degrade did to one victim. Exactly one of degraded/released
-/// is true on any change; both false means the victim was left untouched
-/// (make-before-break found no worse offer that fits alongside).
-struct PreemptionVictimResult {
-  bool degraded = false;  ///< moved to a strictly worse offer, still playing
-  bool released = false;  ///< aborted with kPreemptedAbortReason
-  std::size_t old_offer = SIZE_MAX;
-  std::size_t new_offer = SIZE_MAX;  ///< degraded only; strictly > old_offer
-  std::vector<std::string> errors;
-};
-
-/// Outcome of try_upgrade.
-struct UpgradeResult {
-  bool upgraded = false;
-  std::size_t old_offer = SIZE_MAX;
-  std::size_t new_offer = SIZE_MAX;  ///< upgraded only; strictly < old_offer
 };
 
 /// Snapshot row of playing_sessions_with_class — what the policy engine
@@ -166,9 +158,11 @@ class SessionManager {
   void advance(SessionId id, double dt_s);
 
   /// The adaptation procedure, triggered by a QoS violation on the
-  /// session's current configuration. Aborts the session when no alternate
+  /// session's current configuration: Step 5 over every offer but the
+  /// current one (every untried one under exclude_all_tried), in the
+  /// policy's commit order. Releases (aborts) the session when no alternate
   /// configuration can be committed.
-  AdaptationResult adapt(SessionId id, double now_s);
+  TransitionResult adapt(SessionId id, double now_s);
 
   /// User-driven renegotiation (paper Sec. 8: "the procedure can be used
   /// for negotiation, renegotiation, and adaptation with almost no
@@ -212,13 +206,12 @@ class SessionManager {
   /// victim with kPreemptedAbortReason. Without it the walk is
   /// make-before-break: the victim is degraded only when a worse offer fits
   /// *alongside* its current one, and is left untouched otherwise.
-  PreemptionVictimResult preempt_degrade(SessionId id, bool allow_release,
-                                         TraceContext trace = {});
+  TransitionResult preempt_degrade(SessionId id, bool allow_release, TraceContext trace = {});
 
   /// Policy-driven upgrade of one playing session: re-run Step 5 over the
   /// offers strictly better than its current one, make-before-break. On
   /// success the session plays the better offer; on failure it is untouched.
-  UpgradeResult try_upgrade(SessionId id, TraceContext trace = {});
+  TransitionResult try_upgrade(SessionId id, TraceContext trace = {});
 
   /// Violation routing: which session holds a given transport flow.
   std::vector<SessionId> sessions_using_flow(FlowId flow) const;
@@ -228,6 +221,18 @@ class SessionManager {
  private:
   using SessionTable = std::unordered_map<SessionId, std::unique_ptr<Session>>;
 
+  /// A transition's offer window, commit order and failure rule (defined
+  /// in session.cpp, with one rule per public transition).
+  struct TransitionRule;
+  /// The live/playing guard, the walk over `rule`'s window and the install
+  /// or failure rule: the one body of adapt, preempt_degrade and try_upgrade.
+  TransitionResult transition(SessionId id, const TransitionRule& rule, TraceContext trace);
+  /// The success half of every transition, renegotiate's included: swap in
+  /// `commitment` for offer `index` (the old reservations, if still held,
+  /// release here), re-index the flows, record the offer as tried, and charge
+  /// one transition counted in `counter`.
+  void install_locked(Session& s, std::size_t index, Commitment&& commitment,
+                      int SessionStats::*counter);
   void index_commitment_locked(Session& s);
   void unindex_commitment_locked(Session& s);
   /// Step 6 de-allocation: releases the session's reservations, records its

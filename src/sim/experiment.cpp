@@ -11,7 +11,6 @@
 #include "sim/event_queue.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 
 namespace qosnp {
 
@@ -97,7 +96,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     server.id = config.corpus.servers[static_cast<std::size_t>(i)];
     server.node = "server-node-" + std::to_string(i);
     server.disk_bandwidth_bps = config.server_disk_bps;
-    server.max_sessions = config.server_max_sessions;
     farm.add(std::move(server));
   }
 
@@ -123,8 +121,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   NegotiationConfig nego_config;
-  nego_config.enumeration = config.enumeration;
-  nego_config.policy = config.policy;
   nego_config.retry = config.retry;
   auto qos_manager = std::make_unique<QoSManager>(catalog, *server_provider,
                                                   *transport_provider, CostModel{}, nego_config);
@@ -142,12 +138,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     case Strategy::kCostOnly:
       negotiator = std::make_unique<CostOnlyNegotiator>(catalog, *server_provider,
                                                         *transport_provider, CostModel{},
-                                                        config.enumeration, config.retry);
+                                                        EnumerationConfig{}, config.retry);
       break;
     case Strategy::kQoSOnly:
       negotiator = std::make_unique<QoSOnlyNegotiator>(catalog, *server_provider,
                                                        *transport_provider, CostModel{},
-                                                       config.enumeration, config.retry);
+                                                       EnumerationConfig{}, config.retry);
       break;
   }
 
@@ -165,8 +161,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       metrics.aborted += 1;
       return;
     }
-    AdaptationResult result = sessions.adapt(session_id, queue.now());
-    if (result.adapted) {
+    TransitionResult result = sessions.adapt(session_id, queue.now());
+    if (result.moved) {
       metrics.adaptations += 1;
       metrics.total_interruption_s += result.interruption_s;
     } else {
@@ -186,10 +182,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       const DocumentId& doc_id = doc_ids[rng.below(doc_ids.size())];
       const UserProfile& profile = profiles[rng.below(profiles.size())];
 
-      Stopwatch watch;
       NegotiationResult outcome =
           negotiator->negotiate(make_negotiation_request(client, doc_id, profile));
-      metrics.negotiation_ms_total += watch.elapsed_ms();
       metrics.record(outcome.verdict);
       metrics.commit_attempts += static_cast<std::size_t>(outcome.commit_stats.attempts);
       metrics.commit_retries += static_cast<std::size_t>(outcome.commit_stats.retries);
@@ -220,10 +214,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         }
       }
 
-      const bool accept =
-          outcome.verdict == NegotiationStatus::kSucceeded
-              ? rng.chance(config.confirm_probability)
-              : rng.chance(config.confirm_probability * config.accept_degraded_probability);
+      const bool accept = rng.chance(config.confirm_probability);
       auto opened = sessions.open(client, profile, std::move(outcome), queue.now());
       if (!opened.ok()) return;
       const SessionId session_id = opened.value();

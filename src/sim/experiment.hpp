@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/classify.hpp"
-#include "core/enumerate.hpp"
 #include "document/corpus.hpp"
 #include "fault/fault_plan.hpp"
 #include "session/session.hpp"
@@ -34,7 +32,6 @@ struct ExperimentConfig {
   /// route flows onto when the primary backbone is full or congested).
   bool dual_backbone = false;
   std::int64_t server_disk_bps = 120'000'000;
-  int server_max_sessions = 64;
 
   /// Fraction of clients with a limited decoder set / modest screen (these
   /// clients exercise steps 1-2 failures).
@@ -45,17 +42,11 @@ struct ExperimentConfig {
   double sim_duration_s = 2'000.0;
   double confirm_delay_s = 2.0;       ///< user thinking time before OK
   double confirm_probability = 1.0;   ///< chance the user accepts the offer
-  double accept_degraded_probability = 1.0;  ///< accept a FAILEDWITHOFFER offer
   /// Fraction of the document duration actually watched.
   double watch_fraction = 1.0;
 
   // Strategy under test.
   Strategy strategy = Strategy::kSmart;
-  /// Offer-space settings (enumeration strategy, cap, pruning) threaded to
-  /// the negotiator under test — lets experiments compare lazy best-first
-  /// against the eager oracle on identical workloads.
-  EnumerationConfig enumeration;
-  ClassificationPolicy policy;
   AdaptationPolicy adaptation;
   bool adaptation_enabled = true;
   /// Commitment retry policy (default: single attempt, no retries).

@@ -46,24 +46,10 @@ struct SimMetrics {
   std::size_t playout_stalled_streams = 0;
   double playout_stall_s_total = 0.0;
 
-  // Economics & performance.
+  // Economics & load.
   Money revenue;  ///< charges of completed sessions
-  double negotiation_ms_total = 0.0;
   double utilization_sum = 0.0;  ///< mean link utilisation samples
   std::size_t utilization_samples = 0;
-
-  // Service layer (concurrent negotiation front-end, src/service): queueing
-  // and shedding figures of the worker-pool service. A shed request is a
-  // FAILEDTRYLATER produced by overload rather than by a transient refusal,
-  // so sheds are also counted into by_status.
-  std::size_t service_requests = 0;   ///< requests submitted to the service
-  std::size_t shed_queue_full = 0;    ///< rejected at the queue edge (backpressure)
-  std::size_t shed_deadline = 0;      ///< expired while waiting in the queue
-  std::size_t queue_high_water = 0;   ///< deepest request backlog observed
-  double latency_p50_ms = 0.0;        ///< accept -> response percentiles
-  double latency_p95_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double service_throughput_rps = 0.0;  ///< processed requests per wall second
 
   std::size_t count(NegotiationStatus status) const {
     return by_status[static_cast<std::size_t>(status)];
@@ -98,20 +84,9 @@ struct SimMetrics {
     return attempts == 0 ? 1.0
                          : static_cast<double>(adaptations) / static_cast<double>(attempts);
   }
-  double mean_negotiation_ms() const {
-    return arrivals == 0 ? 0.0 : negotiation_ms_total / static_cast<double>(arrivals);
-  }
   double mean_utilization() const {
     return utilization_samples == 0 ? 0.0
                                     : utilization_sum / static_cast<double>(utilization_samples);
-  }
-  /// Fraction of service submissions turned away by overload (queue full or
-  /// deadline expired before a worker picked the request up).
-  double shed_rate() const {
-    return service_requests == 0
-               ? 0.0
-               : static_cast<double>(shed_queue_full + shed_deadline) /
-                     static_cast<double>(service_requests);
   }
   /// Fraction of sampled streams whose block-level playout stalled.
   double playout_stall_rate() const {

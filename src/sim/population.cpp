@@ -356,9 +356,9 @@ void Population::schedule_next_violation(std::size_t class_index, SessionId sess
     if (!view || view->state != SessionState::kPlaying) return;  // already released
     ClassCounts& counts = metrics_.by_class[class_index];
     counts.violations += 1;
-    const AdaptationResult adapted =
+    const TransitionResult adapted =
         client_->sessions().adapt(session, client_->session_now_s(queue_.now()));
-    if (adapted.adapted) {
+    if (adapted.moved) {
       counts.adaptations += 1;
       counts.interruption_s += adapted.interruption_s;
       schedule_next_violation(class_index, session, rng, end_at_s);

@@ -389,12 +389,12 @@ TEST(OfferStreamAdaptation, LadderMarchMatchesEagerUnderExcludeAllTried) {
   // stream the negotiation never materialised.
   for (int step = 0;; ++step) {
     ASSERT_LT(step, 64) << "ladder march did not terminate";
-    const AdaptationResult ra = eager_sessions.adapt(ea.value(), 5.0 + step);
-    const AdaptationResult rb = lazy_sessions.adapt(la.value(), 5.0 + step);
-    EXPECT_EQ(ra.adapted, rb.adapted) << "step " << step;
+    const TransitionResult ra = eager_sessions.adapt(ea.value(), 5.0 + step);
+    const TransitionResult rb = lazy_sessions.adapt(la.value(), 5.0 + step);
+    EXPECT_EQ(ra.moved, rb.moved) << "step " << step;
     EXPECT_EQ(ra.new_offer, rb.new_offer) << "step " << step;
     EXPECT_EQ(ra.errors, rb.errors) << "step " << step;
-    if (!ra.adapted || !rb.adapted) break;
+    if (!ra.moved || !rb.moved) break;
   }
   EXPECT_EQ(eager_sessions.snapshot(ea.value())->state, SessionState::kAborted);
   EXPECT_EQ(lazy_sessions.snapshot(la.value())->state, SessionState::kAborted);

@@ -277,13 +277,12 @@ TEST(NegotiationService, ReportAccountsForEverySubmission) {
   for (std::size_t n : report.by_status) by_status_total += n;
   EXPECT_EQ(by_status_total, 40u);
 
-  const SimMetrics metrics = report.to_sim_metrics();
-  EXPECT_EQ(metrics.arrivals, 40u);
-  EXPECT_EQ(metrics.service_requests, 40u);
-  EXPECT_EQ(metrics.shed_queue_full, report.shed_queue_full);
-  EXPECT_LE(metrics.latency_p50_ms, metrics.latency_p95_ms);
-  EXPECT_LE(metrics.latency_p95_ms, metrics.latency_p99_ms);
-  EXPECT_GE(metrics.shed_rate(), 0.0);
+  EXPECT_EQ(report.accepted + report.shed_queue_full, 40u);
+  EXPECT_LE(report.latency.quantile_ms(0.50), report.latency.quantile_ms(0.95));
+  EXPECT_LE(report.latency.quantile_ms(0.95), report.latency.quantile_ms(0.99));
+  EXPECT_GE(report.shed_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(report.shed_rate(),
+                   static_cast<double>(report.shed_queue_full + report.shed_deadline) / 40.0);
   EXPECT_TRUE(sys.drained());
 }
 

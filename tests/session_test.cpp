@@ -98,8 +98,8 @@ TEST_F(SessionFixture, AdaptSwitchesToAlternateOffer) {
   const SessionId id = negotiate_and_open();
   sessions.confirm(id, 1.0);
   const std::size_t before = sessions.snapshot(id)->current_offer;
-  AdaptationResult result = sessions.adapt(id, 10.0);
-  EXPECT_TRUE(result.adapted);
+  TransitionResult result = sessions.adapt(id, 10.0);
+  EXPECT_TRUE(result.moved);
   EXPECT_NE(result.new_offer, before);
   EXPECT_EQ(sessions.snapshot(id)->state, SessionState::kPlaying);
   EXPECT_EQ(sessions.snapshot(id)->stats.transitions, 1);
@@ -111,8 +111,8 @@ TEST_F(SessionFixture, AdaptNeverSelectsTheFailedConfiguration) {
   sessions.confirm(id, 1.0);
   for (int i = 0; i < 5; ++i) {
     const std::size_t current = sessions.snapshot(id)->current_offer;
-    AdaptationResult result = sessions.adapt(id, 10.0 + i);
-    if (!result.adapted) break;
+    TransitionResult result = sessions.adapt(id, 10.0 + i);
+    if (!result.moved) break;
     EXPECT_NE(result.new_offer, current);
   }
 }
@@ -125,8 +125,8 @@ TEST_F(SessionFixture, AdaptFailsWhenNoAlternativeFits) {
   // server admits nothing).
   sys.farm.find("server-a")->fail();
   sys.farm.find("server-b")->fail();
-  AdaptationResult result = sessions.adapt(id, 10.0);
-  EXPECT_FALSE(result.adapted);
+  TransitionResult result = sessions.adapt(id, 10.0);
+  EXPECT_FALSE(result.moved);
   EXPECT_EQ(sessions.snapshot(id)->state, SessionState::kAborted);
   EXPECT_EQ(sessions.snapshot(id)->stats.failed_adaptations, 1);
   // Everything released despite the failure.
@@ -143,8 +143,8 @@ TEST_F(SessionFixture, MakeBeforeBreakAdaptationWorks) {
   auto opened = bbm.open(sys.client, profile, std::move(outcome), 0.0);
   ASSERT_TRUE(opened.ok());
   bbm.confirm(opened.value(), 1.0);
-  AdaptationResult result = bbm.adapt(opened.value(), 5.0);
-  EXPECT_TRUE(result.adapted);
+  TransitionResult result = bbm.adapt(opened.value(), 5.0);
+  EXPECT_TRUE(result.moved);
   EXPECT_DOUBLE_EQ(result.interruption_s, 1.0);
 }
 
@@ -162,7 +162,7 @@ TEST_F(SessionFixture, ExcludeAllTriedPolicyExhaustsLadder) {
   // Adapting more times than there are offers must eventually abort.
   std::size_t adapted = 0;
   for (std::size_t i = 0; i < ladder + 2; ++i) {
-    if (!strict.adapt(opened.value(), 5.0 + static_cast<double>(i)).adapted) break;
+    if (!strict.adapt(opened.value(), 5.0 + static_cast<double>(i)).moved) break;
     ++adapted;
   }
   EXPECT_LT(adapted, ladder);
@@ -189,8 +189,8 @@ TEST_F(SessionFixture, FlowIndexUpdatedAfterAdaptation) {
   const SessionId id = negotiate_and_open();
   sessions.confirm(id, 1.0);
   auto before = sessions.snapshot(id);
-  AdaptationResult result = sessions.adapt(id, 5.0);
-  ASSERT_TRUE(result.adapted);
+  TransitionResult result = sessions.adapt(id, 5.0);
+  ASSERT_TRUE(result.moved);
   // All currently held flows route back to the session.
   std::size_t routed = 0;
   for (std::size_t link = 0; link < sys.transport->topology().link_count(); ++link) {
@@ -288,8 +288,8 @@ TEST_F(SessionFixture, RenegotiateThenAdaptUsesNewLadder) {
   RenegotiationResult renego =
       sessions.renegotiate(id, TestSystem::tolerant_profile(), 5.0);
   ASSERT_TRUE(renego.switched);
-  AdaptationResult adapted = sessions.adapt(id, 10.0);
-  EXPECT_TRUE(adapted.adapted);
+  TransitionResult adapted = sessions.adapt(id, 10.0);
+  EXPECT_TRUE(adapted.moved);
   EXPECT_EQ(sessions.snapshot(id)->stats.transitions, 1);
   EXPECT_EQ(sessions.snapshot(id)->stats.renegotiations, 1);
 }
@@ -315,8 +315,8 @@ TEST_F(SessionFixture, ChargedCostTracksCommittedOffer) {
   sessions.confirm(id, 1.0);
   const Money before = sessions.snapshot(id)->stats.charged;
   EXPECT_FALSE(before.is_zero());
-  AdaptationResult result = sessions.adapt(id, 5.0);
-  ASSERT_TRUE(result.adapted);
+  TransitionResult result = sessions.adapt(id, 5.0);
+  ASSERT_TRUE(result.moved);
   // The charge follows the new configuration (it may differ).
   EXPECT_FALSE(sessions.snapshot(id)->stats.charged.is_zero());
 }
@@ -396,7 +396,7 @@ std::vector<Ending> all_endings() {
       {"failed-adapt", true,
        [fail_servers](SessionManager& m, TestSystem& sys, SessionId id) {
          fail_servers(sys);
-         EXPECT_FALSE(m.adapt(id, 20.0).adapted);
+         EXPECT_FALSE(m.adapt(id, 20.0).moved);
        },
        SessionState::kAborted, "no alternate configuration available", 10.0, true, 1},
       {"preempt-release", true,
@@ -544,6 +544,96 @@ TEST_F(SessionFixture, ConcurrentCompleteSnapshotAndPrune) {
   EXPECT_EQ(sessions.active_count(), 0u);
   EXPECT_EQ(total_reserved(), 0);
   EXPECT_EQ(sys.transport->active_flows(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Every kind of transition re-indexes the session's flows, so violation
+// routing follows the new commitment and forgets the old one.
+
+/// The flows the transport holds, ascending (ids are handed out from 1).
+std::vector<FlowId> held_flows(const TransportService& transport) {
+  std::vector<FlowId> held;
+  for (FlowId id = 1; held.size() < transport.active_flows(); ++id) {
+    if (transport.flow(id)) held.push_back(id);
+  }
+  return held;
+}
+
+using Move = std::function<bool(SessionManager&, SessionId)>;
+
+struct TransitionKind {
+  const char* name;
+  bool make_before_break;  ///< the adaptation policy's commit order
+  Move prepare;            ///< puts the session where `run` can move it, or null
+  Move run;                ///< the transition under test; true when it moved
+  int SessionStats::*counter;
+};
+
+std::vector<TransitionKind> all_transition_kinds() {
+  const Move adapt = [](SessionManager& m, SessionId id) { return m.adapt(id, 5.0).moved; };
+  const auto degrade = [](bool allow_release) -> Move {
+    return [allow_release](SessionManager& m, SessionId id) {
+      return m.preempt_degrade(id, allow_release).moved;
+    };
+  };
+  return {
+      {"adapt break-before-make", false, nullptr, adapt, &SessionStats::transitions},
+      {"adapt make-before-break", true, nullptr, adapt, &SessionStats::transitions},
+      {"preempt_degrade with release", false, nullptr, degrade(true),
+       &SessionStats::preempt_degrades},
+      {"preempt_degrade without release", false, nullptr, degrade(false),
+       &SessionStats::preempt_degrades},
+      {"try_upgrade", false, degrade(false),
+       [](SessionManager& m, SessionId id) { return m.try_upgrade(id).moved; },
+       &SessionStats::upgrades},
+      {"renegotiate", false, nullptr,
+       [](SessionManager& m, SessionId id) {
+         return m.renegotiate(id, TestSystem::tolerant_profile(), 5.0).switched;
+       },
+       &SessionStats::renegotiations},
+  };
+}
+
+TEST(SessionTransitions, FlowIndexFollowsEveryTransitionKind) {
+  constexpr double kLatency = 0.75;
+  for (const TransitionKind& kind : all_transition_kinds()) {
+    SCOPED_TRACE(kind.name);
+    TestSystem sys;
+    QoSManager manager(sys.catalog, sys.farm, *sys.transport);
+    SessionManager sessions(manager, AdaptationPolicy{.make_before_break = kind.make_before_break,
+                                                      .exclude_all_tried = false,
+                                                      .transition_latency_s = kLatency});
+    const UserProfile profile = TestSystem::tolerant_profile();
+    NegotiationResult outcome =
+        manager.negotiate(make_negotiation_request(sys.client, "article", profile));
+    ASSERT_TRUE(outcome.has_commitment());
+    const auto opened = sessions.open(sys.client, profile, std::move(outcome), 0.0);
+    ASSERT_TRUE(opened.ok());
+    const SessionId id = opened.value();
+    ASSERT_TRUE(sessions.confirm(id, 1.0).ok());
+    if (kind.prepare) {
+      ASSERT_TRUE(kind.prepare(sessions, id));
+    }
+
+    // The session is alone, so the transport's flows are its commitment.
+    const std::vector<FlowId> old_flows = held_flows(*sys.transport);
+    ASSERT_FALSE(old_flows.empty());
+    const SessionStats before = sessions.snapshot(id)->stats;
+
+    ASSERT_TRUE(kind.run(sessions, id));
+
+    const std::vector<FlowId> new_flows = held_flows(*sys.transport);
+    ASSERT_FALSE(new_flows.empty());
+    for (FlowId flow : new_flows) {
+      EXPECT_EQ(sessions.sessions_using_flow(flow), std::vector<SessionId>{id}) << "flow " << flow;
+    }
+    for (FlowId flow : old_flows) {
+      EXPECT_TRUE(sessions.sessions_using_flow(flow).empty()) << "flow " << flow;
+    }
+    const SessionStats after = sessions.snapshot(id)->stats;
+    EXPECT_EQ(after.*kind.counter, before.*kind.counter + 1);
+    EXPECT_DOUBLE_EQ(after.interrupted_s, before.interrupted_s + kLatency);
+  }
 }
 
 }  // namespace
