@@ -4,7 +4,8 @@
 #    negotiate_document and the multi-argument negotiate() overload; the
 #    client and population-adapter classes NegotiationClient replaced; the
 #    per-kind transition results TransitionResult replaced; the service and
-#    simulator metrics fields and experiment options nothing read or set):
+#    simulator metrics fields and experiment options nothing read or set;
+#    the plan cache's document fingerprint and catalog epochs):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -52,6 +53,11 @@ done
 # fields nothing set are gone (their defaults are the code's behaviour).
 for name in AdaptationResult PreemptionVictimResult UpgradeResult to_sim_metrics \
     negotiation_ms_total mean_negotiation_ms accept_degraded_probability server_max_sessions; do
+    check "$name" "\b$name\b"
+done
+# A cached plan is validated by the document object it pins: the document
+# fingerprint, its per-manager memo and the catalog epochs are gone.
+for name in document_fingerprint document_epoch find_entry epoch_of fp_memo_; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.
@@ -103,7 +109,8 @@ done
 
 # Coverage guard: the directories this gate sweeps must actually exist (a
 # moved/renamed subsystem would otherwise silently fall out of coverage).
-for dir in src/core src/service src/session src/policy src/sim src/obs src/wire src/netio src/shard tests bench; do
+for dir in src/core src/document src/service src/session src/policy src/sim src/obs src/wire \
+    src/netio src/shard tests bench; do
     if [ ! -d "$repo/$dir" ]; then
         echo "coverage guard: expected directory '$dir' is missing" >&2
         status=1

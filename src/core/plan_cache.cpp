@@ -90,50 +90,18 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
   return out;
 }
 
-std::string document_fingerprint(const MultimediaDocument& document) {
-  std::string out;
-  out.reserve(256 * document.monomedia.size());
-  Fingerprint fp(out);
-  fp.str(document.id);
-  fp.money(document.copyright_cost);
-  fp.u64(document.monomedia.size());
-  for (const Monomedia& m : document.monomedia) {
-    fp.str(m.id);
-    fp.u8(static_cast<std::uint8_t>(m.kind));
-    fp.f64(m.duration_s);
-    fp.u64(m.variants.size());
-    for (const Variant& v : m.variants) {
-      fp.str(v.id);
-      fp.u8(static_cast<std::uint8_t>(v.format));
-      fp.qos(v.qos);
-      fp.i64(v.avg_block_bytes);
-      fp.i64(v.max_block_bytes);
-      fp.f64(v.blocks_per_second);
-      fp.i64(v.file_bytes);
-      fp.str(v.server);
-    }
-  }
-  return out;
-}
-
-std::string plan_cache_key(const MultimediaDocument& document, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest) {
-  return plan_cache_key(document_fingerprint(document), client, profile, config_digest);
-}
-
-std::string plan_cache_key(const std::string& document_fp, const ClientMachine& client,
+std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
                            const UserProfile& profile, const std::string& config_digest) {
   std::string out;
-  out.reserve(512 + document_fp.size());
+  out.reserve(512);
   Fingerprint fp(out);
   fp.str("qosnp-plan-key-v1");
   fp.str(config_digest);
 
-  // Document: id plus the full variant set — everything Steps 1-4 read.
-  // (The epoch check already guarantees an unchanged catalog entry; the
-  // content fingerprint keeps keys sound even across distinct catalogs
-  // sharing one cache.)
-  fp.str(document_fp);
+  // Document: the id only. Its content is vouched for by lookup(), which
+  // accepts a plan only if it pins the document object the catalog holds
+  // now — exact even across distinct catalogs sharing one cache.
+  fp.str(document_id);
 
   // Client capabilities (Step 1 local check + Step 2 decoder filter; the
   // name appears in Step-2 error strings, so it is result-relevant too).
@@ -216,8 +184,8 @@ void NegotiationPlanCache::bump(std::atomic<std::uint64_t>& internal,
   if (Counter* c = bound.load(std::memory_order_acquire); c != nullptr) c->add(delta);
 }
 
-std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(const std::string& key,
-                                                                    std::uint64_t epoch) {
+std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(
+    const std::string& key, const MultimediaDocument* current_document) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = shard_for(key);
   std::shared_ptr<const NegotiationPlan> plan;
@@ -226,13 +194,14 @@ std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(const std::s
     std::lock_guard lk(shard.mu);
     auto it = shard.index.find(std::string_view(key));
     if (it != shard.index.end()) {
-      if (it->second->epoch == epoch) {
+      if (it->second->plan->document.get() == current_document) {
         // Refresh recency and answer from cache.
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         plan = it->second->plan;
       } else {
-        // The catalog entry moved since the plan was built: drop it. A
-        // stale lookup is also a miss (the caller recomputes), so the
+        // The plan pins another document object (the catalog replaced it,
+        // or another catalog sharing this cache stored the plan): drop it.
+        // A stale lookup is also a miss (the caller recomputes), so the
         // conservation law lookups == hits + misses still holds.
         was_stale = true;
         shard.lru.erase(it->second);
@@ -252,18 +221,16 @@ std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(const std::s
 void NegotiationPlanCache::store(const std::string& key,
                                  std::shared_ptr<const NegotiationPlan> plan) {
   if (!plan) return;
-  const std::uint64_t epoch = plan->document_epoch;
   Shard& shard = shard_for(key);
   bool evicted = false;
   {
     std::lock_guard lk(shard.mu);
     auto it = shard.index.find(std::string_view(key));
     if (it != shard.index.end()) {
-      it->second->epoch = epoch;
       it->second->plan = std::move(plan);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-      shard.lru.push_front(Entry{key, epoch, std::move(plan)});
+      shard.lru.push_front(Entry{key, std::move(plan)});
       shard.index.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
       if (shard.lru.size() > per_shard_capacity_) {
         shard.index.erase(std::string_view(shard.lru.back().key));
@@ -315,8 +282,10 @@ void NegotiationPlanCache::bind_metrics(MetricsRegistry& metrics) {
                       "Plan-cache lookups that had to compute a fresh plan (stale included)");
   Counter& evictions = metrics.counter("qosnp_plan_cache_evictions", {},
                                        "Cached plans evicted by LRU capacity pressure");
-  Counter& stale = metrics.counter("qosnp_plan_cache_stale", {},
-                                   "Cached plans dropped on lookup after a document-epoch bump");
+  Counter& stale =
+      metrics.counter("qosnp_plan_cache_stale", {},
+                      "Cached plans dropped on lookup because the catalog no longer holds their "
+                      "document");
   // Catch up to the current totals, then forward every later increment, so
   // the registry and the internal counters agree from here on.
   hits.add(hits_.load(std::memory_order_relaxed));

@@ -3,17 +3,17 @@
 // computation, offer ordering) depend only on the document, the client
 // capabilities and the user profile — never on server or transport state —
 // so their outcome can be computed once and replayed for every later request
-// with the same (document, client, profile) fingerprint. Step 5 (resource
-// commitment) depends on live resources and always runs per request.
+// with the same (document, client, profile). Step 5 (resource commitment)
+// depends on live resources and always runs per request.
 //
 // A cached NegotiationPlan holds the Step 1-4 outcome: the terminal
 // local-check/compatibility verdict when those steps failed, or the
 // surviving variant sets plus either the shared OfferStream seed (memoised
 // per-variant SNS/OIF contributions and pre-sorted class lists; a replay
 // spawns a fresh cursor over it) or the eager classified offer-list
-// prototype. Invalidation is epoch-based: the plan remembers the Catalog
-// epoch its document was stored at, and a lookup whose current epoch
-// differs drops the entry (counted as stale).
+// prototype. Invalidation is by identity: a plan pins the document object
+// it was built from, and a lookup whose catalog now holds a different object
+// for that id drops the entry (counted as stale).
 //
 // The cache is sharded-LRU: keys hash to a shard, each shard is an
 // independent mutex + LRU list, so concurrent service workers contend only
@@ -67,19 +67,20 @@ struct PlanCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t stale = 0;  ///< dropped on lookup because the epoch moved
+  std::uint64_t stale = 0;  ///< dropped on lookup: its document is no longer the catalog's
   std::uint64_t evictions = 0;
   std::uint64_t stores = 0;
 };
 
 /// The cached Step 1-4 outcome for one (document, client, profile,
-/// manager-config) fingerprint. Immutable once stored; shared read-only by
-/// every replaying request.
+/// manager-config) key. Immutable once stored; shared read-only by every
+/// replaying request.
 struct NegotiationPlan {
+  /// The document the plan was built from. Catalogs never mutate a stored
+  /// document, so the plan is valid exactly while its catalog still returns
+  /// this object; pinning it also keeps its address from being reused while
+  /// the plan is cached.
   std::shared_ptr<const MultimediaDocument> document;
-  /// Catalog epoch the document was stored at when this plan was built; a
-  /// differing epoch at lookup time invalidates the plan.
-  std::uint64_t document_epoch = 0;
 
   /// Steps 1-2 failed: verdict/problems/user_offer replay verbatim and the
   /// commit walk never runs.
@@ -105,9 +106,11 @@ class NegotiationPlanCache {
   NegotiationPlanCache(const NegotiationPlanCache&) = delete;
   NegotiationPlanCache& operator=(const NegotiationPlanCache&) = delete;
 
-  /// Look up the plan under `key`, valid for the document epoch `epoch`.
-  /// A stored plan whose epoch differs is dropped (counted stale + miss).
-  std::shared_ptr<const NegotiationPlan> lookup(const std::string& key, std::uint64_t epoch);
+  /// Look up the plan under `key`, valid only if it was built from
+  /// `current_document` (the object the catalog holds now). A stored plan
+  /// built from any other object is dropped (counted stale + miss).
+  std::shared_ptr<const NegotiationPlan> lookup(const std::string& key,
+                                                const MultimediaDocument* current_document);
 
   /// Insert (or replace) the plan under `key`; evicts the shard's
   /// least-recently-used entry beyond its capacity share.
@@ -130,7 +133,6 @@ class NegotiationPlanCache {
  private:
   struct Entry {
     std::string key;
-    std::uint64_t epoch = 0;
     std::shared_ptr<const NegotiationPlan> plan;
   };
   struct Shard {
@@ -167,22 +169,14 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
                                const ClassificationPolicy& policy,
                                std::size_t parallel_threshold, const CostModel& cost_model);
 
-/// Canonical fingerprint of a document's id and full variant set —
-/// everything Steps 1-4 read from it. Depends only on the (immutable)
-/// document, so QoSManager memoises it per catalog epoch instead of
-/// re-serialising hundreds of variants on every hot-document request.
-std::string document_fingerprint(const MultimediaDocument& document);
-
-/// Canonical cache key of one request: the document's id and full variant
-/// set, the client's capabilities, the user profile (MM + importance — the
-/// profile *name* is deliberately excluded: it does not influence any step)
-/// and the manager's config digest. Strings are length-prefixed and numbers
+/// Canonical cache key of one request: the document id, the client's
+/// capabilities, the user profile (MM + importance — the profile *name* is
+/// deliberately excluded: it does not influence any step) and the manager's
+/// config digest. The document's content is not in the key: lookup() checks
+/// it by object identity. Strings are length-prefixed and numbers
 /// fixed-width (doubles bit-cast), so distinct inputs produce distinct keys
 /// by construction.
-std::string plan_cache_key(const MultimediaDocument& document, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest);
-/// Same key, from a precomputed document_fingerprint().
-std::string plan_cache_key(const std::string& document_fp, const ClientMachine& client,
+std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
                            const UserProfile& profile, const std::string& config_digest);
 
 }  // namespace qosnp

@@ -226,18 +226,19 @@ void settle_verdict(NegotiationResult& result, const MMProfile& requested, bool 
 
 NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   // Resolved documents (renegotiation) skip the catalog and the plan cache:
-  // the session's reference may no longer match any catalog entry, so no
-  // epoch can vouch for a cached plan.
+  // the session's reference may no longer be the catalog's object, so the
+  // catalog cannot vouch for a cached plan.
   if (request.resolved) {
     auto plan = build_plan(request, request.resolved);
     return run_plan(request, *plan, /*exclusive=*/true);
   }
 
-  // A catalog miss has no epoch to cache under; build_plan reports it.
-  const Catalog::Entry entry = catalog_->find_entry(request.document);
+  // A catalog miss has no document to validate a plan by; build_plan
+  // reports it.
+  std::shared_ptr<const MultimediaDocument> document = catalog_->find(request.document);
   NegotiationPlanCache* cache = config_.plan_cache.get();
-  if (!entry.document || cache == nullptr || request.cache == CacheUse::kBypass) {
-    auto plan = build_plan(request, entry.document);
+  if (!document || cache == nullptr || request.cache == CacheUse::kBypass) {
+    auto plan = build_plan(request, std::move(document));
     return run_plan(request, *plan, /*exclusive=*/true);
   }
 
@@ -245,27 +246,16 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   std::shared_ptr<const NegotiationPlan> plan;
   {
     ScopedSpan span(request.trace, Stage::kPlanCache);
-    key = plan_cache_key(document_fp(entry), request.client, request.profile, plan_digest_);
-    if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, entry.epoch);
+    key = plan_cache_key(request.document, request.client, request.profile, plan_digest_);
+    if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, document.get());
     span.annotate("hit", plan ? "true" : "false");
   }
   if (!plan) {
-    auto fresh = build_plan(request, entry.document);
-    fresh->document_epoch = entry.epoch;
+    auto fresh = build_plan(request, std::move(document));
     cache->store(key, fresh);
     plan = std::move(fresh);
   }
   return run_plan(request, *plan, /*exclusive=*/false);
-}
-
-std::string QoSManager::document_fp(const Catalog::Entry& entry) {
-  std::lock_guard lk(fp_mu_);
-  auto it = fp_memo_.find(entry.epoch);
-  if (it != fp_memo_.end()) return it->second;
-  // The memo stays tiny (one live epoch per cached document); a burst of
-  // catalog churn is the only way it grows, so just reset it then.
-  if (fp_memo_.size() >= 64) fp_memo_.clear();
-  return fp_memo_.emplace(entry.epoch, document_fingerprint(*entry.document)).first->second;
 }
 
 std::shared_ptr<NegotiationPlan> QoSManager::build_plan(

@@ -15,11 +15,9 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/client_machine.hpp"
@@ -140,12 +138,6 @@ class QoSManager {
   NegotiationResult run_plan(const NegotiationRequest& request, const NegotiationPlan& plan,
                              bool exclusive);
 
-  /// The document part of the cache key, memoised per catalog epoch (an
-  /// epoch is catalog-wide monotone, so it identifies one immutable entry
-  /// content for the catalog's lifetime). Serialising a wide variant ladder
-  /// dominates key building; the memo keeps the hit path O(1) in variants.
-  std::string document_fp(const Catalog::Entry& entry);
-
   Catalog* catalog_;
   ServerProvider* farm_;
   TransportProvider* transport_;
@@ -160,8 +152,6 @@ class QoSManager {
   /// committer (no committer_factory) and single-try commits (a replayed
   /// retry would skip the jitter stream's draws).
   bool memo_refusals_;
-  std::mutex fp_mu_;
-  std::unordered_map<std::uint64_t, std::string> fp_memo_;  ///< guarded by fp_mu_
 };
 
 /// The catalog lookup and Steps 1-2 for `request` against `document` (null =

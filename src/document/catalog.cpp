@@ -12,38 +12,19 @@ std::vector<std::string> Catalog::add(MultimediaDocument doc) {
   auto ptr = std::make_shared<const MultimediaDocument>(std::move(doc));
   const DocumentId id = ptr->id;
   std::unique_lock lk(mu_);
-  docs_[id] = Entry{std::move(ptr), ++epoch_};
+  docs_[id] = std::move(ptr);
   return {};
 }
 
 bool Catalog::remove(const DocumentId& id) {
   std::unique_lock lk(mu_);
-  if (docs_.erase(id) == 0) return false;
-  ++epoch_;
-  return true;
+  return docs_.erase(id) > 0;
 }
 
 std::shared_ptr<const MultimediaDocument> Catalog::find(const DocumentId& id) const {
   std::shared_lock lk(mu_);
   auto it = docs_.find(id);
-  return it == docs_.end() ? nullptr : it->second.document;
-}
-
-Catalog::Entry Catalog::find_entry(const DocumentId& id) const {
-  std::shared_lock lk(mu_);
-  auto it = docs_.find(id);
-  return it == docs_.end() ? Entry{} : it->second;
-}
-
-std::uint64_t Catalog::epoch() const {
-  std::shared_lock lk(mu_);
-  return epoch_;
-}
-
-std::uint64_t Catalog::epoch_of(const DocumentId& id) const {
-  std::shared_lock lk(mu_);
-  auto it = docs_.find(id);
-  return it == docs_.end() ? 0 : it->second.epoch;
+  return it == docs_.end() ? nullptr : it->second;
 }
 
 std::vector<DocumentId> Catalog::list() const {
@@ -63,8 +44,7 @@ std::size_t Catalog::size() const {
 std::vector<VariantId> Catalog::variants_on_server(const ServerId& server) const {
   std::shared_lock lk(mu_);
   std::vector<VariantId> out;
-  for (const auto& [_, entry] : docs_) {
-    const auto& doc = entry.document;
+  for (const auto& [_, doc] : docs_) {
     for (const Monomedia& m : doc->monomedia) {
       for (const Variant& v : m.variants) {
         if (v.server == server) out.push_back(v.id);

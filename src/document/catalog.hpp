@@ -5,7 +5,6 @@
 // many sessions concurrently against one catalog.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -19,43 +18,24 @@ namespace qosnp {
 
 class Catalog {
  public:
-  /// A stored document together with the catalog epoch it was stored at.
-  /// Epochs are drawn from a catalog-wide monotonically increasing counter
-  /// that advances on every successful add/remove, so an unchanged epoch for
-  /// a document id implies the *same* stored document object — the
-  /// invalidation check the negotiation plan cache relies on. epoch 0 means
-  /// "absent" (the counter starts at 1).
-  struct Entry {
-    std::shared_ptr<const MultimediaDocument> document;
-    std::uint64_t epoch = 0;
-  };
-
   Catalog() = default;
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
   /// Insert (or replace) a document. Returns the validation problem list;
-  /// an invalid document is rejected and not stored. A successful insert
-  /// bumps the catalog epoch.
+  /// an invalid document is rejected and not stored. Every successful insert
+  /// stores a new document object, even when its content is unchanged.
   std::vector<std::string> add(MultimediaDocument doc);
 
-  /// Remove a document; returns false when it was absent. A successful
-  /// remove bumps the catalog epoch.
+  /// Remove a document; returns false when it was absent.
   bool remove(const DocumentId& id);
 
-  /// Look up a document (nullptr when absent). The returned pointer stays
-  /// valid until the document is removed/replaced.
+  /// Look up a document (nullptr when absent). A stored document is never
+  /// mutated: while the catalog returns the same object for an id, the
+  /// document is unchanged — the validity check the negotiation plan cache
+  /// relies on.
   std::shared_ptr<const MultimediaDocument> find(const DocumentId& id) const;
-
-  /// Look up a document together with its storage epoch ({nullptr, 0} when
-  /// absent) in one lock acquisition.
-  Entry find_entry(const DocumentId& id) const;
-
-  /// The catalog-wide epoch counter (0 before the first mutation).
-  std::uint64_t epoch() const;
-  /// The storage epoch of one document (0 when absent).
-  std::uint64_t epoch_of(const DocumentId& id) const;
 
   std::vector<DocumentId> list() const;
   std::size_t size() const;
@@ -66,8 +46,7 @@ class Catalog {
 
  private:
   mutable std::shared_mutex mu_;
-  std::unordered_map<DocumentId, Entry> docs_;
-  std::uint64_t epoch_ = 0;
+  std::unordered_map<DocumentId, std::shared_ptr<const MultimediaDocument>> docs_;
 };
 
 }  // namespace qosnp

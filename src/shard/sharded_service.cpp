@@ -70,7 +70,7 @@ ShardedService::ShardedService(std::vector<ShardSpec> specs, const NodeConfig& n
 
   // Per-shard managers commit through the federated providers (a shard's
   // documents may reference another shard's servers); each gets its own
-  // plan cache, invalidated by its own catalog partition's epochs.
+  // plan cache, whose plans are validated against its own catalog partition.
   for (std::size_t k = 0; k < n; ++k) {
     NegotiationConfig config = negotiation;
     config.plan_cache = node.make_plan_cache();

@@ -18,8 +18,8 @@
 //                    globally over the whole federation.
 //
 // Catalog partitioning: add_document() stores each document on its home
-// shard only; a shard's plan cache is invalidated by that shard's catalog
-// epochs alone (per-shard caches, per-shard epochs).
+// shard only; a shard's plan cache validates its plans against that shard's
+// catalog alone (per-shard caches, per-shard catalogs).
 //
 // With one shard the federation degenerates exactly to the unsharded
 // service — same reservation order, same refusal texts, same results

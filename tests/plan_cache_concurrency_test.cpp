@@ -36,8 +36,8 @@ TEST(PlanCacheConcurrency, SharedCacheSurvivesWorkerStormWithCatalogChurn) {
   NegotiationService service(*sys.manager, *sys.sessions, config);
   service.start();
 
-  // Churn thread: re-adds the document (epoch bump -> stale drops) while the
-  // workers replay plans cached against older epochs.
+  // Churn thread: re-adds the document (a new object -> stale drops) while
+  // the workers replay plans that pin older objects.
   std::atomic<bool> churning{true};
   std::thread churn([&] {
     while (churning.load(std::memory_order_relaxed)) {

@@ -1,9 +1,10 @@
 // NegotiationPlanCache: the cross-request plan cache must be invisible in
 // every result. The differential property suite runs twin systems — one
 // manager cache-enabled, one cache-off — over 1000+ seeded (corpus, profile)
-// cases including repeated requests (cache hits), document re-adds (epoch
-// bumps) and a flapping-server fault plan, and asserts the two sides produce
-// byte-identical NegotiationResults. Plus the cache's own unit surface:
+// cases including repeated requests (cache hits), document re-adds (a new
+// document object under the same id) and a flapping-server fault plan, and
+// asserts the two sides produce byte-identical NegotiationResults; two
+// catalogs sharing one cache never alias. Plus the cache's own unit surface:
 // keying, LRU eviction, stale drops, stats conservation, CacheUse semantics,
 // the shared config-validation path and the metrics mirror.
 #include "core/plan_cache.hpp"
@@ -102,8 +103,9 @@ TEST(PlanCacheDifferential, CachedResultsMatchUncachedAcrossSeededCorpora) {
       for (int rep = 0; rep < 7; ++rep) {
         const UserProfile profile = rep % 2 == 0 ? repeat_profile : random_profile(rng);
         if (rep == 5) {
-          // Epoch bump mid-sequence: both catalogs re-add the document, the
-          // cached side must drop its now-stale plan, and parity must hold.
+          // Re-add mid-sequence: both catalogs store a new document object,
+          // the cached side must drop its now-stale plan, and parity must
+          // hold.
           auto doc = cached_sys.catalog.find(id);
           cached_sys.catalog.add(MultimediaDocument{*doc});
           plain_sys.catalog.add(MultimediaDocument{*doc});
@@ -189,7 +191,7 @@ TEST(PlanCache, HitsReplayStaleDropsAndConservation) {
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(cache->size(), 1u);
 
-  // Re-adding the document moves the epoch: the cached plan is stale.
+  // Re-adding the document stores a new object: the cached plan is stale.
   sys.catalog.add(TestSystem::news_article());
   keep.push_back(manager.negotiate(make_negotiation_request(sys.client, "article", profile)));
   stats = cache->stats();
@@ -246,33 +248,133 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
 }
 
 TEST(PlanCache, KeyCoversInputsButNotProfileName) {
-  const auto doc = std::make_shared<const MultimediaDocument>(TestSystem::news_article());
   TestSystem sys;
   const std::string digest =
       plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 512, CostModel{});
 
   UserProfile profile = TestSystem::tolerant_profile();
-  const std::string base = plan_cache_key(*doc, sys.client, profile, digest);
+  profile.importance.preferred_servers = {"server-a"};
+  profile.importance.server_bonus = 0.5;
+  const std::string base = plan_cache_key("article", sys.client, profile, digest);
 
   UserProfile renamed = profile;
   renamed.name = "completely-different-name";
-  EXPECT_EQ(plan_cache_key(*doc, sys.client, renamed, digest), base);
+  EXPECT_EQ(plan_cache_key("article", sys.client, renamed, digest), base);
 
   UserProfile cheaper = profile;
   cheaper.mm.cost.max_cost = Money::cents(1);
-  EXPECT_NE(plan_cache_key(*doc, sys.client, cheaper, digest), base);
+  EXPECT_NE(plan_cache_key("article", sys.client, cheaper, digest), base);
 
   ClientMachine smaller = sys.client;
   smaller.screen = ScreenSpec{640, 480, ColorDepth::kGray};
-  EXPECT_NE(plan_cache_key(*doc, smaller, profile, digest), base);
+  EXPECT_NE(plan_cache_key("article", smaller, profile, digest), base);
 
-  MultimediaDocument trimmed = *doc;
-  trimmed.monomedia.pop_back();
-  EXPECT_NE(plan_cache_key(trimmed, sys.client, profile, digest), base);
+  EXPECT_NE(plan_cache_key("other-article", sys.client, profile, digest), base);
 
   const std::string other_digest =
       plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 0, CostModel{});
-  EXPECT_NE(plan_cache_key(*doc, sys.client, profile, other_digest), base);
+  EXPECT_NE(plan_cache_key("article", sys.client, profile, other_digest), base);
+
+  // One importance input apart never shares a plan: one media weight, one
+  // frame-rate anchor, one preferred server.
+  UserProfile audio_first = profile;
+  audio_first.importance.media_weight[static_cast<std::size_t>(MediaKind::kAudio)] = 4.0;
+  UserProfile steeper = profile;
+  ASSERT_FALSE(steeper.importance.frame_rate.empty());
+  const auto [rate, weight] = steeper.importance.frame_rate.anchors().back();
+  steeper.importance.frame_rate.set_anchor(rate, weight * 4.0 + 1.0);
+  UserProfile prefers_b = profile;
+  prefers_b.importance.preferred_servers = {"server-b"};
+  for (const UserProfile* variant : {&audio_first, &steeper, &prefers_b}) {
+    EXPECT_NE(plan_cache_key("article", sys.client, *variant, digest), base);
+
+    // Through one cached manager the two requests are two misses, and each
+    // result equals its uncached twin's.
+    TestSystem cached_sys;
+    TestSystem plain_sys;
+    auto cache = std::make_shared<NegotiationPlanCache>();
+    QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                      cached_config(EnumerationStrategy::kBestFirst, cache));
+    QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                     cached_config(EnumerationStrategy::kBestFirst, nullptr));
+    std::vector<NegotiationResult> keep;
+    const UserProfile* const requests[] = {&profile, variant};
+    for (const UserProfile* p : requests) {
+      keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article", *p)));
+      keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article", *p)));
+      EXPECT_EQ(result_signature(keep[keep.size() - 2]), result_signature(keep.back()));
+    }
+    EXPECT_EQ(cache->stats().misses, 2u);
+    EXPECT_EQ(cache->stats().hits, 0u);
+  }
+
+  // The key names the document by id only; its content is checked at
+  // lookup. A plan stored for a trimmed "article" is never returned for the
+  // original, and is returned for the trimmed object it pins.
+  const auto original = std::make_shared<const MultimediaDocument>(TestSystem::news_article());
+  MultimediaDocument trimmed_doc = *original;
+  trimmed_doc.monomedia.pop_back();
+  const auto trimmed = std::make_shared<const MultimediaDocument>(std::move(trimmed_doc));
+  auto trimmed_plan = std::make_shared<NegotiationPlan>();
+  trimmed_plan->document = trimmed;
+  NegotiationPlanCache cache;
+  cache.store(base, trimmed_plan);
+  EXPECT_EQ(cache.lookup(base, original.get()), nullptr);
+  EXPECT_EQ(cache.stats().stale, 1u);
+  cache.store(base, trimmed_plan);
+  EXPECT_EQ(cache.lookup(base, trimmed.get()), trimmed_plan);
+}
+
+TEST(PlanCache, CatalogsSharingOneCacheNeverAlias) {
+  // Two catalogs both hold "article"; the second's lacks its video, which
+  // every profile here asks for. Their managers share one cache and their
+  // requests interleave under equal keys.
+  MultimediaDocument trimmed = TestSystem::news_article();
+  trimmed.monomedia.erase(trimmed.monomedia.begin());
+  TestSystem full_sys, full_plain_sys, trimmed_sys, trimmed_plain_sys;
+  for (TestSystem* sys : {&trimmed_sys, &trimmed_plain_sys}) {
+    ASSERT_TRUE(sys->catalog.add(MultimediaDocument{trimmed}).empty());
+  }
+  auto cache = std::make_shared<NegotiationPlanCache>();
+  QoSManager full(full_sys.catalog, full_sys.farm, *full_sys.transport, CostModel{},
+                  cached_config(EnumerationStrategy::kBestFirst, cache));
+  QoSManager full_plain(full_plain_sys.catalog, full_plain_sys.farm, *full_plain_sys.transport,
+                        CostModel{}, cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  QoSManager cut(trimmed_sys.catalog, trimmed_sys.farm, *trimmed_sys.transport, CostModel{},
+                 cached_config(EnumerationStrategy::kBestFirst, cache));
+  QoSManager cut_plain(trimmed_plain_sys.catalog, trimmed_plain_sys.farm,
+                       *trimmed_plain_sys.transport, CostModel{},
+                       cached_config(EnumerationStrategy::kBestFirst, nullptr));
+
+  Rng rng(7);
+  const UserProfile repeat_profile = TestSystem::tolerant_profile();
+  std::vector<NegotiationResult> keep;
+  for (int rep = 0; rep < 12; ++rep) {
+    const UserProfile profile = rep % 3 == 2 ? random_profile(rng) : repeat_profile;
+    // Some rounds ask the same catalog twice in a row, so real hits occur.
+    for (int turn = 0; turn < (rep % 4 == 0 ? 2 : 1); ++turn) {
+      NegotiationResult a = full.negotiate(make_negotiation_request(full_sys.client, "article",
+                                                                    profile));
+      NegotiationResult b = full_plain.negotiate(
+          make_negotiation_request(full_plain_sys.client, "article", profile));
+      EXPECT_EQ(result_signature(a), result_signature(b)) << "full rep " << rep;
+      keep.push_back(std::move(a));
+      keep.push_back(std::move(b));
+    }
+    NegotiationResult c =
+        cut.negotiate(make_negotiation_request(trimmed_sys.client, "article", profile));
+    NegotiationResult d = cut_plain.negotiate(
+        make_negotiation_request(trimmed_plain_sys.client, "article", profile));
+    EXPECT_EQ(result_signature(c), result_signature(d)) << "trimmed rep " << rep;
+    EXPECT_NE(result_signature(c), result_signature(keep.back())) << "rep " << rep;
+    keep.push_back(std::move(c));
+    keep.push_back(std::move(d));
+  }
+  const PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+  EXPECT_LE(stats.stale, stats.misses);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.stale, 0u);
 }
 
 TEST(PlanCache, ValidationSharesOnePathWithServiceConfig) {
