@@ -183,7 +183,6 @@ int main() {
     auto doc = ladder_document(point.media);
     auto feasible = compatible_variants(doc, client, profile.mm);
     EnumerationConfig config;
-    config.strategy = EnumerationStrategy::kEager;
     config.max_offers = kEagerCap;
     const auto start = std::chrono::steady_clock::now();
     OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
@@ -213,7 +212,6 @@ int main() {
     // offer is not among them, and no amount of sorting brings it back.
     if (point.product == 1'000'000) {
       EnumerationConfig small;
-      small.strategy = EnumerationStrategy::kEager;
       small.max_offers = 1'000;
       OfferList capped = enumerate_offers(feasible.value(), profile.mm, CostModel{}, small);
       classify_offers(capped.offers, profile.mm, profile.importance, ClassificationPolicy{});

@@ -213,7 +213,6 @@ TracingOverhead measure_tracing_overhead() {
   sys.catalog.add(heavy_article());
   NegotiationConfig eager;
   eager.enumeration.strategy = EnumerationStrategy::kEager;
-  eager.parallel_threshold = 0;
   QoSManager manager(sys.catalog, sys.farm, *sys.transport, CostModel{}, eager);
   SessionManager sessions(manager);
   RingBufferSink ring(256);

@@ -124,7 +124,6 @@ CacheComparison measure(EnumerationStrategy strategy) {
   const PinnedToOneCpu pin;
   NegotiationConfig cached_cfg;
   cached_cfg.enumeration.strategy = strategy;
-  cached_cfg.parallel_threshold = 0;  // keep the work single-threaded on both sides
   NegotiationConfig plain_cfg = cached_cfg;
   auto cache = std::make_shared<NegotiationPlanCache>();
   cached_cfg.plan_cache = cache;

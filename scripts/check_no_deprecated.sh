@@ -5,7 +5,8 @@
 #    client and population-adapter classes NegotiationClient replaced; the
 #    per-kind transition results TransitionResult replaced; the service and
 #    simulator metrics fields and experiment options nothing read or set;
-#    the plan cache's document fingerprint and catalog epochs):
+#    the plan cache's document fingerprint and catalog epochs; the negotiation,
+#    service and experiment options only tests set):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -58,6 +59,16 @@ done
 # A cached plan is validated by the document object it pins: the document
 # fingerprint, its per-manager memo and the catalog epochs are gone.
 for name in document_fingerprint document_epoch find_entry epoch_of fp_memo_; do
+    check "$name" "\b$name\b"
+done
+# The paper fixes one Step-4 order (SNS, then OIF) over every feasible
+# offer: the settable values nothing outside tests set are gone — parallel
+# classification inside the manager, dominance pruning, OIF-only ranking,
+# the service's upgrade-scanner thread, and the simulator's playout sampling
+# and renegotiation events.
+for name in parallel_threshold prune_dominated prune_dominated_variants qos_dominates oif_only \
+    sns_per_offer upgrade_scan_interval_ms upgrade_scan_loop sample_playout \
+    renegotiation_rate_per_s playout_stall_rate; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

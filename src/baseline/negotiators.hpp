@@ -50,8 +50,8 @@ class SmartNegotiator final : public Negotiator {
 /// lists in its own order. Inherently eager: each order is imposed on the
 /// materialised list, which is not the classification order the lazy
 /// best-first stream yields, so EnumerationConfig::strategy is ignored (only
-/// max_offers / prune_dominated apply). The produced OfferList carries no
-/// stream and is not sns_ordered.
+/// max_offers applies). The produced OfferList carries no stream and is not
+/// sns_ordered.
 class EnumeratingNegotiator : public Negotiator {
  public:
   EnumeratingNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,

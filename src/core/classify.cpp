@@ -93,7 +93,7 @@ void classify_offers(std::vector<SystemOffer>& offers, const MMProfile& profile,
     return a.components.size() < b.components.size();
   };
   std::sort(offers.begin(), offers.end(), [&](const SystemOffer& a, const SystemOffer& b) {
-    if (!policy.oif_only && a.sns != b.sns) return a.sns < b.sns;
+    if (a.sns != b.sns) return a.sns < b.sns;
     if (a.oif != b.oif) return a.oif > b.oif;
     if (a.total_cost() != b.total_cost()) return a.total_cost() < b.total_cost();
     return variant_ids_less(a, b);

@@ -39,9 +39,6 @@ struct ClassificationPolicy {
     kImportanceWeighted,  ///< default; reproduces all three Sec. 5.2.2 orderings
   };
   SnsRule sns_rule = SnsRule::kImportanceWeighted;
-
-  /// Ablation switch: ignore the SNS and sort purely by OIF.
-  bool oif_only = false;
 };
 
 /// Does the importance profile assign any weight to QoS characteristics of

@@ -45,61 +45,6 @@ Result<FeasibleSet> compatible_variants(std::shared_ptr<const MultimediaDocument
   return feasible;
 }
 
-bool qos_dominates(const MonomediaQoS& a, const MonomediaQoS& b) {
-  if (media_kind_of(a) != media_kind_of(b)) return false;
-  return std::visit(
-      [&b](const auto& qa) -> bool {
-        using T = std::decay_t<decltype(qa)>;
-        const T& qb = std::get<T>(b);
-        if constexpr (std::is_same_v<T, TextQoS>) {
-          return qa.language == qb.language;
-        } else {
-          return qa.meets(qb);
-        }
-      },
-      a);
-}
-
-std::size_t prune_dominated_variants(FeasibleSet& feasible) {
-  std::size_t dropped = 0;
-  auto rate_at_most = [](const Variant& a, const Variant& b) {
-    return static_cast<double>(a.avg_block_bytes) * a.blocks_per_second <=
-               static_cast<double>(b.avg_block_bytes) * b.blocks_per_second &&
-           static_cast<double>(a.max_block_bytes) * a.blocks_per_second <=
-               static_cast<double>(b.max_block_bytes) * b.blocks_per_second &&
-           a.file_bytes <= b.file_bytes;
-  };
-  for (auto& variants : feasible.variants) {
-    std::vector<const Variant*> kept;
-    kept.reserve(variants.size());
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const Variant* candidate = variants[i];
-      bool dominated = false;
-      for (std::size_t j = 0; j < variants.size() && !dominated; ++j) {
-        if (i == j) continue;
-        const Variant* other = variants[j];
-        if (other->server != candidate->server) continue;
-        if (!qos_dominates(other->qos, candidate->qos)) continue;
-        if (!rate_at_most(*other, *candidate)) continue;
-        // Fully tied pairs (replica-like on the same server): keep the one
-        // with the smaller index to avoid dropping both.
-        if (qos_dominates(candidate->qos, other->qos) && rate_at_most(*candidate, *other) &&
-            j > i) {
-          continue;
-        }
-        dominated = true;
-      }
-      if (dominated) {
-        ++dropped;
-      } else {
-        kept.push_back(candidate);
-      }
-    }
-    variants = std::move(kept);
-  }
-  return dropped;
-}
-
 OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile,
                            const CostModel& cost_model, EnumerationConfig config) {
   OfferList list;
@@ -182,10 +127,10 @@ class OfferStreamSeed {
   OfferStreamSeed(FeasibleSet fs, MMProfile prof, ImportanceProfile imp, CostModel cm,
                   ClassificationPolicy pol)
       : feasible(std::move(fs)), profile(std::move(prof)), importance(std::move(imp)),
-        cost_model(std::move(cm)), policy(pol) {
+        cost_model(std::move(cm)) {
     n = feasible.monomedia.size();
     total = feasible.combination_count();
-    cost_only = policy.sns_rule == ClassificationPolicy::SnsRule::kImportanceWeighted &&
+    cost_only = pol.sns_rule == ClassificationPolicy::SnsRule::kImportanceWeighted &&
                 importance.cost_per_dollar > 0.0 && !qos_matters(profile, importance);
     build_memo();
   }
@@ -194,7 +139,6 @@ class OfferStreamSeed {
   MMProfile profile;
   ImportanceProfile importance;
   CostModel cost_model;
-  ClassificationPolicy policy;
 
   std::size_t n = 0;
   /// The importance-weighted rule collapsed to cost-only grading (the user
@@ -328,7 +272,6 @@ struct OfferStream::Impl {
 
   struct ClassStream {
     Sns sns = Sns::kConstraint;
-    bool sns_per_offer = false;  ///< oif_only: compute the SNS at emission
     std::vector<Cursor> cursors;  ///< disjoint sub-spaces of the class
   };
 
@@ -351,8 +294,7 @@ struct OfferStream::Impl {
   ///                 sub-space D.. x A_j x T.. (first non-desired at j)
   ///   CONSTRAINT  = for each j, T.. x V_j x F.. (first violation at j)
   /// Under cost-only grading: DESIRABLE = all within budget, CONSTRAINT =
-  /// the rest. Under oif_only the SNS is ignored by the order, so a single
-  /// full product is walked and the SNS computed per offer.
+  /// the rest.
   void build_classes() {
     const std::size_t n = seed->n;
     if (seed->total == 0) return;
@@ -363,13 +305,6 @@ struct OfferStream::Impl {
       for (std::size_t i = 0; i < n; ++i) c.lists.push_back(&lists[i]);
       return c;
     };
-    if (seed->policy.oif_only) {
-      ClassStream s;
-      s.sns_per_offer = true;
-      s.cursors.push_back(product(seed->all, Filter::kNone));
-      classes.push_back(std::move(s));
-      return;
-    }
     if (seed->cost_only) {
       ClassStream d;
       d.sns = Sns::kDesirable;
@@ -535,8 +470,6 @@ struct OfferStream::Impl {
     offer.cost.copyright = seed->feasible.document->copyright_cost;
     offer.cost.total = offer.cost.copyright;
     offer.cost.streams.reserve(n);
-    bool all_desired = true;
-    bool all_worst = true;
     for (std::size_t i = 0; i < n; ++i) {
       const VariantMemo& m = memo_at(c, node, i);
       OfferComponent component;
@@ -546,22 +479,9 @@ struct OfferStream::Impl {
       offer.components.push_back(std::move(component));
       offer.cost.streams.push_back({m.network, m.server});
       offer.cost.total += m.network + m.server;
-      all_desired = all_desired && m.desired_ok;
-      all_worst = all_worst && m.worst_ok;
     }
     offer.oif = node.oif;
-    if (cls.sns_per_offer) {
-      const bool cost_within = node.cost <= seed->profile.cost.max_cost;
-      if (seed->cost_only) {
-        offer.sns = cost_within ? Sns::kDesirable : Sns::kConstraint;
-      } else if (!all_worst) {
-        offer.sns = Sns::kConstraint;
-      } else {
-        offer.sns = all_desired && cost_within ? Sns::kDesirable : Sns::kAcceptable;
-      }
-    } else {
-      offer.sns = cls.sns;
-    }
+    offer.sns = cls.sns;
     return offer;
   }
 

@@ -39,12 +39,6 @@ struct EnumerationConfig {
   /// capped set is the *best* max_offers of the whole product, not the first
   /// max_offers in document order.
   std::size_t max_offers = 20'000;
-  /// Drop variants dominated by a same-server sibling (better-or-equal QoS
-  /// at lower-or-equal block rates): such variants can never appear in a
-  /// better offer, so pruning them shrinks the cartesian product without
-  /// changing the negotiation result. Off by default because the unpruned
-  /// ladder is what the paper's adaptation procedure falls back onto.
-  bool prune_dominated = false;
   EnumerationStrategy strategy = EnumerationStrategy::kBestFirst;
 };
 
@@ -64,18 +58,6 @@ struct FeasibleSet {
 /// feasible variant (-> FAILEDWITHOUTOFFER).
 Result<FeasibleSet> compatible_variants(std::shared_ptr<const MultimediaDocument> document,
                                         const ClientMachine& client, const MMProfile& profile);
-
-/// True when `a` renders at least `b`'s quality (per-medium `meets`).
-/// Cross-media comparisons are false.
-bool qos_dominates(const MonomediaQoS& a, const MonomediaQoS& b);
-
-/// Remove same-server dominated variants from every feasible set; returns
-/// how many variants were dropped. A variant is dominated when another
-/// variant on the same server has dominating QoS and delivery rates (avg,
-/// max, file size) at most as large — it could only ever produce offers that
-/// are worse in quality and at least as expensive. Variants on other servers
-/// are kept regardless (they matter to adaptation and load spreading).
-std::size_t prune_dominated_variants(FeasibleSet& feasible);
 
 /// Build the system offers of a feasible set: map every variant to its
 /// stream requirements (Sec. 6) and price every combination (Sec. 7).

@@ -19,7 +19,9 @@ class Fingerprint {
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (i * 8)) & 0xff);
+    out_.append(bytes, sizeof bytes);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -73,17 +75,13 @@ class Fingerprint {
 }  // namespace
 
 std::string plan_config_digest(const EnumerationConfig& enumeration,
-                               const ClassificationPolicy& policy,
-                               std::size_t parallel_threshold, const CostModel& cost_model) {
+                               const ClassificationPolicy& policy, const CostModel& cost_model) {
   std::string out;
   Fingerprint fp(out);
   fp.str("qosnp-plan-cfg-v1");
   fp.u64(enumeration.max_offers);
-  fp.boolean(enumeration.prune_dominated);
   fp.u8(static_cast<std::uint8_t>(enumeration.strategy));
   fp.u8(static_cast<std::uint8_t>(policy.sns_rule));
-  fp.boolean(policy.oif_only);
-  fp.u64(parallel_threshold);
   fp.table(cost_model.network_table());
   fp.table(cost_model.server_table());
   fp.f64(cost_model.best_effort_discount());
@@ -93,7 +91,7 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
 std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
                            const UserProfile& profile, const std::string& config_digest) {
   std::string out;
-  out.reserve(512);
+  out.reserve(1024);  // one allocation: a key is under 1 KB (881 B for the test fixture)
   Fingerprint fp(out);
   fp.str("qosnp-plan-key-v1");
   fp.str(config_digest);

@@ -162,12 +162,11 @@ class NegotiationPlanCache {
 };
 
 /// Canonical fingerprint of the manager-side knobs that shape a plan:
-/// enumeration config, classification policy, parallel threshold and the
-/// cost model (tables + discount). Computed once per QoSManager so a cache
-/// shared between differently-configured managers can never alias plans.
+/// enumeration config, classification policy and the cost model (tables +
+/// discount). Computed once per QoSManager so a cache shared between
+/// differently-configured managers can never alias plans.
 std::string plan_config_digest(const EnumerationConfig& enumeration,
-                               const ClassificationPolicy& policy,
-                               std::size_t parallel_threshold, const CostModel& cost_model);
+                               const ClassificationPolicy& policy, const CostModel& cost_model);
 
 /// Canonical cache key of one request: the document id, the client's
 /// capabilities, the user profile (MM + importance — the profile *name* is

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qosnp {
 
@@ -13,8 +12,7 @@ QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider
                        CostModel cost_model, NegotiationConfig config)
     : catalog_(&catalog), farm_(&farm), transport_(&transport),
       cost_model_(std::move(cost_model)), config_(std::move(config)),
-      plan_digest_(plan_config_digest(config_.enumeration, config_.policy,
-                                      config_.parallel_threshold, cost_model_)),
+      plan_digest_(plan_config_digest(config_.enumeration, config_.policy, cost_model_)),
       // Both concrete types are final, so the casts test the exact type.
       memo_refusals_(config_.committer_factory == nullptr && config_.retry.max_attempts <= 1 &&
                      dynamic_cast<ServerFarm*>(farm_) != nullptr &&
@@ -276,12 +274,6 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
 
   // Steps 3+4: build the offer space and the classification precomputation.
   ScopedSpan enum_span(request.trace, Stage::kEnumeration);
-  if (config_.enumeration.prune_dominated) {
-    const std::size_t dropped = prune_dominated_variants(feasible);
-    if (dropped > 0) {
-      QOSNP_LOG_DEBUG("negotiate", "pruned ", dropped, " dominated variants");
-    }
-  }
   plan->feasible = feasible;
   std::size_t total = 0;
   std::size_t known = 0;
@@ -296,12 +288,8 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
   } else {
     OfferList offers =
         enumerate_offers(plan->feasible, profile.mm, cost_model_, config_.enumeration);
-    ThreadPool* pool = nullptr;
-    if (config_.parallel_threshold > 0 && offers.offers.size() >= config_.parallel_threshold) {
-      pool = &ThreadPool::shared();
-    }
-    classify_offers(offers.offers, profile.mm, profile.importance, config_.policy, pool);
-    offers.sns_ordered = !config_.policy.oif_only;
+    classify_offers(offers.offers, profile.mm, profile.importance, config_.policy);
+    offers.sns_ordered = true;
     total = offers.total_combinations;
     known = offers.known_count();
     plan->eager = std::make_shared<OfferList>(std::move(offers));
@@ -326,7 +314,7 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
     result.offers.truncated = stream->emit_limit() < stream->total_combinations();
     result.offers.stream = std::move(stream);
     // The stream yields offers already classified in final order.
-    result.offers.sns_ordered = !config_.policy.oif_only;
+    result.offers.sns_ordered = true;
   } else if (plan.eager) {
     // shared_ptr does not propagate const to the pointee, so an exclusively
     // owned plan can surrender its list without a per-request copy.

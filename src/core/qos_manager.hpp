@@ -41,10 +41,6 @@ struct NegotiationConfig {
   /// materialises and sorts the whole product — kept as the test oracle.
   EnumerationConfig enumeration;
   ClassificationPolicy policy;
-  /// Classify offers on the shared thread pool when the list is at least
-  /// this large (0 disables parallel classification). Eager strategy only —
-  /// the best-first stream classifies incrementally as offers are pulled.
-  std::size_t parallel_threshold = 512;
   /// How resource commitment retries transiently-refused offers before the
   /// walk falls through to the next (worse) offer. Default: no retries.
   RetryPolicy retry;

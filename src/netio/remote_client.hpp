@@ -8,8 +8,8 @@
 // Step 6 (confirm / abandon / timeout) stays on the server-side
 // SessionManager: protocol v1 carries negotiation, not session lifecycle,
 // so this client holds a reference to the host service behind the wire
-// server for its sessions, clock and policy engine. In a loopback
-// deployment (the tests and benches) that is simply the co-hosted service.
+// server for its sessions and clock. In a loopback deployment (the tests
+// and benches) that is simply the co-hosted service.
 // Carrying the lifecycle on the wire (ROADMAP item 5) removes the
 // reference.
 //
@@ -52,7 +52,6 @@ class RemoteClient final : public NegotiationClient {
 
   SessionManager& sessions() override { return host_->sessions(); }
   double session_now_s(double /*now_s*/) const override { return host_->now_s(); }
-  PolicyEngine* policy() override { return host_->policy(); }
 
  private:
   WireClient* client_;

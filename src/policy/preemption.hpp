@@ -75,8 +75,8 @@ struct UpgradeEvent {
 
 /// Wraps a (QoSManager, SessionManager) pair with the class policy. Thread
 /// safety matches the wrapped components: negotiate()/run_upgrades() may be
-/// called concurrently (service workers + scanner thread); observers must
-/// not call back into the engine.
+/// called concurrently (negotiating threads + an upgrade-scanning thread);
+/// observers must not call back into the engine.
 class PolicyEngine {
  public:
   PolicyEngine(QoSManager& manager, SessionManager& sessions, PreemptionPolicy policy = {},

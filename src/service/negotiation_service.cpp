@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "policy/preemption.hpp"
 #include "util/log.hpp"
 #include "util/validate.hpp"
 
@@ -29,10 +28,6 @@ ServiceConfig ServiceConfig::validated(ServiceConfig config) {
   require_config(config.deadline_ms >= 0.0, "ServiceConfig", "deadline_ms must not be negative");
   require_config(config.simulated_rtt_ms >= 0.0, "ServiceConfig",
                  "simulated_rtt_ms must not be negative");
-  require_config(config.upgrade_scan_interval_ms >= 0.0, "ServiceConfig",
-                 "upgrade_scan_interval_ms must not be negative");
-  require_config(config.upgrade_scan_interval_ms == 0.0 || config.policy != nullptr,
-                 "ServiceConfig", "upgrade_scan_interval_ms requires a policy engine");
   return config;
 }
 
@@ -99,13 +94,6 @@ void NegotiationService::start() {
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  if (config_.policy != nullptr && config_.upgrade_scan_interval_ms > 0.0) {
-    {
-      std::lock_guard lk(scanner_mu_);
-      scanner_stop_ = false;
-    }
-    upgrade_scanner_ = std::thread([this] { upgrade_scan_loop(); });
-  }
   QOSNP_LOG_INFO("service", "started ", config_.workers, " workers, queue capacity ",
                  queue_.capacity());
 }
@@ -115,14 +103,6 @@ void NegotiationService::stop() {
   queue_.close();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  if (upgrade_scanner_.joinable()) {
-    {
-      std::lock_guard lk(scanner_mu_);
-      scanner_stop_ = true;
-    }
-    scanner_cv_.notify_all();
-    upgrade_scanner_.join();
-  }
   stopped_ms_ = clock_.elapsed_ms();
   QOSNP_LOG_INFO("service", "stopped; ", requests_total_->value(), " requests submitted");
 }
@@ -186,21 +166,6 @@ NegotiationResult NegotiationService::negotiate(NegotiationRequest request, doub
   return submit(std::move(request)).get();
 }
 
-void NegotiationService::upgrade_scan_loop() {
-  set_log_tag("upgrade-scan");
-  const auto interval =
-      std::chrono::duration<double, std::milli>(config_.upgrade_scan_interval_ms);
-  std::unique_lock lk(scanner_mu_);
-  while (!scanner_stop_) {
-    if (scanner_cv_.wait_for(lk, interval, [this] { return scanner_stop_; })) break;
-    lk.unlock();
-    const std::size_t promoted = config_.policy->run_upgrades();
-    if (promoted > 0) QOSNP_LOG_DEBUG("service", "upgrade scan promoted ", promoted);
-    lk.lock();
-  }
-  set_log_tag("");
-}
-
 void NegotiationService::worker_loop(std::size_t index) {
   set_log_tag("w" + std::to_string(index));
   while (auto item = queue_.pop()) {
@@ -235,7 +200,7 @@ NegotiationResult NegotiationService::process(Item& item, std::size_t worker_ind
     // The service owns per-request tracing: its trace (or none) replaces
     // whatever context the submitter put on the request.
     item.request.trace = TraceContext(item.trace.get());
-    response = admit(*manager_, config_.policy, *sessions_, item.request, now_s(),
+    response = admit(*manager_, /*policy=*/nullptr, *sessions_, item.request, now_s(),
                      admission_hooks_);
     commit_attempts_total_->add(static_cast<std::uint64_t>(response.commit_stats.attempts));
     commit_retries_total_->add(static_cast<std::uint64_t>(response.commit_stats.retries));

@@ -23,12 +23,10 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,8 +43,6 @@
 #include "util/stopwatch.hpp"
 
 namespace qosnp {
-
-class PolicyEngine;
 
 struct ServiceConfig {
   std::size_t workers = 4;
@@ -73,15 +69,6 @@ struct ServiceConfig {
   /// per executed stage) that is recorded here and attached to the
   /// response. Not owned; must outlive the service. nullptr = no tracing.
   TraceSink* trace_sink = nullptr;
-  /// Class-differentiated admission: workers negotiate through this engine
-  /// (preemption on congestion) instead of the bare manager. Must wrap the
-  /// same QoSManager/SessionManager pair the service runs on. Not owned;
-  /// must outlive the service. nullptr = class-blind (byte-identical to the
-  /// pre-policy service).
-  PolicyEngine* policy = nullptr;
-  /// Period of the background upgrade scanner (PolicyEngine::run_upgrades);
-  /// 0 disables it. Requires `policy`.
-  double upgrade_scan_interval_ms = 0.0;
 
   /// Throws std::invalid_argument when the config is unusable (zero
   /// workers, zero queue capacity, negative deadline or RTT). Shares the
@@ -179,7 +166,6 @@ class NegotiationService final : public NegotiationClient {
   SessionManager& sessions() override { return *sessions_; }
   /// Sessions open on the service clock, not the caller's.
   double session_now_s(double /*now_s*/) const override { return now_s(); }
-  PolicyEngine* policy() override { return config_.policy; }
 
   /// The validated configuration the service runs with.
   const ServiceConfig& config() const { return config_; }
@@ -195,7 +181,6 @@ class NegotiationService final : public NegotiationClient {
   };
 
   void worker_loop(std::size_t index);
-  void upgrade_scan_loop();
   NegotiationResult process(Item& item, std::size_t worker_index);
   /// Stamp the verdict on the trace, hand it to the sink, attach it to the
   /// result. No-op when the item carries no trace.
@@ -212,10 +197,6 @@ class NegotiationService final : public NegotiationClient {
   Stopwatch clock_;
   BoundedQueue<Item> queue_;
   std::vector<std::thread> workers_;
-  std::thread upgrade_scanner_;
-  std::mutex scanner_mu_;
-  std::condition_variable scanner_cv_;
-  bool scanner_stop_ = false;  ///< guarded by scanner_mu_
   std::atomic<bool> running_{false};
   double started_ms_ = 0.0;  ///< written by start()/stop() only
   double stopped_ms_ = 0.0;

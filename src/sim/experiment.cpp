@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "baseline/negotiators.hpp"
-#include "delivery/playout.hpp"
 #include "fault/fault_injector.hpp"
 #include "sim/event_queue.hpp"
 #include "util/log.hpp"
@@ -194,26 +193,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
       if (!outcome.has_commitment()) return;
 
-      if (config.sample_playout) {
-        // Block-level quality check of the committed configuration: each
-        // guaranteed stream is played through its reserved rate (capped at
-        // two minutes of content to bound the sampling cost).
-        const SystemOffer& committed = outcome.offers.offers[outcome.committed_index];
-        for (const OfferComponent& c : committed.components) {
-          if (c.requirements.guarantee != GuaranteeClass::kGuaranteed) continue;
-          DeliveryConfig delivery;
-          delivery.bottleneck_bps = c.requirements.max_bit_rate_bps;
-          delivery.jitter_ms = c.requirements.jitter_ms;
-          delivery.loss_rate = c.requirements.loss_rate;
-          delivery.seed = rng.next_u64();
-          const double sample_s = std::min(120.0, c.monomedia->duration_s);
-          const PlayoutReport report = simulate_playout(*c.variant, sample_s, delivery);
-          metrics.playout_sampled_streams += 1;
-          if (!report.clean()) metrics.playout_stalled_streams += 1;
-          metrics.playout_stall_s_total += report.total_stall_s;
-        }
-      }
-
       const bool accept = rng.chance(config.confirm_probability);
       auto opened = sessions.open(client, profile, std::move(outcome), queue.now());
       if (!opened.ok()) return;
@@ -231,9 +210,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         }
         metrics.confirmed += 1;
         const auto view = sessions.snapshot(session_id);
-        const double duration = view ? view->duration_s : 0.0;
-        const double watched =
-            std::max(1.0, duration * std::clamp(config.watch_fraction, 0.01, 1.0));
+        // The user watches the whole document.
+        const double watched = std::max(1.0, view ? view->duration_s : 0.0);
         queue.schedule_in(watched, [&, session_id, watched] {
           auto v = sessions.snapshot(session_id);
           if (!v || v->state != SessionState::kPlaying) return;  // adapted away or aborted
@@ -291,29 +269,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       });
     };
     schedule_failure();
-  }
-
-  // User-driven renegotiations.
-  std::function<void()> schedule_renegotiation;
-  if (config.renegotiation_rate_per_s > 0.0) {
-    schedule_renegotiation = [&] {
-      const double at = queue.now() + rng.exponential(config.renegotiation_rate_per_s);
-      if (at > config.sim_duration_s) return;
-      queue.schedule_at(at, [&] {
-        schedule_renegotiation();
-        const auto playing = sessions.playing_sessions();
-        if (playing.empty()) return;
-        const SessionId id = playing[rng.below(playing.size())];
-        const UserProfile& profile = profiles[rng.below(profiles.size())];
-        const RenegotiationResult result = sessions.renegotiate(id, profile, queue.now());
-        if (result.switched) {
-          metrics.renegotiations += 1;
-        } else {
-          metrics.failed_renegotiations += 1;
-        }
-      });
-    };
-    schedule_renegotiation();
   }
 
   // Utilisation sampling.

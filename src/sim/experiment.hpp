@@ -42,8 +42,6 @@ struct ExperimentConfig {
   double sim_duration_s = 2'000.0;
   double confirm_delay_s = 2.0;       ///< user thinking time before OK
   double confirm_probability = 1.0;   ///< chance the user accepts the offer
-  /// Fraction of the document duration actually watched.
-  double watch_fraction = 1.0;
 
   // Strategy under test.
   Strategy strategy = Strategy::kSmart;
@@ -56,15 +54,6 @@ struct ExperimentConfig {
   /// src/fault, driven by `faults` (seeded there, independently of `seed`).
   bool fault_injection = false;
   FaultPlan faults;
-
-  /// User-driven renegotiations: Poisson events each picking one playing
-  /// session and renegotiating it to a random profile from the mix.
-  double renegotiation_rate_per_s = 0.0;
-
-  /// Sample block-level playout quality (delivery module) of every
-  /// committed guaranteed stream at admission: did the stream stall at its
-  /// reserved rate? Adds SimMetrics::playout_* figures.
-  bool sample_playout = false;
 
   // Degradation injection.
   double congestion_rate_per_s = 0.0;  ///< Poisson congestion episodes

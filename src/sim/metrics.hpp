@@ -30,21 +30,12 @@ struct SimMetrics {
   std::size_t failed_adaptations = 0;
   double total_interruption_s = 0.0;
 
-  // Renegotiation (user-driven mid-session profile changes).
-  std::size_t renegotiations = 0;
-  std::size_t failed_renegotiations = 0;
-
   // Commitment effort (retry layer; nonzero retries need a RetryPolicy with
   // max_attempts > 1, nonzero transient_failures need faults or contention).
   std::size_t commit_attempts = 0;
   std::size_t commit_retries = 0;
   std::size_t transient_failures = 0;
   std::size_t released_on_failure = 0;
-
-  // Playout quality sampling (block-level delivery of completed sessions).
-  std::size_t playout_sampled_streams = 0;
-  std::size_t playout_stalled_streams = 0;
-  double playout_stall_s_total = 0.0;
 
   // Economics & load.
   Money revenue;  ///< charges of completed sessions
@@ -87,13 +78,6 @@ struct SimMetrics {
   double mean_utilization() const {
     return utilization_samples == 0 ? 0.0
                                     : utilization_sum / static_cast<double>(utilization_samples);
-  }
-  /// Fraction of sampled streams whose block-level playout stalled.
-  double playout_stall_rate() const {
-    return playout_sampled_streams == 0
-               ? 0.0
-               : static_cast<double>(playout_stalled_streams) /
-                     static_cast<double>(playout_sampled_streams);
   }
 
   std::string summary() const;

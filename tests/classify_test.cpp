@@ -146,18 +146,6 @@ TEST(Classify, QosMattersDetectsZeroImportance) {
   EXPECT_FALSE(qos_matters(ex.profile.mm, paper::importance_setting(3)));
 }
 
-TEST(Classify, OifOnlyAblationIgnoresSns) {
-  auto ex = paper::classification_example();
-  ex.profile.importance = paper::importance_setting(1);
-  ClassificationPolicy policy;
-  policy.oif_only = true;
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance, policy);
-  // Pure OIF: offer3 (12) first, offer4 (7, cheaper than... no: offer2 $4
-  // < offer4 $5) — ties broken by cost.
-  EXPECT_EQ(names(ex.offers.offers),
-            (std::vector<std::string>{"offer3", "offer1", "offer2", "offer4"}));
-}
-
 TEST(Classify, SortIsDeterministicUnderPermutation) {
   auto ex = paper::classification_example();
   ex.profile.importance = paper::importance_setting(1);

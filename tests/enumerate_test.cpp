@@ -138,186 +138,10 @@ TEST(Enumerate, StreamRequirementsMatchMapping) {
   }
 }
 
-TEST(Prune, QosDominatesIsPerMedium) {
-  EXPECT_TRUE(qos_dominates(MonomediaQoS{VideoQoS{ColorDepth::kColor, 25, 640}},
-                            MonomediaQoS{VideoQoS{ColorDepth::kGray, 15, 320}}));
-  EXPECT_FALSE(qos_dominates(MonomediaQoS{VideoQoS{ColorDepth::kGray, 25, 640}},
-                             MonomediaQoS{VideoQoS{ColorDepth::kColor, 15, 320}}));
-  EXPECT_FALSE(qos_dominates(MonomediaQoS{VideoQoS{}}, MonomediaQoS{AudioQoS{}}));
-  EXPECT_TRUE(qos_dominates(MonomediaQoS{TextQoS{Language::kFrench}},
-                            MonomediaQoS{TextQoS{Language::kFrench}}));
-  EXPECT_FALSE(qos_dominates(MonomediaQoS{TextQoS{Language::kFrench}},
-                             MonomediaQoS{TextQoS{Language::kEnglish}}));
-}
-
-TEST(Prune, DropsStrictlyWorseSameServerVariant) {
-  // An MJPEG variant with identical QoS but larger blocks than the MPEG-1
-  // variant on the same server can never be the better choice.
-  MultimediaDocument doc;
-  doc.id = "p";
-  Monomedia video;
-  video.id = "p/video";
-  video.kind = MediaKind::kVideo;
-  video.duration_s = 60.0;
-  const VideoQoS qos{ColorDepth::kColor, 25, 640};
-  video.variants = {
-      make_video_variant("p/video/mpeg", qos, CodingFormat::kMPEG1, 60.0, "server-a"),
-      make_video_variant("p/video/mjpeg", qos, CodingFormat::kMJPEG, 60.0, "server-a"),
-  };
-  doc.monomedia.push_back(std::move(video));
-  auto shared = std::make_shared<const MultimediaDocument>(std::move(doc));
-
-  TestSystem sys;
-  UserProfile profile = TestSystem::tolerant_profile();
-  profile.mm.audio.reset();
-  profile.mm.text.reset();
-  auto feasible = compatible_variants(shared, sys.client, profile.mm);
-  ASSERT_TRUE(feasible.ok());
-  ASSERT_EQ(feasible.value().variants[0].size(), 2u);
-  const std::size_t dropped = prune_dominated_variants(feasible.value());
-  EXPECT_EQ(dropped, 1u);
-  ASSERT_EQ(feasible.value().variants[0].size(), 1u);
-  EXPECT_EQ(feasible.value().variants[0][0]->id, "p/video/mpeg");
-}
-
-TEST(Prune, KeepsCrossServerReplicasAndOneOfTiedPair) {
-  MultimediaDocument doc;
-  doc.id = "p2";
-  Monomedia video;
-  video.id = "p2/video";
-  video.kind = MediaKind::kVideo;
-  video.duration_s = 60.0;
-  const VideoQoS qos{ColorDepth::kColor, 25, 640};
-  video.variants = {
-      make_video_variant("p2/video/a", qos, CodingFormat::kMPEG1, 60.0, "server-a"),
-      make_video_variant("p2/video/b", qos, CodingFormat::kMPEG1, 60.0, "server-b"),
-      make_video_variant("p2/video/a2", qos, CodingFormat::kMPEG1, 60.0, "server-a"),
-  };
-  doc.monomedia.push_back(std::move(video));
-  auto shared = std::make_shared<const MultimediaDocument>(std::move(doc));
-
-  TestSystem sys;
-  UserProfile profile = TestSystem::tolerant_profile();
-  profile.mm.audio.reset();
-  profile.mm.text.reset();
-  auto feasible = compatible_variants(shared, sys.client, profile.mm);
-  ASSERT_TRUE(feasible.ok());
-  // The same-server exact duplicate is dropped, the cross-server replica kept.
-  EXPECT_EQ(prune_dominated_variants(feasible.value()), 1u);
-  ASSERT_EQ(feasible.value().variants[0].size(), 2u);
-  EXPECT_EQ(feasible.value().variants[0][0]->id, "p2/video/a");
-  EXPECT_EQ(feasible.value().variants[0][1]->id, "p2/video/b");
-}
-
-TEST(Prune, NeverDropsTheOnlyVariant) {
-  TestSystem sys;
-  auto doc = sys.catalog.find("article");
-  const UserProfile profile = TestSystem::tolerant_profile();
-  auto feasible = compatible_variants(doc, sys.client, profile.mm);
-  ASSERT_TRUE(feasible.ok());
-  prune_dominated_variants(feasible.value());
-  for (const auto& vs : feasible.value().variants) {
-    EXPECT_FALSE(vs.empty());
-  }
-}
-
-TEST(Prune, BestCommittedOfferUnchangedByPruning) {
-  // Pruning must not change which offer the negotiation commits.
-  TestSystem sys_plain;
-  TestSystem sys_pruned;
-  NegotiationConfig pruned_config;
-  pruned_config.enumeration.prune_dominated = true;
-  QoSManager plain(sys_plain.catalog, sys_plain.farm, *sys_plain.transport);
-  QoSManager pruned(sys_pruned.catalog, sys_pruned.farm, *sys_pruned.transport, CostModel{},
-                    pruned_config);
-  const UserProfile profile = TestSystem::tolerant_profile();
-  NegotiationResult a = plain.negotiate(make_negotiation_request(sys_plain.client, "article", profile));
-  NegotiationResult b = pruned.negotiate(make_negotiation_request(sys_pruned.client, "article", profile));
-  ASSERT_TRUE(a.has_commitment());
-  ASSERT_TRUE(b.has_commitment());
-  ASSERT_EQ(a.verdict, b.verdict);
-  const auto& ca = a.offers.offers[a.committed_index].components;
-  const auto& cb = b.offers.offers[b.committed_index].components;
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i].variant->qos, cb[i].variant->qos);
-  }
-}
-
 TEST(Enumerate, NullDocumentFails) {
   TestSystem sys;
   auto feasible = compatible_variants(nullptr, sys.client, TestSystem::tolerant_profile().mm);
   EXPECT_FALSE(feasible.ok());
-}
-
-// --- Property tests over generated corpora. --------------------------------
-
-TEST(PruneProperty, NeverEmptiesAnyFeasibleListAcrossCorpora) {
-  TestSystem sys;
-  const UserProfile profile = TestSystem::tolerant_profile();
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    CorpusConfig corpus;
-    corpus.seed = seed;
-    corpus.num_documents = 4;
-    corpus.servers = {"server-a", "server-b"};
-    for (auto& raw : generate_corpus(corpus)) {
-      auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
-      auto feasible = compatible_variants(doc, sys.client, profile.mm);
-      if (!feasible.ok()) continue;  // corpus may generate undecodable docs
-      prune_dominated_variants(feasible.value());
-      for (std::size_t i = 0; i < feasible.value().variants.size(); ++i) {
-        EXPECT_FALSE(feasible.value().variants[i].empty())
-            << "seed " << seed << " doc " << doc->id << " monomedia "
-            << feasible.value().monomedia[i]->id;
-      }
-    }
-  }
-}
-
-TEST(PruneProperty, HeadOfClassifiedOrderSurvivesDominationWise) {
-  // Pruning may drop a variant of the best-classified offer only when a
-  // same-server variant with dominating QoS survives — the head of the
-  // order never silently loses quality.
-  TestSystem sys;
-  const UserProfile profile = TestSystem::tolerant_profile();
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    CorpusConfig corpus;
-    corpus.seed = seed;
-    corpus.num_documents = 4;
-    corpus.servers = {"server-a", "server-b"};
-    for (auto& raw : generate_corpus(corpus)) {
-      auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
-      auto feasible = compatible_variants(doc, sys.client, profile.mm);
-      if (!feasible.ok()) continue;
-      OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-      if (list.offers.empty()) continue;
-      classify_offers(list.offers, profile.mm, profile.importance);
-      const SystemOffer& head = list.offers.front();
-
-      prune_dominated_variants(feasible.value());
-      for (const OfferComponent& c : head.components) {
-        // Locate this component's feasible list after pruning.
-        const std::vector<const Variant*>* survivors = nullptr;
-        for (std::size_t i = 0; i < feasible.value().monomedia.size(); ++i) {
-          if (feasible.value().monomedia[i] == c.monomedia) {
-            survivors = &feasible.value().variants[i];
-            break;
-          }
-        }
-        ASSERT_NE(survivors, nullptr);
-        bool covered = false;
-        for (const Variant* v : *survivors) {
-          if (v == c.variant ||
-              (v->server == c.variant->server && qos_dominates(v->qos, c.variant->qos))) {
-            covered = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(covered) << "seed " << seed << " doc " << doc->id << " variant "
-                             << c.variant->id << " lost without a dominating survivor";
-      }
-    }
-  }
 }
 
 TEST(CombinationCount, SaturatesAtSizeMaxInsteadOfOverflowing) {
@@ -380,7 +204,6 @@ TEST(CombinationCount, SixtyFourMediaCorpusSaturatesEverywhere) {
 
   EnumerationConfig config;
   config.max_offers = 4;
-  config.strategy = EnumerationStrategy::kEager;
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
   EXPECT_EQ(list.total_combinations, SIZE_MAX);
   EXPECT_TRUE(list.truncated);

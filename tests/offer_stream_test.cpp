@@ -42,7 +42,6 @@ std::string signature(const SystemOffer& offer) {
 OfferList eager_oracle(const FeasibleSet& feasible, const MMProfile& mm,
                        const ImportanceProfile& importance, ClassificationPolicy policy) {
   EnumerationConfig config;
-  config.strategy = EnumerationStrategy::kEager;
   config.max_offers = 1'000'000;  // corpus products are far smaller: no cap
   OfferList list = enumerate_offers(feasible, mm, CostModel{}, config);
   classify_offers(list.offers, mm, importance, policy);
@@ -96,20 +95,20 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
       for (int variant = 0; variant < 4; ++variant) {
         UserProfile profile = random_profile(rng);
         ClassificationPolicy policy;
-        if (variant == 1) policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
-        if (variant == 2) policy.oif_only = true;
-        if (variant == 3) {
+        if (variant == 1 || variant == 2) {
+          policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
+        }
+        if (variant >= 2) {
           // All QoS importances zero, cost dominant: the cost-only grading
-          // of the importance-weighted rule (Sec. 5.2.2 example (3)).
+          // of the importance-weighted rule (Sec. 5.2.2 example (3)), and
+          // under the plain rule an OIF of cost alone, full of ties.
           profile.importance = ImportanceProfile{};
           profile.importance.cost_per_dollar = 1.0;
         }
-        const bool prune = rng.chance(0.5);
         const std::size_t cap = rng.chance(0.25) ? 3 + rng.below(8) : 100'000;
 
         auto feasible = compatible_variants(doc, sys.client, profile.mm);
         if (!feasible.ok()) continue;  // corpus may generate undecodable docs
-        if (prune) prune_dominated_variants(feasible.value());
         FeasibleSet copy = feasible.value();
 
         const OfferList oracle =
@@ -129,8 +128,7 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
               << ": stream dried up at " << i << " of " << expect_n;
           const SystemOffer& expected = oracle.offers[i];
           ASSERT_EQ(signature(*offer), signature(expected))
-              << "seed " << seed << " doc " << doc->id << " case " << variant
-              << " prune=" << prune << " rank " << i;
+              << "seed " << seed << " doc " << doc->id << " case " << variant << " rank " << i;
           EXPECT_EQ(offer->sns, expected.sns) << signature(expected) << " rank " << i;
           EXPECT_EQ(offer->oif, expected.oif) << signature(expected) << " rank " << i;
           EXPECT_EQ(offer->total_cost(), expected.total_cost()) << signature(expected);
@@ -162,10 +160,14 @@ TEST(OfferStreamDifferential, CostBreakdownMatchesDocumentCostFieldByField) {
     for (auto& raw : generate_corpus(corpus)) {
       auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
       for (int variant = 0; variant < 3; ++variant) {
-        const UserProfile profile = random_profile(rng);
+        UserProfile profile = random_profile(rng);
         ClassificationPolicy policy;
         if (variant == 1) policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
-        if (variant == 2) policy.oif_only = true;
+        if (variant == 2) {
+          // Cost-only grading: the stream walks two filtered full products.
+          profile.importance = ImportanceProfile{};
+          profile.importance.cost_per_dollar = 1.0;
+        }
         auto feasible = compatible_variants(doc, sys.client, profile.mm);
         if (!feasible.ok()) continue;
         OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance,
@@ -202,7 +204,6 @@ TEST(OfferStreamDifferential, TruncationFlagsMatchEagerSemantics) {
   // 20 combinations, cap 7: both strategies flag the truncation.
   EnumerationConfig config;
   config.max_offers = 7;
-  config.strategy = EnumerationStrategy::kEager;
   const OfferList eager = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
   EXPECT_TRUE(eager.truncated);
   OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},

@@ -250,7 +250,7 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
 TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   TestSystem sys;
   const std::string digest =
-      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 512, CostModel{});
+      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, CostModel{});
 
   UserProfile profile = TestSystem::tolerant_profile();
   profile.importance.preferred_servers = {"server-a"};
@@ -271,8 +271,10 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
 
   EXPECT_NE(plan_cache_key("other-article", sys.client, profile, digest), base);
 
+  EnumerationConfig fewer_offers;
+  fewer_offers.max_offers = 7;
   const std::string other_digest =
-      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 0, CostModel{});
+      plan_config_digest(fewer_offers, ClassificationPolicy{}, CostModel{});
   EXPECT_NE(plan_cache_key("article", sys.client, profile, other_digest), base);
 
   // One importance input apart never shares a plan: one media weight, one

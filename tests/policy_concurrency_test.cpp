@@ -1,8 +1,8 @@
 // Concurrency suite for the policy layer (tsan-runnable, label
-// "concurrency"): concurrent admits, preemptions and upgrade scans through
-// the NegotiationService — and through a bare PolicyEngine hammered from
-// many threads — must never double-release a victim, and the transport's
-// link accounting must be exactly consistent once everything drains.
+// "concurrency"): concurrent admits, preemptions and upgrade scans through a
+// bare PolicyEngine hammered from many threads must never double-release a
+// victim, and the transport's link accounting must be exactly consistent
+// once everything drains.
 #include "policy/preemption.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/negotiation_service.hpp"
 #include "session/session.hpp"
 #include "test_service.hpp"
 
@@ -53,73 +52,6 @@ void assert_no_double_release(const std::vector<VictimEvent>& events) {
   for (const auto& [session, count] : released) {
     EXPECT_EQ(count, 1) << "session " << session << " released " << count << " times";
   }
-}
-
-// ---------------------------------------------------------------------------
-// The full service stack: worker pool + background upgrade scanner + mixed
-// classes over a congested farm. Auto-confirm puts admitted sessions into
-// kPlaying immediately, so workers preempt each other's sessions while the
-// scanner promotes them back — the exact interleaving tsan needs to see.
-TEST(PolicyConcurrency, ServiceWorkersAndUpgradeScannerNeverDoubleRelease) {
-  ServiceSystem sys(8, /*access_bps=*/1'000'000'000, /*backbone_bps=*/10'000'000'000,
-                    /*server_bps=*/30'000'000, /*server_sessions=*/256);
-  PreemptionPolicy policy;
-  policy.enabled = true;
-  PolicyEngine engine(*sys.manager, *sys.sessions, policy);
-
-  std::mutex events_mu;
-  std::vector<VictimEvent> events;
-  std::atomic<std::size_t> upgrades{0};
-  engine.set_victim_observer([&](const VictimEvent& e) {
-    std::lock_guard lk(events_mu);
-    events.push_back(e);
-  });
-  engine.set_upgrade_observer([&](const UpgradeEvent&) { upgrades.fetch_add(1); });
-
-  ServiceConfig config;
-  config.workers = 4;
-  config.queue_capacity = 256;
-  config.policy = &engine;
-  config.upgrade_scan_interval_ms = 2.0;
-  NegotiationService service(*sys.manager, *sys.sessions, config);
-  service.start();
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 40;
-  std::vector<std::thread> submitters;
-  std::atomic<std::uint64_t> next_id{1};
-  for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const std::uint64_t id = next_id.fetch_add(1);
-        auto future = service.submit(class_request(
-            sys.clients[static_cast<std::size_t>(t) % sys.clients.size()], class_for(id), id));
-        const NegotiationResult result = future.get();
-        // Periodically complete some playing sessions so capacity churns
-        // and the upgrade scanner has promotions to find.
-        if (i % 8 == 7) {
-          const std::vector<SessionId> playing = sys.sessions->playing_sessions();
-          if (!playing.empty()) {
-            sys.sessions->complete(playing[id % playing.size()]);
-          }
-        }
-        (void)result;
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  service.stop();
-
-  assert_no_double_release(events);
-
-  // Drain everything still playing or pending and check exact accounting.
-  for (SessionId id : sys.sessions->playing_sessions()) sys.sessions->complete(id);
-  // Pending-confirmation sessions (none expected under auto_confirm, but a
-  // worker stopped mid-admission could leave one): reject to release.
-  sys.sessions->prune_finished();
-  ASSERT_TRUE(sys.drained()) << "service run left reservations behind";
-  EXPECT_TRUE(sys.transport->accounting_consistent());
-  EXPECT_EQ(sys.sessions->opened_total(), sys.sessions->released_total());
 }
 
 // ---------------------------------------------------------------------------

@@ -248,26 +248,6 @@ TEST(QoSManager, NegotiateDocumentWorksWithoutCatalogEntry) {
   EXPECT_EQ(outcome.verdict, NegotiationStatus::kSucceeded);
 }
 
-TEST(QoSManager, ParallelClassificationPathProducesSameOutcome) {
-  TestSystem sys;
-  NegotiationConfig serial_config;
-  serial_config.parallel_threshold = 0;
-  NegotiationConfig parallel_config;
-  parallel_config.parallel_threshold = 1;
-  QoSManager serial(sys.catalog, sys.farm, *sys.transport, CostModel{}, serial_config);
-  NegotiationResult a = serial.negotiate(make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile()));
-  a.commitment.release();
-  QoSManager parallel(sys.catalog, sys.farm, *sys.transport, CostModel{}, parallel_config);
-  NegotiationResult b =
-      parallel.negotiate(make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile()));
-  ASSERT_EQ(a.offers.offers.size(), b.offers.offers.size());
-  for (std::size_t i = 0; i < a.offers.offers.size(); ++i) {
-    EXPECT_EQ(a.offers.offers[i].components[0].variant->id,
-              b.offers.offers[i].components[0].variant->id);
-  }
-  EXPECT_EQ(a.committed_index, b.committed_index);
-}
-
 // --- CommitAttempt::errors: filled only when the walk fails. --------------
 
 NegotiationConfig eager_config() {

@@ -90,9 +90,7 @@ TEST(Experiment, DeterministicForSeed) {
 }
 
 TEST(Experiment, CompletionsAndRevenueAccrue) {
-  ExperimentConfig config = small_config();
-  config.watch_fraction = 1.0;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_experiment(small_config());
   EXPECT_GT(result.metrics.completed, 0u);
   EXPECT_GT(result.metrics.revenue, Money{});
   EXPECT_GE(result.metrics.confirmed, result.metrics.completed);
@@ -209,27 +207,6 @@ TEST(Experiment, DualBackboneServesAtLeastAsWell) {
   const double single_rate = run_experiment(single).metrics.service_rate();
   const double dual_rate = run_experiment(dual).metrics.service_rate();
   EXPECT_GE(dual_rate, single_rate);
-}
-
-TEST(Experiment, PlayoutSamplingReportsCleanStreamsAtReservedRates) {
-  ExperimentConfig config = small_config();
-  config.sample_playout = true;
-  const ExperimentResult result = run_experiment(config);
-  EXPECT_GT(result.metrics.playout_sampled_streams, 0u);
-  // Peak-rate reservations play cleanly (E13's behavioural result).
-  EXPECT_DOUBLE_EQ(result.metrics.playout_stall_rate(), 0.0)
-      << result.metrics.playout_stalled_streams << " of "
-      << result.metrics.playout_sampled_streams << " streams stalled";
-}
-
-TEST(Experiment, RenegotiationEventsFire) {
-  ExperimentConfig config = small_config();
-  config.arrival_rate_per_s = 0.2;
-  config.renegotiation_rate_per_s = 0.1;
-  const ExperimentResult result = run_experiment(config);
-  EXPECT_GT(result.metrics.renegotiations + result.metrics.failed_renegotiations, 0u);
-  // The run still completes sessions despite mid-session profile changes.
-  EXPECT_GT(result.metrics.completed, 0u);
 }
 
 TEST(Experiment, MetricsSummaryMentionsKeyFigures) {
