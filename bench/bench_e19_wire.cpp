@@ -6,9 +6,9 @@
 //   in-process — NegotiationService::submit(request).get(), the baseline
 //                every previous bench used;
 //   loopback   — the same requests encoded to wire frames, sent through a
-//                WireClient to a qosnpd WireServer on 127.0.0.1, decoded,
-//                dispatched via submit_async, and the result marshalled
-//                back over the socket.
+//                WireClient to a qosnpd WireServer on 127.0.0.1, decoded
+//                and run to completion on the event loop that read them,
+//                and the result sent back over the socket.
 // Both phases run the same per-request simulated RTT so the service-side
 // work is identical; the p50 delta is the pure wire tax (framing + CRC32C
 // + syscalls + event-loop marshalling).

@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
 
   ServiceConfig service_config;
   service_config.workers = workers;
-  service_config.queue_capacity = 4 * workers;
   service_config.simulated_rtt_ms = rtt_ms;
   NegotiationService service(manager, sessions, service_config);
   service.start();
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
 
   std::cout << "qosnpd listening on " << net_config.bind_address << ':' << server.port()
             << "  (" << catalog.size() << " documents, " << workers
-            << " workers; Ctrl-C to stop)\n";
+            << " event loops; Ctrl-C to stop)\n";
   std::cout.flush();
 
   while (!g_stop) {

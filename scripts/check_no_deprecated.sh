@@ -6,7 +6,8 @@
 #    per-kind transition results TransitionResult replaced; the service and
 #    simulator metrics fields and experiment options nothing read or set;
 #    the plan cache's document fingerprint and catalog epochs; the negotiation,
-#    service and experiment options only tests set):
+#    service and experiment options only tests set; the wire server's
+#    completion queue and its orphan accounting):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -69,6 +70,11 @@ done
 for name in parallel_threshold prune_dominated prune_dominated_variants qos_dominates oif_only \
     sns_per_offer upgrade_scan_interval_ms upgrade_scan_loop sample_playout \
     renegotiation_rate_per_s playout_stall_rate; do
+    check "$name" "\b$name\b"
+done
+# Each wire request runs to completion on the loop that read it: the
+# completion queue, its drain and the in-flight/orphan accounting are gone.
+for name in drain_completions orphaned_results requests_inflight; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

@@ -45,9 +45,11 @@ struct NegotiationResult {
   std::uint64_t request_id = 0;
   ShedReason shed = ShedReason::kNone;
   std::uint64_t session_id = 0;  ///< 0 when no session was opened
-  double queue_ms = 0.0;         ///< accept -> worker pickup
+  /// Accept -> start of the procedure. Accept is the queue push for an
+  /// in-process submit, the socket read that completed the frame on the wire.
+  double queue_ms = 0.0;
   double total_ms = 0.0;         ///< accept -> response
-  int worker = -1;               ///< -1: resolved at the queue edge (shed)
+  int worker = -1;               ///< worker or wire event-loop index; -1: shed at the queue edge
   /// Per-request trace, when the service ran with a TraceSink configured.
   std::shared_ptr<const NegotiationTrace> trace;
 

@@ -10,7 +10,7 @@
 // so this client holds a reference to the host service behind the wire
 // server for its sessions and clock. In a loopback deployment (the tests
 // and benches) that is simply the co-hosted service.
-// Carrying the lifecycle on the wire (ROADMAP item 5) removes the
+// Carrying the lifecycle on the wire (Step 6 over the wire) removes the
 // reference.
 //
 // A WireClient is not thread-safe, and neither is this adapter: one

@@ -1,14 +1,15 @@
 // qosnp_net_* metric bundle: the network front-end's observability surface,
 // registered into the same MetricsRegistry the service records into so one
-// expose() snapshot covers the whole process (socket ingress included — the
-// service's qosnp_queue_wait_ms span starts when the decoded request is
-// accepted into the queue, i.e. queue wait now begins at socket ingress).
+// expose() snapshot covers the whole process (socket ingress included — a
+// wire request's qosnp_queue_wait_ms starts at the socket read that
+// completed its frame).
 //
 // The counters are chosen to close conservation laws at drain (no open
-// connections, no in-flight requests):
+// connections). Each request runs to completion on the loop that read it,
+// so every counted request has committed its RESULT:
 //
 //   connections_opened                == sum(connections_closed[reason])
-//   requests_rx                      == frames_tx[RESULT] + orphaned_results
+//   requests_rx                      == frames_tx[RESULT]
 //   frames_tx[ERROR]                 == decode_errors + shed_overload
 //   frames_rx[PING]                  == frames_tx[PONG]
 //
@@ -31,7 +32,7 @@ namespace qosnp {
 /// qosnp_net_connections_closed_total).
 enum class NetCloseReason : std::uint8_t {
   kClientClose = 0,    ///< peer shut the socket down
-  kIdleTimeout = 1,    ///< no traffic and nothing in flight for too long
+  kIdleTimeout = 1,    ///< no traffic and nothing unsent for too long
   kProtocolError = 2,  ///< framing violated; stream no longer trustworthy
   kOverload = 3,       ///< refused at the max-connection limit
   kServerStop = 4,     ///< server shut down with the connection open
@@ -82,9 +83,6 @@ struct NetMetrics {
         "with exactly one ERROR frame");
     requests_rx = &registry.counter("qosnp_net_requests_rx_total", {},
                                     "REQUEST frames decoded into a NegotiationRequest");
-    orphaned_results = &registry.counter(
-        "qosnp_net_orphaned_results_total", {},
-        "Results completed after their connection was gone (response dropped)");
     shed_overload = &registry.counter("qosnp_net_shed_total",
                                       {{"reason", "max-connections"}},
                                       "Wire-level sheds, answered FAILEDTRYLATER-style");
@@ -93,8 +91,6 @@ struct NetMetrics {
                                              "Wire-level sheds, answered FAILEDTRYLATER-style");
     connections_active =
         &registry.gauge("qosnp_net_connections_active", {}, "Connections currently open");
-    requests_inflight = &registry.gauge("qosnp_net_requests_inflight", {},
-                                        "Decoded requests dispatched but not yet answered");
   }
 
   Counter* connections_opened;
@@ -105,11 +101,9 @@ struct NetMetrics {
   Counter* bytes_tx;
   Counter* decode_errors;
   Counter* requests_rx;
-  Counter* orphaned_results;
   Counter* shed_overload;
   Counter* shed_frame_too_large;
   Gauge* connections_active;
-  Gauge* requests_inflight;
 
   std::uint64_t closed_total() const {
     std::uint64_t total = 0;
@@ -118,12 +112,12 @@ struct NetMetrics {
   }
 
   /// The drain-time conservation laws (header comment); exact once the
-  /// server is idle (no open connections, no in-flight requests).
+  /// server is idle (no open connections).
   bool balanced() const {
     const std::size_t result = 1, error = 2, ping = 3, pong = 4;
-    return connections_active->value() == 0 && requests_inflight->value() == 0 &&
+    return connections_active->value() == 0 &&
            connections_opened->value() == closed_total() &&
-           requests_rx->value() == frames_tx[result]->value() + orphaned_results->value() &&
+           requests_rx->value() == frames_tx[result]->value() &&
            frames_tx[error]->value() == decode_errors->value() + shed_overload->value() &&
            frames_rx[ping]->value() == frames_tx[pong]->value();
   }

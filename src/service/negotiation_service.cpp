@@ -122,31 +122,48 @@ void NegotiationService::count_response(const NegotiationResult& result) {
   responses_by_verdict_[static_cast<std::size_t>(result.verdict)]->inc();
 }
 
-void NegotiationService::submit_async(NegotiationRequest request, CompletionFn done) {
+NegotiationService::Item NegotiationService::accept(NegotiationRequest request,
+                                                    double accepted_ms) {
   requests_total_->inc();
   Item item;
-  item.accepted_ms = clock_.elapsed_ms();
+  item.accepted_ms = accepted_ms;
   item.request = std::move(request);
-  item.done = std::move(done);
   if (config_.trace_sink != nullptr) {
     item.trace = std::make_shared<NegotiationTrace>(item.request.id);
     item.queue_span = item.trace->begin_span(Stage::kQueueWait);
   }
+  return item;
+}
+
+NegotiationResult NegotiationService::shed_at_edge(Item& item) {
+  // Load shedding at the queue edge: the bounded queue is full (or the
+  // service is not accepting). FAILEDTRYLATER is the honest verdict — the
+  // overload is transient by definition.
+  shed_queue_full_total_->inc();
+  NegotiationResult shed;
+  shed.request_id = item.request.id;
+  shed.verdict = NegotiationStatus::kFailedTryLater;
+  shed.shed = ShedReason::kQueueFull;
+  shed.total_ms = clock_.elapsed_ms() - item.accepted_ms;
+  count_response(shed);
+  QOSNP_LOG_DEBUG("service", "shed request ", item.request.id, " at the queue edge");
+  finish_trace(item, shed);
+  return shed;
+}
+
+void NegotiationService::submit_async(NegotiationRequest request, CompletionFn done) {
+  Item item = accept(std::move(request), clock_.elapsed_ms());
+  item.done = std::move(done);
   if (!running_.load(std::memory_order_acquire) || !queue_.try_push(std::move(item))) {
-    // Load shedding at the queue edge: the bounded queue is full (or the
-    // service is not accepting). FAILEDTRYLATER is the honest verdict —
-    // the overload is transient by definition.
-    shed_queue_full_total_->inc();
-    NegotiationResult shed;
-    shed.request_id = item.request.id;
-    shed.verdict = NegotiationStatus::kFailedTryLater;
-    shed.shed = ShedReason::kQueueFull;
-    shed.total_ms = clock_.elapsed_ms() - item.accepted_ms;
-    count_response(shed);
-    QOSNP_LOG_DEBUG("service", "shed request ", item.request.id, " at the queue edge");
-    finish_trace(item, shed);
-    item.done(std::move(shed));
+    item.done(shed_at_edge(item));
   }
+}
+
+NegotiationResult NegotiationService::serve(NegotiationRequest request, std::size_t worker,
+                                            double received_s) {
+  Item item = accept(std::move(request), received_s * 1e3);
+  if (!running_.load(std::memory_order_acquire)) return shed_at_edge(item);
+  return process(item, worker);
 }
 
 std::future<NegotiationResult> NegotiationService::submit(NegotiationRequest request) {

@@ -4,6 +4,7 @@
 // the full procedure per request — Steps 1-5 (QoSManager, which commits
 // through ResourceCommitter against the *shared* ServerFarm and
 // TransportService) and Step 6 admission into the shared SessionManager.
+// A WireServer's event loops run the same procedure inline through serve().
 // Every request resolves to one NegotiationResult carrying the verdict,
 // shed reason, session id, latency figures and (when a TraceSink is
 // configured) the per-request trace.
@@ -45,10 +46,14 @@
 namespace qosnp {
 
 struct ServiceConfig {
+  /// Worker threads; a WireServer in front of the service runs this many
+  /// event loops.
   std::size_t workers = 4;
+  /// Bounds in-process submits only; wire traffic never enters the queue.
   std::size_t queue_capacity = 64;
-  /// Per-request budget, in milliseconds, from acceptance into the queue to
-  /// the start of processing; a request still queued past it is shed with
+  /// Per-request budget, in milliseconds, from acceptance (into the queue,
+  /// or the socket read that completed a wire frame) to the start of
+  /// processing; a request that waited longer is shed with
   /// FAILEDTRYLATER. 0 disables the deadline. A positive
   /// NegotiationRequest::deadline_ms overrides this per request.
   double deadline_ms = 0.0;
@@ -81,8 +86,8 @@ struct ServiceConfig {
 /// FAILEDTRYLATER).
 struct ServiceReport {
   std::size_t submitted = 0;
-  std::size_t accepted = 0;   ///< made it into the queue
-  std::size_t processed = 0;  ///< resolved by a worker (deadline sheds included)
+  std::size_t accepted = 0;   ///< not shed at the queue edge
+  std::size_t processed = 0;  ///< resolved by a worker or serve() (deadline sheds included)
   std::size_t shed_queue_full = 0;
   std::size_t shed_deadline = 0;
   std::array<std::size_t, 5> by_status{};  ///< indexed by NegotiationStatus
@@ -132,8 +137,7 @@ class NegotiationService final : public NegotiationClient {
   using CompletionFn = std::function<void(NegotiationResult)>;
 
   /// Hand a request to the service; `done` is invoked exactly once with the
-  /// response. This is the primitive the network front-end builds on — an
-  /// event loop parks no thread per in-flight request. A full (or closed)
+  /// response, and no thread parks per in-flight request. A full (or closed)
   /// queue invokes `done` immediately (on this thread) with
   /// FAILEDTRYLATER/kQueueFull. The resolved result does not carry the
   /// offer list or the commitment — those belong to the opened session
@@ -141,6 +145,16 @@ class NegotiationService final : public NegotiationClient {
   /// is replaced by the service's own per-request trace when a TraceSink is
   /// configured.
   void submit_async(NegotiationRequest request, CompletionFn done);
+
+  /// Run a request to completion on the calling thread, the entry of the
+  /// wire server's event loops. `received_s` (on the now_s() clock) is when
+  /// the request arrived; from then to the start of the procedure is its
+  /// queue_ms, shed against the deadline as a queued request's wait is.
+  /// `worker` is stamped on the result. Counters, histograms, traces and
+  /// shed rules are submit_async's; a service that is not running sheds
+  /// with FAILEDTRYLATER/kQueueFull, as submit_async does. The queue and its
+  /// capacity are not involved.
+  NegotiationResult serve(NegotiationRequest request, std::size_t worker, double received_s);
 
   /// Future-returning wrapper over submit_async; same guarantees.
   std::future<NegotiationResult> submit(NegotiationRequest request);
@@ -180,6 +194,11 @@ class NegotiationService final : public NegotiationClient {
     SpanId queue_span = kNoSpan;
   };
 
+  /// Count a submission and open its item (and trace) as accepted at
+  /// `accepted_ms` on the service clock.
+  Item accept(NegotiationRequest request, double accepted_ms);
+  /// Resolve an item without running the procedure: FAILEDTRYLATER/kQueueFull.
+  NegotiationResult shed_at_edge(Item& item);
   void worker_loop(std::size_t index);
   NegotiationResult process(Item& item, std::size_t worker_index);
   /// Stamp the verdict on the trace, hand it to the sink, attach it to the

@@ -1,4 +1,4 @@
-// The in-process sharded federation (ROADMAP item 2): N complete
+// The in-process sharded federation: N complete
 // negotiation verticals — catalog partition, server farm, transport
 // capacity, QoS manager with its own plan cache, concurrent service worker
 // pool — behind one consistent-hash router.

@@ -1,4 +1,4 @@
-// Population-scale session-lifecycle simulation (ROADMAP item 2): instead
+// Population-scale session-lifecycle simulation: instead
 // of uniform open/closed-loop request firing, a *population* of client
 // classes — each with its own Poisson arrival process, diurnal load-curve
 // modulation, exponential think and abandonment times, hardware template and
@@ -88,7 +88,7 @@ struct ClientClass {
   double violation_rate_per_s = 0.0;
 };
 
-/// The reference population of ROADMAP item 2: cheap-mobile (limited
+/// The reference population: cheap-mobile (limited
 /// hardware, thrifty profile, impatient), standard-desktop (typical), and
 /// premium (demanding profile, full decoder set, walks away from degraded
 /// offers). `machine.node` is left empty — attach each class to a topology
