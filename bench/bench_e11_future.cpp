@@ -94,7 +94,7 @@ int main() {
       }
       OfferList offers =
           enumerate_offers(feasible.value(), request.profile->mm, CostModel{});
-      classify_offers(offers.offers, request.profile->mm, request.profile->importance);
+      classify_offers(offers.eager, request.profile->mm, request.profile->importance);
       auto plan = planner.plan(client, offers, request.profile->mm, request.arrival_s);
       if (!plan.ok()) {
         ++refused;

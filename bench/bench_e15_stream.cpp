@@ -186,9 +186,9 @@ int main() {
     config.max_offers = kEagerCap;
     const auto start = std::chrono::steady_clock::now();
     OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
-    classify_offers(list.offers, profile.mm, profile.importance, ClassificationPolicy{});
+    classify_offers(list.eager, profile.mm, profile.importance, ClassificationPolicy{});
     point.eager_ms = ms_since(start);
-    point.eager_seen = list.offers.size();
+    point.eager_seen = list.eager.size();
     point.eager_capped = list.truncated;
 
     // Check 1 (differential): where the eager path saw the whole product,
@@ -196,10 +196,10 @@ int main() {
     if (!point.eager_capped && point.product <= 10'000) {
       OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
                          ClassificationPolicy{}, kEagerCap);
-      for (std::size_t i = 0; i < list.offers.size(); ++i) {
+      for (std::size_t i = 0; i < list.eager.size(); ++i) {
         auto offer = stream.next();
-        if (!offer || signature(*offer) != signature(list.offers[i]) ||
-            offer->sns != list.offers[i].sns || offer->oif != list.offers[i].oif) {
+        if (!offer || signature(*offer) != signature(list.eager[i]) ||
+            offer->sns != list.eager[i].sns || offer->oif != list.eager[i].oif) {
           std::cout << "FAIL: stream diverges from the eager oracle at rank " << i << " (10^"
                     << point.media << ")\n";
           ok = false;
@@ -214,12 +214,12 @@ int main() {
       EnumerationConfig small;
       small.max_offers = 1'000;
       OfferList capped = enumerate_offers(feasible.value(), profile.mm, CostModel{}, small);
-      classify_offers(capped.offers, profile.mm, profile.importance, ClassificationPolicy{});
+      classify_offers(capped.eager, profile.mm, profile.importance, ClassificationPolicy{});
       std::string best_sig;
       for (std::size_t m = 0; m < point.media; ++m) {
         best_sig += doc->id + "/video" + std::to_string(m) + "/v9|";
       }
-      if (!capped.truncated || signature(capped.offers[0]) == best_sig) {
+      if (!capped.truncated || signature(capped.eager[0]) == best_sig) {
         std::cout << "FAIL: expected the eager 1'000-offer cap to drop the best offer\n";
         ok = false;
       }

@@ -20,8 +20,8 @@ int main() {
 
   Table table({"offer", "QoS", "cost", "paper SNS", "computed SNS", "verdict"});
   bool all_ok = true;
-  for (std::size_t i = 0; i < ex.offers.offers.size(); ++i) {
-    const SystemOffer& offer = ex.offers.offers[i];
+  for (std::size_t i = 0; i < ex.offers.eager.size(); ++i) {
+    const SystemOffer& offer = ex.offers.eager[i];
     const Sns sns = compute_sns(offer, ex.profile.mm, imp);
     const bool ok = std::string(to_string(sns)) == expected[i];
     all_ok &= ok;

@@ -33,17 +33,17 @@ bool run_setting(int which, const std::vector<double>& expected_oif,
 
   Table table({"offer", "paper OIF", "computed OIF", "verdict"});
   bool ok = true;
-  for (std::size_t i = 0; i < ex.offers.offers.size(); ++i) {
-    const double oif = compute_oif(ex.offers.offers[i], ex.profile.importance);
+  for (std::size_t i = 0; i < ex.offers.eager.size(); ++i) {
+    const double oif = compute_oif(ex.offers.eager[i], ex.profile.importance);
     const bool row_ok = oif == expected_oif[i];
     ok &= row_ok;
-    table.row({paper::offer_name(ex.offers.offers[i]), fmt(expected_oif[i], 0), fmt(oif, 0),
+    table.row({paper::offer_name(ex.offers.eager[i]), fmt(expected_oif[i], 0), fmt(oif, 0),
                check(row_ok)});
   }
   table.print();
 
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
-  const std::string got = ordering(ex.offers.offers);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
+  const std::string got = ordering(ex.offers.eager);
   const bool order_ok = got == expected_order;
   ok &= order_ok;
   std::cout << "  paper ordering:    " << expected_order << "\n"
@@ -65,8 +65,8 @@ int main() {
   ex.profile.importance = paper::importance_setting(3);
   ClassificationPolicy plain;
   plain.sns_rule = ClassificationPolicy::SnsRule::kPlain;
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance, plain);
-  std::cout << "  literal rule ordering: " << ordering(ex.offers.offers)
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance, plain);
+  std::cout << "  literal rule ordering: " << ordering(ex.offers.eager)
             << "\n  (offer4 leads: the paper's own SNS-primary rule contradicts its third\n"
                "   example; the default importance-weighted policy reproduces the paper.)\n";
 

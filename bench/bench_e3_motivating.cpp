@@ -18,22 +18,22 @@ int main() {
 
   auto ex = paper::motivating_example();
   ex.profile.importance = paper::importance_setting(1);
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
 
   Table table({"rank", "offer", "QoS", "cost", "SNS", "OIF", "satisfies user"});
-  for (std::size_t i = 0; i < ex.offers.offers.size(); ++i) {
-    const SystemOffer& o = ex.offers.offers[i];
+  for (std::size_t i = 0; i < ex.offers.eager.size(); ++i) {
+    const SystemOffer& o = ex.offers.eager[i];
     table.row({std::to_string(i + 1), paper::offer_name(o),
                to_string(o.components[0].variant->qos), o.total_cost().to_string(),
                std::string(to_string(o.sns)), fmt(o.oif, 0),
-               satisfies_user(o, ex.profile.mm) ? "yes" : "no"});
+               satisfies_user(ex.offers, i, ex.profile.mm) ? "yes" : "no"});
   }
   table.print();
 
-  const bool ok = paper::offer_name(ex.offers.offers[0]) == "offerC" &&
-                  ex.offers.offers[0].sns == Sns::kDesirable &&
-                  satisfies_user(ex.offers.offers[0], ex.profile.mm);
-  std::cout << "\nTop-ranked offer: " << derive_user_offer(ex.offers.offers[0]).describe()
+  const bool ok = paper::offer_name(ex.offers.eager[0]) == "offerC" &&
+                  ex.offers.eager[0].sns == Sns::kDesirable &&
+                  satisfies_user(ex.offers, 0, ex.profile.mm);
+  std::cout << "\nTop-ranked offer: " << derive_user_offer(ex.offers, 0).describe()
             << "\nExpected: the (color, 25 frames/s, TV resolution) variant at $6.00  ["
             << check(ok) << "]\n";
   return ok ? 0 : 1;

@@ -90,9 +90,9 @@ void BM_Enumerate(benchmark::State& state) {
   config.max_offers = 200'000;
   for (auto _ : state) {
     OfferList list = enumerate_offers(feasible.value(), prep.profile.mm, CostModel{}, config);
-    benchmark::DoNotOptimize(list.offers.data());
+    benchmark::DoNotOptimize(list.eager.data());
   }
-  state.counters["offers"] = static_cast<double>(prep.offers.offers.size());
+  state.counters["offers"] = static_cast<double>(prep.offers.eager.size());
 }
 BENCHMARK(BM_Enumerate)
     ->Args({1, 4})
@@ -106,11 +106,11 @@ void BM_ClassifySerial(benchmark::State& state) {
   const int variants = static_cast<int>(state.range(1));
   Prepared prep = prepare(monomedia, variants);
   for (auto _ : state) {
-    auto offers = prep.offers.offers;
+    auto offers = prep.offers.eager;
     classify_offers(offers, prep.profile.mm, prep.profile.importance);
     benchmark::DoNotOptimize(offers.data());
   }
-  state.counters["offers"] = static_cast<double>(prep.offers.offers.size());
+  state.counters["offers"] = static_cast<double>(prep.offers.eager.size());
 }
 BENCHMARK(BM_ClassifySerial)
     ->Args({2, 8})
@@ -124,11 +124,11 @@ void BM_ClassifyParallel(benchmark::State& state) {
   Prepared prep = prepare(monomedia, variants);
   ThreadPool& pool = ThreadPool::shared();
   for (auto _ : state) {
-    auto offers = prep.offers.offers;
+    auto offers = prep.offers.eager;
     classify_offers(offers, prep.profile.mm, prep.profile.importance, {}, &pool);
     benchmark::DoNotOptimize(offers.data());
   }
-  state.counters["offers"] = static_cast<double>(prep.offers.offers.size());
+  state.counters["offers"] = static_cast<double>(prep.offers.eager.size());
 }
 BENCHMARK(BM_ClassifyParallel)
     ->Args({2, 8})

@@ -53,7 +53,7 @@ int main() {
       continue;
     }
     OfferList offers = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-    classify_offers(offers.offers, profile.mm, profile.importance);
+    classify_offers(offers.eager, profile.mm, profile.importance);
 
     auto plan = planner.plan(client, offers, profile.mm, now);
     if (!plan.ok()) {

@@ -45,8 +45,8 @@ int main() {
   (void)net.attach("server-node-1", "hoster-net");
 
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 300'000'000, 64});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 300'000'000, 64});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 300'000'000, 64, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 300'000'000, 64, {}});
   ClientMachine client;
   client.name = "client-0";
   client.node = "client-0";

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   banner("Infrastructure: 2 media servers, dumbbell network");
   TransportService transport(Topology::dumbbell(2, 2, 25'000'000, 60'000'000));
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 60'000'000, 24});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 60'000'000, 24});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 60'000'000, 24, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 60'000'000, 24, {}});
 
   ClientMachine workstation;
   workstation.name = "newsroom-workstation";

@@ -33,8 +33,8 @@ int main() {
 
   TransportService transport(Topology::dumbbell(1, 2, 60'000'000, 200'000'000));
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 100'000'000, 32});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 100'000'000, 32});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 100'000'000, 32, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 100'000'000, 32, {}});
   ClientMachine client;
   client.name = "viewer";
   client.node = "client-0";
@@ -48,7 +48,7 @@ int main() {
   NegotiationResult outcome = manager.negotiate(make_negotiation_request(client, doc_id, profile));
   std::cout << "negotiated '" << doc_id << "': " << to_string(outcome.verdict) << '\n';
   if (!outcome.has_commitment()) return 1;
-  const SystemOffer& offer = outcome.offers.offers[outcome.committed_index];
+  const SystemOffer offer = outcome.offers.offer(outcome.committed_index);
 
   const PlayoutReport* video_report = nullptr;
   const PlayoutReport* audio_report = nullptr;

@@ -43,8 +43,8 @@ int cmd_try(const UserProfile& profile) {
   for (auto& doc : generate_corpus(corpus)) catalog.add(std::move(doc));
   TransportService transport(Topology::dumbbell(1, 2, 30'000'000, 100'000'000));
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 80'000'000, 16});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 80'000'000, 16});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 80'000'000, 16, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 80'000'000, 16, {}});
   ClientMachine client;
   client.name = "example-client";
   client.node = "client-0";

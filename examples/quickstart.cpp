@@ -61,8 +61,8 @@ int main() {
                                                 /*access_bps=*/25'000'000,
                                                 /*backbone_bps=*/100'000'000));
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 80'000'000, 32});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 80'000'000, 32});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 80'000'000, 32, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 80'000'000, 32, {}});
 
   ClientMachine client;
   client.name = "living-room";

@@ -89,10 +89,9 @@ Result<FuturePlan> FutureReservationPlanner::plan(const ClientMachine& client,
     // breaks ties (offers are already ordered best-to-worst).
     std::size_t best_index = SIZE_MAX;
     double best_start = horizon + 1.0;
-    for (std::size_t i = 0; i < offers.offers.size(); ++i) {
-      const SystemOffer& offer = offers.offers[i];
-      const bool satisfying = satisfies_user(offer, profile);
-      if ((pass == 0) != satisfying) continue;
+    for (std::size_t i = 0; i < offers.size(); ++i) {
+      if ((pass == 0) != satisfies_user(offers, i, profile)) continue;
+      const SystemOffer offer = offers.offer(i);
       auto start = earliest_start(client, offer, not_before_s, horizon);
       if (!start) continue;
       if (*start < best_start) {
@@ -103,7 +102,7 @@ Result<FuturePlan> FutureReservationPlanner::plan(const ClientMachine& client,
     }
     if (best_index == SIZE_MAX) continue;
 
-    const SystemOffer& chosen = offers.offers[best_index];
+    const SystemOffer chosen = offers.offer(best_index);
     double duration = 0.0;
     for (const OfferComponent& c : chosen.components) {
       duration = std::max(duration, c.requirements.duration_s);
@@ -134,8 +133,8 @@ Result<FuturePlan> FutureReservationPlanner::plan(const ClientMachine& client,
     plan.offer_index = best_index;
     plan.start_s = best_start;
     plan.end_s = best_start + duration;
-    plan.satisfies_user = satisfies_user(chosen, profile);
-    plan.offer = derive_user_offer(chosen);
+    plan.satisfies_user = satisfies_user(offers, best_index, profile);
+    plan.offer = derive_user_offer(offers, best_index);
     plans_[plan.id] = std::move(bookings);
     QOSNP_LOG_INFO("advance", "planned offer ", best_index, " at t=", best_start, "s");
     return plan;

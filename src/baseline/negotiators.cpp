@@ -22,8 +22,8 @@ NegotiationResult EnumeratingNegotiator::negotiate(const NegotiationRequest& req
   // servers and the transport accept.
   ResourceCommitter committer(*farm_, *transport_, retry_);
   bool saw_transient = false;
-  for (std::size_t i = 0; i < outcome.offers.offers.size(); ++i) {
-    auto committed = committer.commit(request.client, outcome.offers.offers[i]);
+  for (std::size_t i = 0; i < outcome.offers.size(); ++i) {
+    auto committed = committer.commit(request.client, outcome.offers.offer(i));
     if (committed.ok()) {
       outcome.committed_index = i;
       outcome.commitment = std::move(committed.value());
@@ -40,7 +40,7 @@ NegotiationResult EnumeratingNegotiator::negotiate(const NegotiationRequest& req
 OfferList EnumeratingNegotiator::scored_offers(const FeasibleSet& feasible,
                                                const UserProfile& profile) const {
   OfferList list = enumerate_offers(feasible, profile.mm, cost_model_, enumeration_);
-  for (SystemOffer& o : list.offers) {
+  for (SystemOffer& o : list.eager) {
     o.sns = compute_sns(o, profile.mm, profile.importance);
     o.oif = compute_oif(o, profile.importance);
   }
@@ -50,7 +50,7 @@ OfferList EnumeratingNegotiator::scored_offers(const FeasibleSet& feasible,
 Result<OfferList> CostOnlyNegotiator::ordered_offers(const FeasibleSet& feasible,
                                                      const UserProfile& profile) const {
   OfferList list = scored_offers(feasible, profile);
-  std::sort(list.offers.begin(), list.offers.end(),
+  std::sort(list.eager.begin(), list.eager.end(),
             [](const SystemOffer& a, const SystemOffer& b) {
               return a.total_cost() < b.total_cost();
             });
@@ -68,7 +68,7 @@ Result<OfferList> QoSOnlyNegotiator::ordered_offers(const FeasibleSet& feasible,
     }
     return sum;
   };
-  std::sort(list.offers.begin(), list.offers.end(),
+  std::sort(list.eager.begin(), list.eager.end(),
             [&](const SystemOffer& a, const SystemOffer& b) { return qos_score(a) > qos_score(b); });
   return list;
 }
@@ -105,7 +105,7 @@ Result<OfferList> BasicNegotiator::ordered_offers(const FeasibleSet& feasible,
   OfferList list;
   list.document = feasible.document;
   list.total_combinations = 1;
-  list.offers.push_back(std::move(offer));
+  list.eager.push_back(std::move(offer));
   return list;
 }
 

@@ -65,9 +65,12 @@ double compute_oif(const SystemOffer& offer, const ImportanceProfile& importance
   return qos_sum - importance.cost_importance(offer.total_cost());
 }
 
-bool satisfies_user(const SystemOffer& offer, const MMProfile& profile) {
-  const MMProfile::Grade s = qos_satisfaction(offer, profile);
-  return s.tolerated && offer.total_cost() <= profile.cost.max_cost;
+bool satisfies_user(const OfferList& offers, std::size_t i, const MMProfile& profile) {
+  if (offers.total_cost(i) > profile.cost.max_cost) return false;
+  for (std::size_t k = 0; k < offers.component_count(i); ++k) {
+    if (!profile.grade(offers.variant(i, k)->qos).tolerated) return false;
+  }
+  return true;
 }
 
 void classify_offers(std::vector<SystemOffer>& offers, const MMProfile& profile,

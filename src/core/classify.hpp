@@ -55,11 +55,12 @@ Sns compute_sns(const SystemOffer& offer, const MMProfile& profile,
 ///         - cost importance of the offer's total cost.
 double compute_oif(const SystemOffer& offer, const ImportanceProfile& importance);
 
-/// True when the offer satisfies the user requirements in the Step 5 sense
-/// (meets the worst-acceptable QoS of every requested medium and stays
-/// within the maximum cost) — commitment of such an offer yields SUCCEEDED,
-/// of any other offer FAILEDWITHOFFER.
-bool satisfies_user(const SystemOffer& offer, const MMProfile& profile);
+/// True when offer i of the list satisfies the user requirements in the
+/// Step 5 sense (meets the worst-acceptable QoS of every requested medium
+/// and stays within the maximum cost) — commitment of such an offer yields
+/// SUCCEEDED, of any other offer FAILEDWITHOFFER. Read from the offer's key
+/// and variants, so a stream-backed list need not materialise it.
+bool satisfies_user(const OfferList& offers, std::size_t i, const MMProfile& profile);
 
 /// Steps 3+4: fill sns/oif on every offer and sort best-to-worst
 /// (SNS ascending, then OIF descending, then cheaper first, then by variant

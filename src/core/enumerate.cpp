@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "qosmap/mapping.hpp"
@@ -59,7 +60,7 @@ OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile
     QOSNP_LOG_WARN("enumerate", "offer space of ", list.total_combinations,
                    " combinations truncated to ", emit);
   }
-  list.offers.reserve(emit);
+  list.eager.reserve(emit);
 
   // Pre-map every variant's stream requirements once (combinations only
   // re-combine them).
@@ -85,7 +86,7 @@ OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile
       offer.components.push_back(c);
     }
     offer.cost = cost_model.document_cost(feasible.document->copyright_cost, stream_scratch);
-    list.offers.push_back(std::move(offer));
+    list.eager.push_back(std::move(offer));
 
     // Mixed-radix increment.
     for (std::size_t i = n; i-- > 0;) {
@@ -105,25 +106,10 @@ OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile
 /// pre-sorted per-class index lists. Built once per (feasible set, profile,
 /// importance, cost model, policy) tuple and read-only afterwards, so any
 /// number of concurrent streams — including ones replayed from the plan
-/// cache — can share one seed without synchronisation.
+/// cache — can share one seed without synchronisation. Offer lists point
+/// into the memo, so a seed never moves.
 class OfferStreamSeed {
  public:
-  /// Everything the stream needs to score or materialise one variant,
-  /// computed once per variant so classification work is shared across every
-  /// offer the variant appears in.
-  struct VariantMemo {
-    const Variant* variant = nullptr;
-    StreamRequirements requirements;
-    Money network;            ///< CostModel::stream_network_cost(requirements)
-    Money server;             ///< CostModel::stream_server_cost(requirements)
-    Money charge;             ///< network + server charge of this stream alone
-    double importance = 0.0;  ///< qos_importance(variant->qos)
-    bool add_bonus = false;   ///< preferred-server bonus applies
-    bool desired_ok = false;  ///< satisfied_by the desired per-medium QoS
-    bool worst_ok = false;    ///< tolerated (meets the worst acceptable QoS)
-    double order_weight = 0.0;  ///< separable OIF contribution, for list order
-  };
-
   OfferStreamSeed(FeasibleSet fs, MMProfile prof, ImportanceProfile imp, CostModel cm,
                   ClassificationPolicy pol)
       : feasible(std::move(fs)), profile(std::move(prof)), importance(std::move(imp)),
@@ -134,6 +120,8 @@ class OfferStreamSeed {
                 importance.cost_per_dollar > 0.0 && !qos_matters(profile, importance);
     build_memo();
   }
+  OfferStreamSeed(const OfferStreamSeed&) = delete;
+  OfferStreamSeed& operator=(const OfferStreamSeed&) = delete;
 
   FeasibleSet feasible;
   MMProfile profile;
@@ -200,8 +188,20 @@ void OfferStreamSeed::build_memo() {
       const VariantMemo& mb = memo[i][b];
       if (ma.order_weight != mb.order_weight) return ma.order_weight > mb.order_weight;
       if (ma.charge != mb.charge) return ma.charge < mb.charge;
-      return ma.variant->id < mb.variant->id;
+      return ma.id_rank < mb.id_rank;
     };
+    // Integer ranks of the variant ids, equal ids sharing one, so the
+    // stream's tie-break compares integers instead of strings.
+    std::vector<std::uint32_t> by_id(memo[i].size());
+    std::iota(by_id.begin(), by_id.end(), std::uint32_t{0});
+    std::sort(by_id.begin(), by_id.end(), [this, i](std::uint32_t a, std::uint32_t b) {
+      return memo[i][a].variant->id < memo[i][b].variant->id;
+    });
+    for (std::size_t r = 1; r < by_id.size(); ++r) {
+      VariantMemo& m = memo[i][by_id[r]];
+      const VariantMemo& before = memo[i][by_id[r - 1]];
+      m.id_rank = before.id_rank + (before.variant->id == m.variant->id ? 0 : 1);
+    }
     for (std::uint32_t j = 0; j < memo[i].size(); ++j) {
       const VariantMemo& m = memo[i][j];
       all[i].push_back(j);
@@ -234,8 +234,6 @@ void OfferStreamSeed::grade(const Variant& v, VariantMemo& m) const {
 }
 
 struct OfferStream::Impl {
-  using VariantMemo = OfferStreamSeed::VariantMemo;
-
   /// The shared precomputation — read-only here; all mutable state below is
   /// private to this cursor.
   std::shared_ptr<const OfferStreamSeed> seed;
@@ -377,15 +375,16 @@ struct OfferStream::Impl {
   }
 
   /// The within-class classification order: OIF descending, then cheaper
-  /// first, then variant ids — the same comparator classify_offers sorts
-  /// with (the SNS key is constant inside a class stream).
+  /// first, then variant ids (by their memoised ranks) — the same order
+  /// classify_offers sorts into (the SNS key is constant inside a class
+  /// stream).
   bool node_better(const Cursor& ca, const Node& a, const Cursor& cb, const Node& b) const {
     if (a.oif != b.oif) return a.oif > b.oif;
     if (a.cost != b.cost) return a.cost < b.cost;
     for (std::size_t i = 0; i < seed->n; ++i) {
-      const auto& ida = memo_at(ca, a, i).variant->id;
-      const auto& idb = memo_at(cb, b, i).variant->id;
-      if (ida != idb) return ida < idb;
+      const std::uint32_t ra = memo_at(ca, a, i).id_rank;
+      const std::uint32_t rb = memo_at(cb, b, i).id_rank;
+      if (ra != rb) return ra < rb;
     }
     return false;
   }
@@ -461,32 +460,10 @@ struct OfferStream::Impl {
     return c.staged ? &*c.staged : nullptr;
   }
 
-  SystemOffer materialise(const Cursor& c, const Node& node, const ClassStream& cls) {
-    const std::size_t n = seed->n;
-    SystemOffer offer;
-    offer.components.reserve(n);
-    // Formula (1) assembled from the memoised per-stream charges: the same
-    // integer sums, in the same order, as CostModel::document_cost.
-    offer.cost.copyright = seed->feasible.document->copyright_cost;
-    offer.cost.total = offer.cost.copyright;
-    offer.cost.streams.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const VariantMemo& m = memo_at(c, node, i);
-      OfferComponent component;
-      component.monomedia = seed->feasible.monomedia[i];
-      component.variant = m.variant;
-      component.requirements = m.requirements;
-      offer.components.push_back(std::move(component));
-      offer.cost.streams.push_back({m.network, m.server});
-      offer.cost.total += m.network + m.server;
-    }
-    offer.oif = node.oif;
-    offer.sns = cls.sns;
-    return offer;
-  }
-
-  std::optional<SystemOffer> next() {
-    if (emitted >= emit_cap) return std::nullopt;
+  /// Pop the next offer: its key into `record`, its seed->n memo pointers
+  /// appended to `row`.
+  bool next(OfferRecord& record, std::vector<const VariantMemo*>& row) {
+    if (emitted >= emit_cap) return false;
     while (current_class < classes.size()) {
       ClassStream& cls = classes[current_class];
       Cursor* best = nullptr;
@@ -505,13 +482,46 @@ struct OfferStream::Impl {
       }
       const Node node = *best->staged;
       best->staged.reset();
-      SystemOffer offer = materialise(*best, node, cls);
+      record.tolerated = true;
+      for (std::size_t i = 0; i < seed->n; ++i) {
+        const VariantMemo& m = memo_at(*best, node, i);
+        row.push_back(&m);
+        record.tolerated = record.tolerated && m.worst_ok;
+      }
+      record.oif = node.oif;
+      record.cost = node.cost;
+      record.sns = cls.sns;
       ++emitted;
-      return offer;
+      return true;
     }
-    return std::nullopt;
+    return false;
   }
 };
+
+namespace {
+
+/// Build a SystemOffer from a record and its memo row. Formula (1) is
+/// assembled from the memoised per-stream charges: the same integer sums, in
+/// the same order, as CostModel::document_cost.
+void materialise_offer(const OfferStreamSeed& seed, const OfferRecord& record,
+                       const VariantMemo* const* row, SystemOffer& offer) {
+  offer.components.clear();
+  offer.cost.streams.clear();
+  offer.components.reserve(seed.n);
+  offer.cost.streams.reserve(seed.n);
+  offer.cost.copyright = seed.feasible.document->copyright_cost;
+  offer.cost.total = offer.cost.copyright;
+  for (std::size_t i = 0; i < seed.n; ++i) {
+    const VariantMemo& m = *row[i];
+    offer.components.push_back({seed.feasible.monomedia[i], m.variant, m.requirements});
+    offer.cost.streams.push_back({m.network, m.server});
+    offer.cost.total += m.network + m.server;
+  }
+  offer.oif = record.oif;
+  offer.sns = record.sns;
+}
+
+}  // namespace
 
 OfferStream::OfferStream(FeasibleSet feasible, MMProfile profile, ImportanceProfile importance,
                          CostModel cost_model, ClassificationPolicy policy,
@@ -526,27 +536,71 @@ OfferStream::OfferStream(std::shared_ptr<const OfferStreamSeed> seed, std::size_
 
 OfferStream::~OfferStream() = default;
 
-std::optional<SystemOffer> OfferStream::next() { return impl_->next(); }
+bool OfferStream::next(OfferRecord& record, std::vector<const VariantMemo*>& row) {
+  return impl_->next(record, row);
+}
+
+std::optional<SystemOffer> OfferStream::next() {
+  OfferRecord record;
+  std::vector<const VariantMemo*> row;
+  if (!impl_->next(record, row)) return std::nullopt;
+  SystemOffer offer;
+  materialise_offer(*impl_->seed, record, row.data(), offer);
+  return offer;
+}
+
+const std::shared_ptr<const OfferStreamSeed>& OfferStream::seed() const { return impl_->seed; }
 std::size_t OfferStream::total_combinations() const { return impl_->seed->total; }
 std::size_t OfferStream::emit_limit() const { return impl_->emit_cap; }
 std::size_t OfferStream::yielded() const { return impl_->emitted; }
 bool OfferStream::exhausted() const { return impl_->emitted >= impl_->emit_cap; }
 std::size_t OfferStream::states_generated() const { return impl_->generated; }
 
+OfferList::OfferList(std::shared_ptr<const MultimediaDocument> doc,
+                     std::shared_ptr<OfferStream> stream)
+    : document(std::move(doc)),
+      total_combinations(stream->total_combinations()),
+      truncated(stream->emit_limit() < stream->total_combinations()),
+      sns_ordered(true),
+      streamed_(std::make_shared<StreamedOffers>()) {
+  streamed_->seed = stream->seed();
+  streamed_->width = streamed_->seed->n;
+  streamed_->stream = std::move(stream);
+}
+
 bool OfferList::fetch_next() {
-  if (!stream) return false;
-  std::optional<SystemOffer> offer = stream->next();
-  if (!offer) {
-    stream.reset();  // drained: free the frontier
+  if (!streamed_ || !streamed_->stream) return false;
+  OfferRecord record;
+  if (!streamed_->stream->next(record, streamed_->memos)) {
+    streamed_->stream.reset();  // drained: free the frontier
     return false;
   }
-  offers.push_back(std::move(*offer));
+  streamed_->records.push_back(record);
   return true;
 }
 
 std::size_t OfferList::known_count() const {
-  if (!stream) return offers.size();
-  return std::max(offers.size(), stream->emit_limit());
+  if (!streamed_ || !streamed_->stream) return size();
+  return std::max(size(), streamed_->stream->emit_limit());
+}
+
+bool OfferList::classified_for(const MMProfile& profile) const {
+  return streamed_ && streamed_->seed->profile == profile;
+}
+
+void OfferList::materialise(std::size_t i, SystemOffer& into) const {
+  if (!streamed_) {
+    into = eager[i];
+    return;
+  }
+  materialise_offer(*streamed_->seed, streamed_->records[i],
+                    streamed_->memos.data() + i * streamed_->width, into);
+}
+
+SystemOffer OfferList::offer(std::size_t i) const {
+  SystemOffer out;
+  materialise(i, out);
+  return out;
 }
 
 }  // namespace qosnp

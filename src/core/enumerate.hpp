@@ -113,8 +113,16 @@ class OfferStream {
   OfferStream(const OfferStream&) = delete;
   OfferStream& operator=(const OfferStream&) = delete;
 
-  /// The next-best offer, or nullopt once emit_limit() offers were yielded.
+  /// The next-best offer in compact form: its key into `record`, the memo
+  /// entries of its variants (one per position) appended to `row`. False
+  /// once emit_limit() offers were yielded. OfferList::fetch_next's source.
+  bool next(OfferRecord& record, std::vector<const VariantMemo*>& row);
+  /// The next-best offer in full, or nullopt once emit_limit() offers were
+  /// yielded.
   std::optional<SystemOffer> next();
+  /// The seed the stream walks; its memo outlives the stream in any list
+  /// that pins it.
+  const std::shared_ptr<const OfferStreamSeed>& seed() const;
 
   /// Cartesian-product size (saturating, like combination_count()).
   std::size_t total_combinations() const;

@@ -72,10 +72,10 @@ void fold_weakest<ImageQoS>(std::optional<ImageQoS>& slot, const ImageQoS& q) {
 
 }  // namespace
 
-UserOffer derive_user_offer(const SystemOffer& offer) {
+UserOffer derive_user_offer(const OfferList& offers, std::size_t i) {
   UserOffer user;
-  user.cost = offer.total_cost();
-  for (const OfferComponent& c : offer.components) {
+  user.cost = offers.total_cost(i);
+  for (std::size_t k = 0; k < offers.component_count(i); ++k) {
     std::visit(
         [&user](const auto& q) {
           using T = std::decay_t<decltype(q)>;
@@ -89,7 +89,7 @@ UserOffer derive_user_offer(const SystemOffer& offer) {
             fold_weakest(user.image, q);
           }
         },
-        c.variant->qos);
+        offers.variant(i, k)->qos);
   }
   return user;
 }

@@ -6,6 +6,7 @@
 // A user offer is derived from a system offer by the mapping functions.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,6 +15,7 @@
 #include "cost/cost_model.hpp"
 #include "document/model.hpp"
 #include "media/qos.hpp"
+#include "profile/profiles.hpp"
 #include "qosmap/mapping.hpp"
 #include "util/money.hpp"
 
@@ -55,36 +57,129 @@ struct SystemOffer {
   std::string describe() const;
 };
 
-class OfferStream;
+/// Everything the offer stream needs to score or materialise one variant at
+/// one position of an offer, computed once per variant by the stream seed
+/// (enumerate.hpp) so classification work is shared across every offer the
+/// variant appears in. Immutable once the seed is built.
+struct VariantMemo {
+  const Variant* variant = nullptr;
+  StreamRequirements requirements;
+  Money network;            ///< CostModel::stream_network_cost(requirements)
+  Money server;             ///< CostModel::stream_server_cost(requirements)
+  Money charge;             ///< network + server charge of this stream alone
+  double importance = 0.0;  ///< qos_importance(variant->qos)
+  bool add_bonus = false;   ///< preferred-server bonus applies
+  bool desired_ok = false;  ///< satisfied_by the desired per-medium QoS
+  bool worst_ok = false;    ///< tolerated (meets the worst acceptable QoS)
+  double order_weight = 0.0;  ///< separable OIF contribution, for list order
+  /// Rank of variant->id among the position's feasible variants (equal ids,
+  /// equal ranks): the stream breaks ties on it instead of on the strings.
+  std::uint32_t id_rank = 0;
+};
 
-/// The enumerated offer space for one request. Owns the document reference
-/// the component pointers index into (the catalog may drop the document
-/// while a negotiation over it is in flight).
+/// A streamed offer in compact form: its classification key. Its variants
+/// are the record's row in StreamedOffers::memos.
+struct OfferRecord {
+  double oif = 0.0;
+  Money cost;  ///< total, copyright included
+  Sns sns = Sns::kConstraint;
+  /// Every variant meets the worst acceptable QoS of the profile the
+  /// stream classified for (all its memo entries are worst_ok).
+  bool tolerated = false;
+};
+
+class OfferStream;
+class OfferStreamSeed;
+
+/// The consumed prefix of a stream-backed OfferList, as compact records,
+/// and the stream that yields the rest.
+struct StreamedOffers {
+  /// The not-yet-consumed tail; null once drained.
+  std::shared_ptr<OfferStream> stream;
+  /// Keeps the memo the rows point into alive after the stream drains.
+  std::shared_ptr<const OfferStreamSeed> seed;
+  std::size_t width = 0;  ///< components per offer
+  std::vector<OfferRecord> records;
+  std::vector<const VariantMemo*> memos;  ///< `width` per record, in record order
+};
+
+/// The enumerated offer space for one request, classified best-to-worst
+/// after Step 4. Owns the document reference the component pointers index
+/// into (the catalog may drop the document while a negotiation over it is in
+/// flight).
 ///
-/// With the lazy best-first strategy `offers` is only the consumed prefix
-/// (already in final classification order) and `stream` holds the
-/// not-yet-materialised tail; fetch_next() pulls one more offer. A list with
-/// a live stream should be moved, not copied — copies would share the stream
-/// and steal offers from each other.
+/// Two kinds of list share one reader API (size, sns, oif, total_cost,
+/// component_count, variant, offer):
+/// - An eager list (enumerate_offers, the baselines, paper_example) holds
+///   full SystemOffers in `eager`; its builders write that vector directly.
+/// - A stream-backed list (the lazy best-first strategy) holds the consumed
+///   prefix as compact records: a record is the offer's classification key
+///   plus a row of pointers into the stream seed's VariantMemo, one per
+///   component. Rows and records sit in two pooled vectors, so a record
+///   costs no allocation of its own. fetch_next() pulls one more record from
+///   the stream. A record becomes a SystemOffer (components and
+///   CostBreakdown) only when a caller reads it through offer() or
+///   materialise(): a real commit, the planner or a test. Copies of such a
+///   list share its prefix and its stream.
 struct OfferList {
   std::shared_ptr<const MultimediaDocument> document;
-  std::vector<SystemOffer> offers;  ///< classified best-to-worst after Step 4
+  /// Eager lists only: the full offers. Read them through the accessors.
+  std::vector<SystemOffer> eager;
   std::size_t total_combinations = 0;
   bool truncated = false;  ///< the enumeration cap dropped combinations
-  /// Lazy tail of the classification order; null for eager lists and once
-  /// the stream is drained.
-  std::shared_ptr<OfferStream> stream;
   /// The list is ordered SNS-first (the smart procedure's order). Lets the
   /// commitment walk stop fetching at the first CONSTRAINT offer.
   bool sns_ordered = false;
 
-  /// Materialise the next offer from the stream into `offers`. Returns false
-  /// when there is no stream or it is exhausted (and drops the drained
-  /// stream). Defined in enumerate.cpp.
+  OfferList() = default;
+  /// A stream-backed list over `stream`'s offers of `document`, in the
+  /// stream's (SNS-first) order. Defined in enumerate.cpp, like the other
+  /// members that read the stream or its seed.
+  OfferList(std::shared_ptr<const MultimediaDocument> document,
+            std::shared_ptr<OfferStream> stream);
+
+  /// Offers consumed so far (all of them for an eager list).
+  std::size_t size() const { return streamed_ ? streamed_->records.size() : eager.size(); }
+  Sns sns(std::size_t i) const { return streamed_ ? streamed_->records[i].sns : eager[i].sns; }
+  double oif(std::size_t i) const {
+    return streamed_ ? streamed_->records[i].oif : eager[i].oif;
+  }
+  Money total_cost(std::size_t i) const {
+    return streamed_ ? streamed_->records[i].cost : eager[i].total_cost();
+  }
+  std::size_t component_count(std::size_t i) const {
+    return streamed_ ? streamed_->width : eager[i].components.size();
+  }
+  /// The variant offer i chose for its k-th component.
+  const Variant* variant(std::size_t i, std::size_t k) const {
+    return streamed_ ? streamed_->memos[i * streamed_->width + k]->variant
+                     : eager[i].components[k].variant;
+  }
+  /// Whether the keys were classified for `profile`: a stream-backed list
+  /// whose seed was built for an equal profile. Then tolerated(i) tells
+  /// whether offer i meets the profile's worst acceptable QoS, without
+  /// grading its variants.
+  bool classified_for(const MMProfile& profile) const;
+  bool tolerated(std::size_t i) const { return streamed_->records[i].tolerated; }
+  /// Offer i in full. Builds it for a stream-backed list; copies it for an
+  /// eager one. materialise() refills `into`, reusing its capacity.
+  SystemOffer offer(std::size_t i) const;
+  void materialise(std::size_t i, SystemOffer& into) const;
+
+  /// The lazy tail of the classification order; null for eager lists and
+  /// once the stream is drained.
+  std::shared_ptr<OfferStream> stream() const {
+    return streamed_ ? streamed_->stream : nullptr;
+  }
+  /// Consume the next offer of the stream. Returns false when there is no
+  /// stream or it is exhausted (and drops the drained stream).
   bool fetch_next();
-  /// Offers reachable through this list: materialised prefix plus the
-  /// stream's remaining yield. Equals offers.size() for eager lists.
+  /// Offers reachable through this list: consumed prefix plus the stream's
+  /// remaining yield. Equals size() for eager lists.
   std::size_t known_count() const;
+
+ private:
+  std::shared_ptr<StreamedOffers> streamed_;  ///< null for eager lists
 };
 
 /// Definition 2.
@@ -98,9 +193,10 @@ struct UserOffer {
   std::string describe() const;
 };
 
-/// Map a system offer into user-perceived terms. With several monomedia of
-/// the same kind the weakest chosen quality is reported (the honest figure
-/// to show the user).
-UserOffer derive_user_offer(const SystemOffer& offer);
+/// Map system offer i of a list into user-perceived terms. With several
+/// monomedia of the same kind the weakest chosen quality is reported (the
+/// honest figure to show the user). Reads the offer's cost and variants
+/// only, so a stream-backed list need not materialise it.
+UserOffer derive_user_offer(const OfferList& offers, std::size_t i);
 
 }  // namespace qosnp

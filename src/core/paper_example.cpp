@@ -94,10 +94,10 @@ ClassificationExample classification_example() {
   });
   ex.offers.document = ex.document;
   ex.offers.total_combinations = 4;
-  ex.offers.offers.push_back(pinned_offer(ex.document, 0, Money::cents(250)));
-  ex.offers.offers.push_back(pinned_offer(ex.document, 1, Money::dollars(4)));
-  ex.offers.offers.push_back(pinned_offer(ex.document, 2, Money::dollars(3)));
-  ex.offers.offers.push_back(pinned_offer(ex.document, 3, Money::dollars(5)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 0, Money::cents(250)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 1, Money::dollars(4)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 2, Money::dollars(3)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 3, Money::dollars(5)));
   ex.profile = video_only_profile(VideoQoS{ColorDepth::kColor, 25, kTvResolution},
                                   Money::dollars(4));
   return ex;
@@ -116,9 +116,9 @@ MotivatingExample motivating_example() {
   });
   ex.offers.document = ex.document;
   ex.offers.total_combinations = 3;
-  ex.offers.offers.push_back(pinned_offer(ex.document, 0, Money::dollars(5)));
-  ex.offers.offers.push_back(pinned_offer(ex.document, 1, Money::dollars(4)));
-  ex.offers.offers.push_back(pinned_offer(ex.document, 2, Money::dollars(6)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 0, Money::dollars(5)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 1, Money::dollars(4)));
+  ex.offers.eager.push_back(pinned_offer(ex.document, 2, Money::dollars(6)));
   ex.profile = video_only_profile(VideoQoS{ColorDepth::kColor, 25, kTvResolution},
                                   Money::dollars(6));
   return ex;

@@ -1,8 +1,11 @@
 #include "core/qos_manager.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <charconv>
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -33,16 +36,43 @@ UserOffer local_offer_from(const MMProfile& clipped) {
   return offer;
 }
 
-/// A refusal the walk met, with what it takes to replay it. When it is a
-/// nogood, its refused prefix is prefixes[prefix_begin, prefix_begin + depth).
+/// What the walk keeps beside each refusal the servers and the transport
+/// returned (the Refusal itself sits in the walk's RefusalLog, at the same
+/// index): what it takes to replay it, and, when it is a nogood, where its
+/// refused prefix is: prefixes[prefix_begin, prefix_begin + depth).
 struct SeenRefusal {
-  Refusal refusal;
   CommitStats delta;  ///< the refused commit()'s share of the committer stats
   std::size_t prefix_begin = 0;
   std::size_t depth = 0;  ///< 0: not a nogood
 };
 
+/// Hash of a variant prefix, extended one variant at a time, so one pass
+/// over an offer's variants yields the key of every depth.
+constexpr std::uint64_t kPrefixHashSeed = 0xcbf29ce484222325ULL;
+std::uint64_t extend_prefix_hash(std::uint64_t h, const Variant* v) {
+  h ^= static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(v));
+  h *= 0x100000001b3ULL;
+  return h ^ (h >> 29);
+}
+
 }  // namespace
+
+void RefusalLog::render(std::vector<std::string>& out) const {
+  out.reserve(out.size() + refused.size());
+  for (const auto& [offer, n] : refused) {
+    const Refusal& r = refusals[n];
+    char digits[24];
+    const char* digits_end = std::to_chars(digits, digits + sizeof digits, offer).ptr;
+    const auto digit_count = static_cast<std::size_t>(digits_end - digits);
+    std::string line;
+    line.reserve(8 + digit_count + (r.component.empty() ? 0 : r.component.size() + 2) +
+                 r.message.size());
+    line.append("offer ").append(digits, digit_count).append(": ");
+    if (!r.component.empty()) line.append(r.component).append(": ");
+    line.append(r.message);
+    out.push_back(std::move(line));
+  }
+}
 
 CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& offers,
                                        const MMProfile& profile,
@@ -63,30 +93,48 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
   };
   std::size_t offers_examined = 0;
   std::size_t nogood_hits = 0;
-  // satisfies_user per offer index (-1 = not yet evaluated), shared by both
-  // passes.
-  std::vector<std::int8_t> satisfying_at;
-  // Refusals the servers and the transport returned, in walk order, and the
-  // variants of the refused prefixes (copied: fetch_next() may reallocate
-  // offers.offers).
+  // satisfies_user, read off the record when the list was classified for
+  // this very profile.
+  const bool classified = offers.classified_for(profile);
+  auto satisfies = [&](std::size_t i) {
+    return classified ? offers.tolerated(i) && offers.total_cost(i) <= profile.cost.max_cost
+                      : satisfies_user(offers, i, profile);
+  };
+  // Refusals the servers and the transport returned, in walk order, with
+  // what replays them (`seen`, parallel to log.refusals) and the variants of
+  // the refused prefixes.
+  RefusalLog log;
   std::vector<SeenRefusal> seen;
   std::vector<const Variant*> prefixes;
-  auto find_nogood = [&](const SystemOffer& offer) -> std::optional<std::size_t> {
-    for (std::size_t n = 0; n < seen.size(); ++n) {
-      const SeenRefusal& s = seen[n];
-      if (s.depth == 0 || offer.components.size() < s.depth) continue;
-      const Variant* const* prefix = prefixes.data() + s.prefix_begin;
-      if (std::equal(prefix, prefix + s.depth, offer.components.begin(),
-                     [](const Variant* v, const OfferComponent& c) { return v == c.variant; })) {
-        return n;
+  // Nogoods by prefix hash (the key of depth d hashes the first d variants;
+  // a lookup verifies each hit against the stored prefix), and the distinct
+  // depths recorded, ascending.
+  std::unordered_multimap<std::uint64_t, std::size_t> nogoods;
+  std::vector<std::size_t> depths;
+  // The earliest recorded nogood that offer i's prefix matches, as a scan of
+  // `seen` in walk order would find.
+  auto find_nogood = [&](std::size_t i) -> std::optional<std::size_t> {
+    std::optional<std::size_t> first;
+    const std::size_t width = offers.component_count(i);
+    std::uint64_t h = kPrefixHashSeed;
+    std::size_t hashed = 0;
+    for (const std::size_t depth : depths) {
+      if (depth > width) break;
+      for (; hashed < depth; ++hashed) h = extend_prefix_hash(h, offers.variant(i, hashed));
+      const auto [lo, hi] = nogoods.equal_range(h);
+      for (auto it = lo; it != hi; ++it) {
+        const std::size_t n = it->second;
+        const SeenRefusal& s = seen[n];
+        if (s.depth != depth || (first && *first < n)) continue;
+        std::size_t k = 0;
+        while (k < depth && prefixes[s.prefix_begin + k] == offers.variant(i, k)) ++k;
+        if (k == depth) first = n;
       }
     }
-    return std::nullopt;
+    return first;
   };
-  // Refusals in walk order as (offer index, index into seen); rendered into
-  // attempt.errors only if the whole walk fails (every caller ignores them
-  // on success).
-  std::vector<std::pair<std::size_t, std::size_t>> refusals;
+  // The offer being committed, rebuilt in place for each real commit.
+  SystemOffer candidate;
   // Pass 1: offers satisfying the requested QoS/cost; pass 2: the rest
   // ("If there are not enough resources to support any of the acceptable
   // system offers, the same procedure is applied on the feasible (not
@@ -95,35 +143,33 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
     for (std::size_t i = 0;; ++i) {
       // The caller may bound the walk (upgrade scans try only offers
       // strictly better than the session's current one); the bound also
-      // stops the lazy stream from materialising past it.
+      // stops the lazy stream from consuming past it.
       if (i >= end_index) break;
-      // Materialise the next offer from the lazy stream when the walk runs
-      // off the end of the consumed prefix.
-      if (i >= offers.offers.size() && !offers.fetch_next()) break;
-      const SystemOffer& offer = offers.offers[i];
+      // Consume the next offer from the lazy stream when the walk runs off
+      // the end of the consumed prefix.
+      if (i >= offers.size() && !offers.fetch_next()) break;
       // A satisfying offer needs the tolerable QoS at acceptable cost, which
       // no CONSTRAINT offer provides; in an SNS-ordered list everything after
       // the first CONSTRAINT is CONSTRAINT too, so the satisfying pass can
       // stop fetching there (the lazy walk's whole point).
-      if (pass == 0 && offers.sns_ordered && offer.sns == Sns::kConstraint) break;
+      if (pass == 0 && offers.sns_ordered && offers.sns(i) == Sns::kConstraint) break;
       if (excluded(i)) continue;
-      if (i >= satisfying_at.size()) satisfying_at.resize(i + 1, -1);
-      if (satisfying_at[i] < 0) satisfying_at[i] = satisfies_user(offer, profile) ? 1 : 0;
-      if ((pass == 0) != (satisfying_at[i] == 1)) continue;
+      if ((pass == 0) != satisfies(i)) continue;
       ++offers_examined;
       ScopedSpan try_span(walk_span.context(), Stage::kCommitAttempt);
       try_span.annotate("offer", static_cast<std::uint64_t>(i));
       try_span.annotate("pass", static_cast<std::uint64_t>(pass));
       if (memo_refusals_) {
-        if (const auto hit = find_nogood(offer)) {
-          committer.replay_refusal(seen[*hit].refusal, seen[*hit].delta, try_span.context());
-          refusals.emplace_back(i, *hit);
+        if (const auto hit = find_nogood(i)) {
+          committer.replay_refusal(log.refusals[*hit], seen[*hit].delta, try_span.context());
+          log.refused.emplace_back(i, *hit);
           ++nogood_hits;
           continue;
         }
       }
+      offers.materialise(i, candidate);
       const int released_before = committer.stats().released_on_failure;
-      auto committed = committer.commit(client, offer, try_span.context());
+      auto committed = committer.commit(client, candidate, try_span.context());
       if (committed.ok()) {
         attempt.index = i;
         attempt.commitment = std::move(committed.value());
@@ -134,10 +180,10 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
         walk_span.annotate("committed_offer", static_cast<std::uint64_t>(i));
         return attempt;
       }
+      const Refusal& refusal = log.refusals.emplace_back(std::move(committed.error()));
       SeenRefusal& learned = seen.emplace_back();
-      learned.refusal = std::move(committed.error());
-      if (learned.refusal.transient) attempt.saw_transient = true;
-      refusals.emplace_back(i, seen.size() - 1);
+      if (refusal.transient) attempt.saw_transient = true;
+      log.refused.emplace_back(i, seen.size() - 1);
       if (!memo_refusals_) continue;
       // A single try refused at component k rolled back 2k reservations
       // (the server refused) or 2k + 1 (the flow did). The one exception is
@@ -148,21 +194,24 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
       const int released = committer.stats().released_on_failure - released_before;
       const auto depth = static_cast<std::size_t>(released / 2 + 1);
       learned.delta.attempts = 1;
-      ++(learned.refusal.transient ? learned.delta.transient_failures
-                                   : learned.delta.permanent_failures);
+      ++(refusal.transient ? learned.delta.transient_failures
+                           : learned.delta.permanent_failures);
       learned.delta.released_on_failure = released;
-      if ((learned.refusal.transient || released % 2 == 1) &&
-          depth < offer.components.size()) {
+      if ((refusal.transient || released % 2 == 1) && depth < candidate.components.size()) {
         learned.prefix_begin = prefixes.size();
         learned.depth = depth;
-        for (std::size_t k = 0; k < depth; ++k) prefixes.push_back(offer.components[k].variant);
+        std::uint64_t h = kPrefixHashSeed;
+        for (std::size_t k = 0; k < depth; ++k) {
+          prefixes.push_back(candidate.components[k].variant);
+          h = extend_prefix_hash(h, prefixes.back());
+        }
+        nogoods.emplace(h, seen.size() - 1);
+        const auto at = std::lower_bound(depths.begin(), depths.end(), depth);
+        if (at == depths.end() || *at != depth) depths.insert(at, depth);
       }
     }
   }
-  attempt.errors.reserve(refusals.size());
-  for (const auto& [i, n] : refusals) {
-    attempt.errors.push_back("offer " + std::to_string(i) + ": " + seen[n].refusal.describe());
-  }
+  attempt.refusals = std::move(log);
   attempt.stats = committer.stats();
   walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
   walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
@@ -216,10 +265,10 @@ void settle_verdict(NegotiationResult& result, const MMProfile& requested, bool 
                                    : NegotiationStatus::kFailedWithoutOffer;
     return;
   }
-  const SystemOffer& committed = result.offers.offers[result.committed_index];
-  result.user_offer = derive_user_offer(committed);
-  result.verdict = satisfies_user(committed, requested) ? NegotiationStatus::kSucceeded
-                                                        : NegotiationStatus::kFailedWithOffer;
+  const std::size_t i = result.committed_index;
+  result.user_offer = derive_user_offer(result.offers, i);
+  result.verdict = satisfies_user(result.offers, i, requested) ? NegotiationStatus::kSucceeded
+                                                               : NegotiationStatus::kFailedWithOffer;
 }
 
 NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
@@ -288,7 +337,7 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
   } else {
     OfferList offers =
         enumerate_offers(plan->feasible, profile.mm, cost_model_, config_.enumeration);
-    classify_offers(offers.offers, profile.mm, profile.importance, config_.policy);
+    classify_offers(offers.eager, profile.mm, profile.importance, config_.policy);
     offers.sns_ordered = true;
     total = offers.total_combinations;
     known = offers.known_count();
@@ -308,13 +357,9 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
   if (plan.terminal) return result;
 
   if (plan.seed) {
-    auto stream = std::make_shared<OfferStream>(plan.seed, config_.enumeration.max_offers);
-    result.offers.document = plan.document;
-    result.offers.total_combinations = stream->total_combinations();
-    result.offers.truncated = stream->emit_limit() < stream->total_combinations();
-    result.offers.stream = std::move(stream);
     // The stream yields offers already classified in final order.
-    result.offers.sns_ordered = true;
+    result.offers = OfferList(
+        plan.document, std::make_shared<OfferStream>(plan.seed, config_.enumeration.max_offers));
   } else if (plan.eager) {
     // shared_ptr does not propagate const to the pointee, so an exclusively
     // owned plan can surrender its list without a per-request copy.
@@ -338,8 +383,7 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
   result.commitment = std::move(attempt.commitment);
   settle_verdict(result, request.profile.mm, attempt.saw_transient);
   if (!attempt.ok()) {
-    result.problems.insert(result.problems.end(), std::make_move_iterator(attempt.errors.begin()),
-                           std::make_move_iterator(attempt.errors.end()));
+    attempt.refusals.render(result.problems);
     return result;
   }
   QOSNP_LOG_INFO("negotiate", "document '", plan.document->id, "' for ", request.client.name,

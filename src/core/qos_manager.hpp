@@ -18,6 +18,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/client_machine.hpp"
@@ -59,20 +60,42 @@ struct NegotiationConfig {
   CommitterFactory committer_factory;
 };
 
+/// The refusals a failed Step-5 walk met, kept unrendered: a walk's
+/// callers other than run_plan (session transitions, policy scans) never
+/// read them, so they pay for no text.
+struct RefusalLog {
+  /// The distinct refusals the servers and the transport returned.
+  std::vector<Refusal> refusals;
+  /// One (offer index, index into refusals) per refused offer, in walk
+  /// order; an offer answered from the nogood memo names the refusal it
+  /// replayed.
+  std::vector<std::pair<std::size_t, std::size_t>> refused;
+
+  bool empty() const { return refused.empty(); }
+  /// Append one "offer <i>: <component>: <message>" line per refused offer,
+  /// in walk order, to `out`, each built with one allocation.
+  void render(std::vector<std::string>& out) const;
+};
+
 /// Result of walking the ordered offers and committing the first that fits.
 struct CommitAttempt {
   std::size_t index = SIZE_MAX;
   Commitment commitment;
-  /// One "offer <i>: <component>: <message>" line per refused offer, in walk
-  /// order. Filled only when the walk fails: a walk that commits leaves it
+  /// Every refusal of a walk that failed. A walk that commits leaves it
   /// empty, even after refusals, because no caller reads it then.
-  std::vector<std::string> errors;
+  RefusalLog refusals;
   CommitStats stats;
   /// Whether any refusal during the walk was transient. Decides the honest
   /// failure status: FAILEDTRYLATER only when trying later could help.
   bool saw_transient = false;
 
   bool ok() const { return index != SIZE_MAX; }
+  /// The refusals as problem lines (RefusalLog::render).
+  std::vector<std::string> errors() const {
+    std::vector<std::string> lines;
+    refusals.render(lines);
+    return lines;
+  }
 };
 
 class QoSManager {
@@ -107,6 +130,13 @@ class QoSManager {
   /// and its trace annotations — without touching the servers or the
   /// transport. The memo is bypassed (see memo_refusals_) wherever a refusal
   /// is not a pure function of (ledger state, prefix).
+  ///
+  /// The walk reads each offer through the list's accessors: whether it
+  /// satisfies the user, and whether a nogood covers it, come from its
+  /// classification key and its variant pointers. Nogoods are looked up by
+  /// (depth, prefix) hash, and the earliest recorded match wins, as in walk
+  /// order. Only an offer that reaches the committer is materialised, so a
+  /// replayed offer of a stream-backed list costs no allocation.
   CommitAttempt commit_first(const ClientMachine& client, OfferList& offers,
                              const MMProfile& profile,
                              std::span<const std::size_t> exclude = {},

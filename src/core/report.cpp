@@ -45,7 +45,6 @@ std::string render_summary(const NegotiationResult& outcome) {
 std::string render_classification_table(const NegotiationResult& outcome,
                                         const MMProfile& profile, std::size_t max_rows) {
   std::ostringstream os;
-  const auto& offers = outcome.offers.offers;
   // known_count covers the lazy tail (offers the stream can still yield but
   // that the commitment walk never needed to materialise).
   const std::size_t known = outcome.offers.known_count();
@@ -55,16 +54,16 @@ std::string render_classification_table(const NegotiationResult& outcome,
   }
   os << ":\n";
   os << "  rank  sns         oif       cost      satisfies  variants\n";
-  const std::size_t rows = std::min(max_rows, offers.size());
+  const std::size_t rows = std::min(max_rows, outcome.offers.size());
+  const OfferList& offers = outcome.offers;
   for (std::size_t i = 0; i < rows; ++i) {
-    const SystemOffer& offer = offers[i];
     os << (i == outcome.committed_index ? "> " : "  ");
-    os << std::left << std::setw(6) << i + 1 << std::setw(12) << to_string(offer.sns)
-       << std::setw(10) << std::setprecision(4) << offer.oif << std::setw(10)
-       << offer.total_cost().to_string() << std::setw(11)
-       << (satisfies_user(offer, profile) ? "yes" : "no");
-    for (std::size_t c = 0; c < offer.components.size(); ++c) {
-      os << (c ? ", " : "") << offer.components[c].variant->id;
+    os << std::left << std::setw(6) << i + 1 << std::setw(12) << to_string(offers.sns(i))
+       << std::setw(10) << std::setprecision(4) << offers.oif(i) << std::setw(10)
+       << offers.total_cost(i).to_string() << std::setw(11)
+       << (satisfies_user(offers, i, profile) ? "yes" : "no");
+    for (std::size_t c = 0; c < offers.component_count(i); ++c) {
+      os << (c ? ", " : "") << offers.variant(i, c)->id;
     }
     os << '\n';
   }

@@ -217,6 +217,7 @@ void WireServer::accept_one(Loop& loop) {
   conn->assembler = wire::FrameAssembler(config_.max_frame_bytes);
   conn->last_active_ms = now_ms();
   watch_readable(loop.epoll_fd, fd);
+  conn->interest = EPOLLIN;
   loop.conns.emplace(fd, std::move(conn));
 }
 
@@ -360,11 +361,14 @@ void WireServer::flush(Loop& loop, Conn& conn) {
 }
 
 void WireServer::update_epoll(Loop& loop, Conn& conn) {
-  epoll_event ev{};
   const bool pending = conn.out_offset < conn.out.size();
-  ev.events = (conn.draining ? 0u : EPOLLIN) | (pending ? EPOLLOUT : 0u);
+  const std::uint32_t interest = (conn.draining ? 0u : EPOLLIN) | (pending ? EPOLLOUT : 0u);
+  if (interest == conn.interest) return;
+  epoll_event ev{};
+  ev.events = interest;
   ev.data.fd = conn.fd;
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  conn.interest = interest;
 }
 
 void WireServer::close_conn(Loop& loop, Conn& conn, NetCloseReason reason) {

@@ -97,6 +97,7 @@ class WireServer {
     double last_active_ms = 0.0;
     bool draining = false;           ///< close once `out` flushes
     NetCloseReason drain_reason = NetCloseReason::kProtocolError;
+    std::uint32_t interest = 0;      ///< epoll events registered for `fd`
   };
 
   /// One event loop: its epoll set and the connections it accepted.
@@ -121,6 +122,9 @@ class WireServer {
   /// transmitted (the conservation laws count commitment, not flush).
   void enqueue(Loop& loop, Conn& conn, wire::FrameType type, wire::Bytes frame);
   void flush(Loop& loop, Conn& conn);
+  /// Register the interest the connection needs now (EPOLLIN unless
+  /// draining, EPOLLOUT while output is pending); no syscall when it is the
+  /// one already registered.
   void update_epoll(Loop& loop, Conn& conn);
   void close_conn(Loop& loop, Conn& conn, NetCloseReason reason);
   /// The service clock, so a frame's read time is its request's accept time.

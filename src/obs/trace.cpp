@@ -35,16 +35,17 @@ bool Span::has_attr(std::string_view key) const {
   return false;
 }
 
-NegotiationTrace::NegotiationTrace(std::uint64_t request_id)
-    : request_id_(request_id), birth_(std::chrono::steady_clock::now()) {
+NegotiationTrace::NegotiationTrace(std::uint64_t request_id,
+                                   std::chrono::steady_clock::time_point birth)
+    : request_id_(request_id), birth_(birth) {
   spans_.reserve(8);  // the common full pipeline
 }
 
-SpanId NegotiationTrace::begin_span(Stage stage, SpanId parent) {
+SpanId NegotiationTrace::begin_span_at(Stage stage, double start_ms, SpanId parent) {
   Span span{.attrs = std::pmr::vector<SpanAttr>(&attr_memory_)};
   span.stage = stage;
   span.parent = parent;
-  span.start_ms = now_ms();
+  span.start_ms = start_ms;
   spans_.push_back(std::move(span));
   return static_cast<SpanId>(spans_.size() - 1);
 }

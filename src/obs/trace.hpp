@@ -85,7 +85,11 @@ struct Span {
 /// they are monotone within the trace by construction.
 class NegotiationTrace {
  public:
-  explicit NegotiationTrace(std::uint64_t request_id = 0);
+  /// `birth` may lie in the past, so a span can open at the instant its
+  /// request arrived.
+  explicit NegotiationTrace(
+      std::uint64_t request_id = 0,
+      std::chrono::steady_clock::time_point birth = std::chrono::steady_clock::now());
   // Spans allocate their attributes from attr_memory_, which cannot move.
   NegotiationTrace(const NegotiationTrace&) = delete;
   NegotiationTrace& operator=(const NegotiationTrace&) = delete;
@@ -106,7 +110,11 @@ class NegotiationTrace {
         .count();
   }
 
-  SpanId begin_span(Stage stage, SpanId parent = kNoSpan);
+  SpanId begin_span(Stage stage, SpanId parent = kNoSpan) {
+    return begin_span_at(stage, now_ms(), parent);
+  }
+  /// Open a span that began `start_ms` after the trace was born.
+  SpanId begin_span_at(Stage stage, double start_ms, SpanId parent = kNoSpan);
   void end_span(SpanId id);
   void annotate(SpanId id, AttrKey key, std::string value);
   void annotate(SpanId id, AttrKey key, double value);

@@ -24,6 +24,7 @@ struct VideoProfile {
   bool tolerates(const VideoQoS& offered) const { return offered.meets(worst); }
   /// Worst must not exceed desired on any characteristic.
   bool well_formed() const { return desired.meets(worst); }
+  friend bool operator==(const VideoProfile&, const VideoProfile&) = default;
 };
 
 struct AudioProfile {
@@ -33,6 +34,7 @@ struct AudioProfile {
   bool satisfied_by(const AudioQoS& offered) const { return offered.meets(desired); }
   bool tolerates(const AudioQoS& offered) const { return offered.meets(worst); }
   bool well_formed() const { return desired.meets(worst); }
+  friend bool operator==(const AudioProfile&, const AudioProfile&) = default;
 };
 
 struct TextProfile {
@@ -43,6 +45,7 @@ struct TextProfile {
   bool satisfied_by(const TextQoS& offered) const { return offered.language == desired; }
   bool tolerates(const TextQoS& offered) const;
   bool well_formed() const { return true; }
+  friend bool operator==(const TextProfile&, const TextProfile&) = default;
 };
 
 struct ImageProfile {
@@ -52,12 +55,14 @@ struct ImageProfile {
   bool satisfied_by(const ImageQoS& offered) const { return offered.meets(desired); }
   bool tolerates(const ImageQoS& offered) const { return offered.meets(worst); }
   bool well_formed() const { return desired.meets(worst); }
+  friend bool operator==(const ImageProfile&, const ImageProfile&) = default;
 };
 
 /// Cost profile: the maximum amount the user is willing to pay to play the
 /// requested document with the desired quality (Fig. 2, in $).
 struct CostProfile {
   Money max_cost = Money::dollars(10);
+  friend bool operator==(const CostProfile&, const CostProfile&) = default;
 };
 
 /// Time profile (Fig. 2, in seconds): the deadline for delivering discrete
@@ -66,6 +71,7 @@ struct CostProfile {
 struct TimeProfile {
   double delivery_time_s = 10.0;
   double choice_period_s = 30.0;
+  friend bool operator==(const TimeProfile&, const TimeProfile&) = default;
 };
 
 /// The per-request MM profile: which media the user wants (absent media are
@@ -87,6 +93,8 @@ struct MMProfile {
     bool tolerated = true;  ///< meets the worst acceptable values
   };
   Grade grade(const MonomediaQoS& qos) const;
+
+  friend bool operator==(const MMProfile&, const MMProfile&) = default;
 };
 
 /// A named, stored user profile managed by the profile manager.

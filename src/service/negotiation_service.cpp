@@ -129,8 +129,11 @@ NegotiationService::Item NegotiationService::accept(NegotiationRequest request,
   item.accepted_ms = accepted_ms;
   item.request = std::move(request);
   if (config_.trace_sink != nullptr) {
-    item.trace = std::make_shared<NegotiationTrace>(item.request.id);
-    item.queue_span = item.trace->begin_span(Stage::kQueueWait);
+    // The wait began at accepted_ms: on the wire, the socket read before
+    // the frame's decode. The trace is born then, so its queue-wait span
+    // covers the interval queue_ms measures.
+    item.trace = std::make_shared<NegotiationTrace>(item.request.id, clock_.at_ms(accepted_ms));
+    item.queue_span = item.trace->begin_span_at(Stage::kQueueWait, 0.0);
   }
   return item;
 }

@@ -39,7 +39,7 @@ SessionView view_of(const Session& s) {
   view.confirm_deadline_s = s.confirm_deadline_s;
   view.stats = s.stats;
   if (s.current_offer != SIZE_MAX) {
-    view.user_offer = derive_user_offer(s.committed());
+    view.user_offer = derive_user_offer(s.offers, s.current_offer);
   }
   return view;
 }
@@ -88,7 +88,7 @@ Result<SessionId> SessionManager::open(const ClientMachine& client, const UserPr
   session->state = SessionState::kPendingConfirmation;
   session->confirm_deadline_s = now_s + profile.mm.time.choice_period_s;
   session->duration_s = session->offers.document ? session->offers.document->duration_s() : 0.0;
-  session->stats.charged = session->committed().total_cost();
+  session->stats.charged = session->offers.total_cost(session->current_offer);
   session->stats.commit = result.commit_stats;
   index_commitment_locked(*session);
   const SessionId id = session->id;
@@ -165,7 +165,7 @@ void SessionManager::install_locked(Session& s, std::size_t index, Commitment&& 
   index_commitment_locked(s);
   s.stats.*counter += 1;
   s.stats.interrupted_s += policy_.transition_latency_s;
-  s.stats.charged = s.committed().total_cost();
+  s.stats.charged = s.offers.total_cost(s.current_offer);
 }
 
 TransitionResult SessionManager::transition(SessionId id, const TransitionRule& rule,
@@ -174,12 +174,12 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
   std::unique_lock lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    result.errors.push_back(not_live_locked(id));
+    result.error = not_live_locked(id);
     return result;
   }
   Session& s = *it->second;
   if (s.state != SessionState::kPlaying) {
-    result.errors.push_back("session is " + std::string(to_string(s.state)));
+    result.error = "session is " + std::string(to_string(s.state));
     return result;
   }
   result.old_offer = s.current_offer;
@@ -209,7 +209,7 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
                                                  s.session_class, end_index);
   s.stats.commit.merge(attempt.stats);
   if (!attempt.ok()) {
-    result.errors = std::move(attempt.errors);
+    result.refusals = std::move(attempt.refusals);
     if (rule.abort_reason.empty()) return result;
     if (rule.failed != nullptr) s.stats.*rule.failed += 1;
     result.released = true;
@@ -298,7 +298,7 @@ RenegotiationResult SessionManager::renegotiate(SessionId id, const UserProfile&
   install_locked(s, renegotiated.committed_index, std::move(renegotiated.commitment),
                  &SessionStats::renegotiations);
   result.switched = true;
-  result.offer = derive_user_offer(s.committed());
+  result.offer = derive_user_offer(s.offers, s.current_offer);
   QOSNP_LOG_INFO("renegotiate", "session ", id, " switched to ", result.offer->describe());
   return result;
 }
@@ -380,8 +380,8 @@ std::vector<SessionId> SessionManager::sessions_on_server(const ServerId& server
   std::vector<SessionId> out;
   for (const auto& [id, s] : sessions_) {
     if (s->current_offer == SIZE_MAX) continue;
-    for (const OfferComponent& c : s->committed().components) {
-      if (c.variant->server == server) {
+    for (std::size_t k = 0; k < s->offers.component_count(s->current_offer); ++k) {
+      if (s->offers.variant(s->current_offer, k)->server == server) {
         out.push_back(id);
         break;
       }

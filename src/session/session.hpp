@@ -68,8 +68,6 @@ struct Session {
   double position_s = 0.0;  ///< current playout position
   double duration_s = 0.0;
   SessionStats stats;
-
-  const SystemOffer& committed() const { return offers.offers[current_offer]; }
 };
 
 /// Copyable snapshot exposed to callers; also the record a finished session
@@ -115,7 +113,20 @@ struct TransitionResult {
   std::size_t old_offer = SIZE_MAX;
   std::size_t new_offer = SIZE_MAX;  ///< moved only
   double interruption_s = 0.0;       ///< moved only: the policy's transition latency
-  std::vector<std::string> errors;
+  /// Why the session could not move: the guard's message when it was not
+  /// live or not playing; otherwise empty.
+  std::string error;
+  /// The failed walk's refusals, unrendered: no production caller reads
+  /// them.
+  RefusalLog refusals;
+
+  /// `error`, or else the walk's refusal lines.
+  std::vector<std::string> errors() const {
+    if (!error.empty()) return {error};
+    std::vector<std::string> lines;
+    refusals.render(lines);
+    return lines;
+  }
 };
 
 /// Outcome of a user-driven renegotiation of a live session.

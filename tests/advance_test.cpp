@@ -95,7 +95,7 @@ struct PlannerFixture : public ::testing::Test {
     auto feasible = compatible_variants(doc, sys.client, profile.mm);
     EXPECT_TRUE(feasible.ok());
     OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-    classify_offers(list.offers, profile.mm, profile.importance);
+    classify_offers(list.eager, profile.mm, profile.importance);
     return list;
   }
 

@@ -30,7 +30,7 @@ TEST(BasicNegotiator, CommitsExactlyOneStaticOffer) {
   NegotiationResult outcome =
       basic.negotiate(make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile()));
   EXPECT_EQ(outcome.verdict, NegotiationStatus::kSucceeded);
-  EXPECT_EQ(outcome.offers.offers.size(), 1u);  // no alternatives, no ladder
+  EXPECT_EQ(outcome.offers.size(), 1u);  // no alternatives, no ladder
   EXPECT_EQ(outcome.committed_index, 0u);
 }
 
@@ -55,7 +55,7 @@ TEST(BasicNegotiator, FailsTryLaterWithoutFallback) {
   ASSERT_TRUE(probe.has_commitment());
   // Find which server the static choice used for video and choke it.
   ServerId used;
-  for (const auto& c : probe.offers.offers[0].components) {
+  for (const auto& c : probe.offers.offer(0).components) {
     if (c.requirements.guarantee == GuaranteeClass::kGuaranteed) {
       used = c.variant->server;
       break;
@@ -80,13 +80,12 @@ TEST(CostOnlyNegotiator, PicksCheapestCommittableOffer) {
       cost.negotiate(make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile()));
   ASSERT_TRUE(outcome.has_commitment());
   EXPECT_EQ(outcome.committed_index, 0u);
-  for (std::size_t i = 1; i < outcome.offers.offers.size(); ++i) {
-    EXPECT_LE(outcome.offers.offers[i - 1].total_cost(),
-              outcome.offers.offers[i].total_cost());
+  for (std::size_t i = 1; i < outcome.offers.size(); ++i) {
+    EXPECT_LE(outcome.offers.total_cost(i - 1), outcome.offers.total_cost(i));
   }
   // The cheapest offer is typically the degraded one: cost-only ignores the
   // user's desired QoS (Sec. 5's argument against it).
-  const SystemOffer& committed = outcome.offers.offers[outcome.committed_index];
+  const SystemOffer committed = outcome.offers.offer(outcome.committed_index);
   EXPECT_NE(committed.sns, Sns::kDesirable);
 }
 
@@ -99,7 +98,7 @@ TEST(QoSOnlyNegotiator, PicksRichestOfferIgnoringCost) {
   ASSERT_TRUE(outcome.has_commitment());
   // QoS-only ignores the budget -> the committed offer violates it.
   EXPECT_EQ(outcome.verdict, NegotiationStatus::kFailedWithOffer);
-  EXPECT_GT(outcome.offers.offers[outcome.committed_index].total_cost(),
+  EXPECT_GT(outcome.offers.total_cost(outcome.committed_index),
             profile.mm.cost.max_cost);
 }
 

@@ -25,10 +25,10 @@ TEST(PaperE1, SnsOfTheFourOffers) {
   const ImportanceProfile imp = paper::importance_setting(1);
   // "The results are: offer1: CONSTRAINT, offer2: CONSTRAINT, offer3:
   //  CONSTRAINT, and offer4: ACCEPTABLE."
-  EXPECT_EQ(compute_sns(ex.offers.offers[0], ex.profile.mm, imp), Sns::kConstraint);
-  EXPECT_EQ(compute_sns(ex.offers.offers[1], ex.profile.mm, imp), Sns::kConstraint);
-  EXPECT_EQ(compute_sns(ex.offers.offers[2], ex.profile.mm, imp), Sns::kConstraint);
-  EXPECT_EQ(compute_sns(ex.offers.offers[3], ex.profile.mm, imp), Sns::kAcceptable);
+  EXPECT_EQ(compute_sns(ex.offers.eager[0], ex.profile.mm, imp), Sns::kConstraint);
+  EXPECT_EQ(compute_sns(ex.offers.eager[1], ex.profile.mm, imp), Sns::kConstraint);
+  EXPECT_EQ(compute_sns(ex.offers.eager[2], ex.profile.mm, imp), Sns::kConstraint);
+  EXPECT_EQ(compute_sns(ex.offers.eager[3], ex.profile.mm, imp), Sns::kAcceptable);
 }
 
 TEST(PaperE1, PlainRuleAgreesOnTheseOffers) {
@@ -37,8 +37,8 @@ TEST(PaperE1, PlainRuleAgreesOnTheseOffers) {
   ClassificationPolicy plain;
   plain.sns_rule = ClassificationPolicy::SnsRule::kPlain;
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(compute_sns(ex.offers.offers[i], ex.profile.mm, imp, plain),
-              compute_sns(ex.offers.offers[i], ex.profile.mm, imp));
+    EXPECT_EQ(compute_sns(ex.offers.eager[i], ex.profile.mm, imp, plain),
+              compute_sns(ex.offers.eager[i], ex.profile.mm, imp));
   }
 }
 
@@ -48,18 +48,18 @@ TEST(PaperE2, OifSetting1) {
   auto ex = paper::classification_example();
   const ImportanceProfile imp = paper::importance_setting(1);
   // "offer1: 10, offer2: 7, and offer3: 12, and offer4: 7."
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[0], imp), 10.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[1], imp), 7.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[2], imp), 12.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[3], imp), 7.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[0], imp), 10.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[1], imp), 7.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[2], imp), 12.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[3], imp), 7.0);
 }
 
 TEST(PaperE2, OrderingSetting1) {
   auto ex = paper::classification_example();
   ex.profile.importance = paper::importance_setting(1);
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
   // "the offers are classified as follows: offer4, offer3, offer1, and offer2."
-  EXPECT_EQ(names(ex.offers.offers),
+  EXPECT_EQ(names(ex.offers.eager),
             (std::vector<std::string>{"offer4", "offer3", "offer1", "offer2"}));
 }
 
@@ -67,18 +67,18 @@ TEST(PaperE2, OifSetting2) {
   auto ex = paper::classification_example();
   const ImportanceProfile imp = paper::importance_setting(2);
   // "offer1: 20, offer2: 23, and offer3: 24, and offer4: 27."
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[0], imp), 20.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[1], imp), 23.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[2], imp), 24.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[3], imp), 27.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[0], imp), 20.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[1], imp), 23.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[2], imp), 24.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[3], imp), 27.0);
 }
 
 TEST(PaperE2, OrderingSetting2) {
   auto ex = paper::classification_example();
   ex.profile.importance = paper::importance_setting(2);
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
   // "offer4, offer3, offer2, and offer1."
-  EXPECT_EQ(names(ex.offers.offers),
+  EXPECT_EQ(names(ex.offers.eager),
             (std::vector<std::string>{"offer4", "offer3", "offer2", "offer1"}));
 }
 
@@ -86,19 +86,19 @@ TEST(PaperE2, OifSetting3) {
   auto ex = paper::classification_example();
   const ImportanceProfile imp = paper::importance_setting(3);
   // "offer1: -10, offer2: -16, and offer3: -12, and offer4: -20."
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[0], imp), -10.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[1], imp), -16.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[2], imp), -12.0);
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[3], imp), -20.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[0], imp), -10.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[1], imp), -16.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[2], imp), -12.0);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[3], imp), -20.0);
 }
 
 TEST(PaperE2, OrderingSetting3) {
   auto ex = paper::classification_example();
   ex.profile.importance = paper::importance_setting(3);
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
   // "offer1, offer3, offer2, and offer4." — reproduced by the
   // importance-weighted SNS rule (see classify.hpp header).
-  EXPECT_EQ(names(ex.offers.offers),
+  EXPECT_EQ(names(ex.offers.eager),
             (std::vector<std::string>{"offer1", "offer3", "offer2", "offer4"}));
 }
 
@@ -109,8 +109,8 @@ TEST(PaperE2, Setting3PlainRuleAblationDiffers) {
   ex.profile.importance = paper::importance_setting(3);
   ClassificationPolicy plain;
   plain.sns_rule = ClassificationPolicy::SnsRule::kPlain;
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance, plain);
-  EXPECT_EQ(paper::offer_name(ex.offers.offers[0]), "offer4");
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance, plain);
+  EXPECT_EQ(paper::offer_name(ex.offers.eager[0]), "offer4");
 }
 
 // --- E3: motivating example (Sec. 5.1). ------------------------------------
@@ -118,25 +118,25 @@ TEST(PaperE2, Setting3PlainRuleAblationDiffers) {
 TEST(PaperE3, MotivatingExampleClassification) {
   auto ex = paper::motivating_example();
   ex.profile.importance = paper::importance_setting(1);
-  classify_offers(ex.offers.offers, ex.profile.mm, ex.profile.importance);
+  classify_offers(ex.offers.eager, ex.profile.mm, ex.profile.importance);
   // offerC (colour, 25fps, TV) at $6 both satisfies the desired QoS and the
   // $6 budget: the unique DESIRABLE offer, hence the automatic choice —
   // exactly the "smart negotiation" selling point of Sec. 5.1.
-  EXPECT_EQ(paper::offer_name(ex.offers.offers[0]), "offerC");
-  EXPECT_EQ(ex.offers.offers[0].sns, Sns::kDesirable);
-  EXPECT_EQ(ex.offers.offers[1].sns, Sns::kConstraint);
-  EXPECT_EQ(ex.offers.offers[2].sns, Sns::kConstraint);
+  EXPECT_EQ(paper::offer_name(ex.offers.eager[0]), "offerC");
+  EXPECT_EQ(ex.offers.eager[0].sns, Sns::kDesirable);
+  EXPECT_EQ(ex.offers.eager[1].sns, Sns::kConstraint);
+  EXPECT_EQ(ex.offers.eager[2].sns, Sns::kConstraint);
 }
 
 // --- Invariants. -----------------------------------------------------------
 
 TEST(Classify, SatisfiesUserMatchesWorstAndBudget) {
   auto ex = paper::classification_example();
-  EXPECT_FALSE(satisfies_user(ex.offers.offers[0], ex.profile.mm));  // QoS violated
-  EXPECT_FALSE(satisfies_user(ex.offers.offers[3], ex.profile.mm));  // budget violated
+  EXPECT_FALSE(satisfies_user(ex.offers, 0, ex.profile.mm));  // QoS violated
+  EXPECT_FALSE(satisfies_user(ex.offers, 3, ex.profile.mm));  // budget violated
   MMProfile relaxed = ex.profile.mm;
   relaxed.cost.max_cost = Money::dollars(5);
-  EXPECT_TRUE(satisfies_user(ex.offers.offers[3], relaxed));
+  EXPECT_TRUE(satisfies_user(ex.offers, 3, relaxed));
 }
 
 TEST(Classify, QosMattersDetectsZeroImportance) {
@@ -149,8 +149,8 @@ TEST(Classify, QosMattersDetectsZeroImportance) {
 TEST(Classify, SortIsDeterministicUnderPermutation) {
   auto ex = paper::classification_example();
   ex.profile.importance = paper::importance_setting(1);
-  auto offers_a = ex.offers.offers;
-  auto offers_b = ex.offers.offers;
+  auto offers_a = ex.offers.eager;
+  auto offers_b = ex.offers.eager;
   std::reverse(offers_b.begin(), offers_b.end());
   classify_offers(offers_a, ex.profile.mm, ex.profile.importance);
   classify_offers(offers_b, ex.profile.mm, ex.profile.importance);
@@ -163,7 +163,7 @@ TEST(Classify, ParallelMatchesSerial) {
   auto ex = paper::classification_example();
   std::vector<SystemOffer> big;
   for (int i = 0; i < 500; ++i) {
-    for (const auto& o : ex.offers.offers) {
+    for (const auto& o : ex.offers.eager) {
       SystemOffer copy = o;
       copy.cost.total = o.cost.total + Money::cents(i % 37);
       big.push_back(copy);
@@ -187,20 +187,20 @@ TEST(Classify, SnsNeverImprovesWhenQosDegrades) {
   // Property: degrading one characteristic never improves the SNS grade.
   auto ex = paper::classification_example();
   const ImportanceProfile imp = paper::importance_setting(1);
-  const Sns base = compute_sns(ex.offers.offers[3], ex.profile.mm, imp);  // ACCEPTABLE
+  const Sns base = compute_sns(ex.offers.eager[3], ex.profile.mm, imp);  // ACCEPTABLE
   for (std::size_t worse : {0u, 1u, 2u}) {
-    EXPECT_GE(compute_sns(ex.offers.offers[worse], ex.profile.mm, imp), base);
+    EXPECT_GE(compute_sns(ex.offers.eager[worse], ex.profile.mm, imp), base);
   }
 }
 
 TEST(Classify, OifLinearInCostImportance) {
   auto ex = paper::classification_example();
   ImportanceProfile imp = paper::importance_setting(2);  // cost importance 0
-  const double qos_only = compute_oif(ex.offers.offers[0], imp);
+  const double qos_only = compute_oif(ex.offers.eager[0], imp);
   imp.cost_per_dollar = 4.0;
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[0], imp), qos_only - 4.0 * 2.5);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[0], imp), qos_only - 4.0 * 2.5);
   imp.cost_per_dollar = 8.0;
-  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.offers[0], imp), qos_only - 8.0 * 2.5);
+  EXPECT_DOUBLE_EQ(compute_oif(ex.offers.eager[0], imp), qos_only - 8.0 * 2.5);
 }
 
 TEST(Classify, SortedOrderIsConsistentWithPairwiseRules) {
@@ -212,7 +212,7 @@ TEST(Classify, SortedOrderIsConsistentWithPairwiseRules) {
   std::vector<SystemOffer> offers;
   Rng rng(2024);
   for (int i = 0; i < 800; ++i) {
-    SystemOffer o = ex.offers.offers[rng.below(4)];
+    SystemOffer o = ex.offers.eager[rng.below(4)];
     o.cost.total = Money::cents(static_cast<std::int64_t>(rng.between(50, 800)));
     offers.push_back(std::move(o));
   }
@@ -282,7 +282,7 @@ TEST(Classify, ServerPreferenceBreaksReplicaTies) {
 
 TEST(Classify, DerivedUserOfferMatchesVariantQos) {
   auto ex = paper::classification_example();
-  const UserOffer user = derive_user_offer(ex.offers.offers[2]);
+  const UserOffer user = derive_user_offer(ex.offers, 2);
   ASSERT_TRUE(user.video.has_value());
   EXPECT_EQ(user.video->color, ColorDepth::kGray);
   EXPECT_EQ(user.video->frame_rate_fps, 25);
@@ -292,7 +292,7 @@ TEST(Classify, DerivedUserOfferMatchesVariantQos) {
 
 TEST(Classify, UserOfferDescribeIsReadable) {
   auto ex = paper::classification_example();
-  const std::string s = derive_user_offer(ex.offers.offers[3]).describe();
+  const std::string s = derive_user_offer(ex.offers, 3).describe();
   EXPECT_NE(s.find("color"), std::string::npos);
   EXPECT_NE(s.find("$5.00"), std::string::npos);
 }

@@ -16,7 +16,7 @@ OfferList enumerate_for(TestSystem& sys, const UserProfile& profile) {
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   EXPECT_TRUE(feasible.ok());
   OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-  classify_offers(list.offers, profile.mm, profile.importance);
+  classify_offers(list.eager, profile.mm, profile.importance);
   return list;
 }
 
@@ -31,7 +31,7 @@ TEST(Commit, ReservesOneStreamAndFlowPerComponent) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(sys.farm, *sys.transport);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_TRUE(commitment.ok()) << commitment.error();
   EXPECT_EQ(commitment.value().stream_count(), 3u);
   EXPECT_EQ(commitment.value().flow_count(), 3u);
@@ -45,7 +45,7 @@ TEST(Commit, DestructionReleasesEverything) {
   OfferList list = enumerate_for(sys, profile);
   {
     ResourceCommitter committer(sys.farm, *sys.transport);
-    auto commitment = committer.commit(sys.client, list.offers[0]);
+    auto commitment = committer.commit(sys.client, list.eager[0]);
     ASSERT_TRUE(commitment.ok());
   }
   EXPECT_EQ(sys.transport->active_flows(), 0u);
@@ -57,7 +57,7 @@ TEST(Commit, ExplicitReleaseWorks) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(sys.farm, *sys.transport);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_TRUE(commitment.ok());
   commitment.value().release();
   EXPECT_TRUE(commitment.value().empty());
@@ -72,7 +72,7 @@ TEST(Commit, FailedServerRollsBackAtomically) {
   // Find an offer using both servers, then fail one of them: nothing may
   // remain reserved after the failed commit.
   const SystemOffer* mixed = nullptr;
-  for (const SystemOffer& o : list.offers) {
+  for (const SystemOffer& o : list.eager) {
     bool a = false;
     bool b = false;
     for (const auto& c : o.components) {
@@ -98,7 +98,7 @@ TEST(Commit, InsufficientNetworkRollsBackServerStreams) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(sys.farm, *sys.transport);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   EXPECT_FALSE(commitment.ok());
   EXPECT_EQ(total_server_reserved(sys), 0);
   EXPECT_EQ(sys.transport->active_flows(), 0u);
@@ -120,7 +120,7 @@ TEST(Commit, UnknownServerFailsCleanly) {
   ASSERT_TRUE(feasible.ok());
   OfferList ghost_list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
   ResourceCommitter committer(sys.farm, *sys.transport);
-  auto commitment = committer.commit(sys.client, ghost_list.offers[0]);
+  auto commitment = committer.commit(sys.client, ghost_list.eager[0]);
   ASSERT_FALSE(commitment.ok());
   EXPECT_EQ(commitment.error().component, "server-ghost");
   EXPECT_NE(commitment.error().describe().find("server-ghost"), std::string::npos);
@@ -132,7 +132,7 @@ TEST(Commit, CommitmentIdsAreQueryable) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(sys.farm, *sys.transport);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_TRUE(commitment.ok());
   EXPECT_EQ(commitment.value().flow_ids().size(), 3u);
   EXPECT_EQ(commitment.value().stream_ids().size(), 3u);
@@ -156,7 +156,7 @@ TEST(Commit, ConcurrentCommitsNeverOversubscribe) {
     for (int t = 0; t < 64; ++t) {
       futures.push_back(pool.submit([&, t] {
         ResourceCommitter committer(sys.farm, *sys.transport);
-        auto c = committer.commit(sys.client, list.offers[t % list.offers.size()]);
+        auto c = committer.commit(sys.client, list.eager[t % list.eager.size()]);
         if (c.ok()) successes.fetch_add(1);
       }));
     }

@@ -76,11 +76,11 @@ TEST(Enumerate, EnumeratesAllCombinationsDistinctly) {
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   ASSERT_TRUE(feasible.ok());
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-  EXPECT_EQ(list.offers.size(), 20u);
+  EXPECT_EQ(list.eager.size(), 20u);
   EXPECT_FALSE(list.truncated);
   EXPECT_EQ(list.total_combinations, 20u);
   std::set<std::string> signatures;
-  for (const SystemOffer& o : list.offers) {
+  for (const SystemOffer& o : list.eager) {
     ASSERT_EQ(o.components.size(), 3u);
     std::string sig;
     for (const auto& c : o.components) sig += c.variant->id + "|";
@@ -97,7 +97,7 @@ TEST(Enumerate, EveryOfferIsPricedByFormulaOne) {
   ASSERT_TRUE(feasible.ok());
   const CostModel model;
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, model);
-  for (const SystemOffer& o : list.offers) {
+  for (const SystemOffer& o : list.eager) {
     std::vector<StreamRequirements> streams;
     for (const auto& c : o.components) streams.push_back(c.requirements);
     const CostBreakdown expected = model.document_cost(doc->copyright_cost, streams);
@@ -115,7 +115,7 @@ TEST(Enumerate, TruncationIsExplicit) {
   EnumerationConfig config;
   config.max_offers = 7;
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
-  EXPECT_EQ(list.offers.size(), 7u);
+  EXPECT_EQ(list.eager.size(), 7u);
   EXPECT_TRUE(list.truncated);
   EXPECT_EQ(list.total_combinations, 20u);
 }
@@ -127,7 +127,7 @@ TEST(Enumerate, StreamRequirementsMatchMapping) {
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   ASSERT_TRUE(feasible.ok());
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-  for (const SystemOffer& o : list.offers) {
+  for (const SystemOffer& o : list.eager) {
     for (const auto& c : o.components) {
       const StreamRequirements expected =
           map_variant(*c.variant, c.monomedia->duration_s, profile.mm.time);
@@ -207,7 +207,7 @@ TEST(CombinationCount, SixtyFourMediaCorpusSaturatesEverywhere) {
   const OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
   EXPECT_EQ(list.total_combinations, SIZE_MAX);
   EXPECT_TRUE(list.truncated);
-  EXPECT_EQ(list.offers.size(), 4u);
+  EXPECT_EQ(list.eager.size(), 4u);
 
   OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
                      ClassificationPolicy{}, 4);

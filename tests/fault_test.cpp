@@ -25,14 +25,14 @@ OfferList enumerate_for(TestSystem& sys, const UserProfile& profile) {
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   EXPECT_TRUE(feasible.ok());
   OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-  classify_offers(list.offers, profile.mm, profile.importance);
+  classify_offers(list.eager, profile.mm, profile.importance);
   return list;
 }
 
 /// First offer whose components all live on server-a (exists: the article
 /// has a full ladder on each server).
 const SystemOffer* all_on_server_a(const OfferList& list) {
-  for (const SystemOffer& o : list.offers) {
+  for (const SystemOffer& o : list.eager) {
     bool all_a = true;
     for (const auto& c : o.components) all_a &= c.variant->server == "server-a";
     if (all_a) return &o;
@@ -100,7 +100,8 @@ TEST(Fault, PermanentFailureSkipsToNextOfferWithoutRetrying) {
   const UserProfile profile = TestSystem::tolerant_profile();
   NegotiationResult outcome = manager.negotiate(make_negotiation_request(sys.client, "half-ghost", profile));
   ASSERT_TRUE(outcome.has_commitment());
-  for (const auto& c : outcome.offers.offers[outcome.committed_index].components) {
+  const SystemOffer committed = outcome.offers.offer(outcome.committed_index);
+  for (const auto& c : committed.components) {
     EXPECT_NE(c.variant->server, "server-ghost");
   }
   EXPECT_GE(outcome.commit_stats.permanent_failures, 1);
@@ -153,7 +154,7 @@ TEST(Fault, NothingLeaksUnderFlakyFaults) {
     std::vector<Commitment> held;
     ResourceCommitter committer(faulty_farm, faulty_transport, retry);
     for (int round = 0; round < 12; ++round) {
-      auto c = committer.commit(sys.client, list.offers[round % list.offers.size()]);
+      auto c = committer.commit(sys.client, list.eager[round % list.eager.size()]);
       if (c.ok()) held.push_back(std::move(c.value()));
     }
     EXPECT_GT(held.size(), 0u);  // some rounds survive a 30% fault rate
@@ -185,7 +186,7 @@ TEST(Fault, LatencySpikesAreRecordedNotFatal) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(faulty, *sys.transport);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_TRUE(commitment.ok()) << commitment.error();
   const FaultStats stats = faulty.stats();
   EXPECT_EQ(stats.latency_spikes, 3);  // one per admitted component
@@ -212,7 +213,7 @@ TEST(Fault, RetriesBeatNoRetriesUnderTwentyPercentFaults) {
       RetryPolicy retry;
       retry.max_attempts = max_attempts;
       ResourceCommitter committer(faulty_farm, faulty_transport, retry);
-      auto c = committer.commit(sys.client, list.offers[0]);
+      auto c = committer.commit(sys.client, list.eager[0]);
       outcomes.push_back(c.ok());
       if (c.ok()) ++successes;
     }

@@ -11,6 +11,9 @@
 //   - overload (max connections) and oversized frames shed, idle
 //     connections reap (but not one whose request arrived while its loop
 //     ran a procedure), ping answers pong;
+//   - a client that stops reading makes the server arm EPOLLOUT, and
+//     reading everything disarms it;
+//   - a traced wire request's queue-wait span covers its queue_ms;
 //   - the population simulation over a RemoteClient is byte-identical to
 //     the in-process NegotiationService;
 //   - wire requests count in the service report like in-process ones, and
@@ -27,6 +30,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -34,6 +38,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <mutex>
@@ -44,6 +49,7 @@
 #include "document/corpus.hpp"
 #include "netio/client.hpp"
 #include "netio/remote_client.hpp"
+#include "obs/trace_sink.hpp"
 #include "result_signature.hpp"
 #include "sim/population.hpp"
 #include "test_service.hpp"
@@ -177,6 +183,23 @@ int plain_listener(std::uint16_t& port) {
   EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
   port = ntohs(addr.sin_port);
   return fd;
+}
+
+/// Whether some epoll set of this process has EPOLLOUT registered for a
+/// descriptor, as /proc/self/fdinfo lists the sets' entries ("tfd: <fd>
+/// events: <hex mask> ..."). Only the server's loops hold epoll sets here.
+bool some_epoll_watches_writable() {
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fdinfo")) {
+    std::ifstream info(entry.path());
+    std::string word;
+    while (info >> word) {
+      if (word != "events:") continue;
+      std::string mask;
+      info >> mask;
+      if (std::stoul(mask, nullptr, 16) & EPOLLOUT) return true;
+    }
+  }
+  return false;
 }
 
 // --- scenarios ------------------------------------------------------------
@@ -474,6 +497,92 @@ TEST(WireServerLoopback, PingAnswersPong) {
   EXPECT_EQ(fx.server->net().frames_rx[ping]->value(), 1u);
   EXPECT_EQ(fx.server->net().frames_tx[pong]->value(), 1u);
   EXPECT_TRUE(fx.server->net().balanced());
+}
+
+TEST(WireServerLoopback, StalledReaderArmsThenDisarmsWriteInterest) {
+  // A client that stops reading fills the server's send buffer: send()
+  // returns EAGAIN and the loop arms EPOLLOUT. Once the client reads
+  // everything, the final flush disarms it again.
+  WireFixture fx;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const int small = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fx.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+
+  constexpr std::uint64_t kBatch = 10'000;
+  constexpr std::uint64_t kMaxPings = 400'000;  // about 10 MB of PONG frames
+  std::uint64_t sent = 0;
+  bool armed = false;
+  while (!armed && sent < kMaxPings) {
+    Bytes batch;
+    for (std::uint64_t i = 0; i < kBatch; ++i) {
+      const Bytes ping = wire::encode_ping_frame(++sent);
+      batch.insert(batch.end(), ping.begin(), ping.end());
+    }
+    raw_send(fd, batch);
+    for (int wait = 0; wait < 5 && !armed; ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      armed = some_epoll_watches_writable();
+    }
+  }
+  ASSERT_TRUE(armed) << "the send buffer never filled after " << sent << " pings";
+
+  wire::FrameAssembler assembler;
+  for (std::uint64_t seq = 1; seq <= sent; ++seq) {
+    const wire::Frame pong = raw_read_frame(fd, assembler);
+    ASSERT_EQ(pong.type, FrameType::kPong);
+    ASSERT_EQ(pong.seq, seq);
+  }
+  bool disarmed = false;
+  for (int wait = 0; wait < 200 && !disarmed; ++wait) {
+    disarmed = !some_epoll_watches_writable();
+    if (!disarmed) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(disarmed);
+  ::close(fd);
+  fx.server->stop();
+  const std::size_t ping = 3, pong = 4;
+  EXPECT_EQ(fx.server->net().frames_rx[ping]->value(), sent);
+  EXPECT_EQ(fx.server->net().frames_tx[pong]->value(), sent);
+  EXPECT_TRUE(fx.server->net().balanced());
+}
+
+TEST(WireServerLoopback, QueueWaitSpanCoversTheResultsQueueMs) {
+  // A wire request waits from the socket read that completed its frame;
+  // its traced queue-wait span opens there too, before the decode, so the
+  // span is never shorter than the result's queue_ms.
+  RingBufferSink ring(64);
+  ServiceConfig svc;
+  svc.trace_sink = &ring;
+  WireFixture fx({}, svc);
+  WireClient client(fx.client_config());
+  std::vector<std::uint64_t> seqs;
+  for (std::uint64_t i = 0; i < 16; ++i) {  // pipelined: later requests wait
+    auto seq = client.send(fx.request(i));
+    ASSERT_TRUE(seq.ok()) << seq.error().to_text();
+    seqs.push_back(seq.value());
+  }
+  for (const std::uint64_t seq : seqs) {
+    auto result = client.await(seq);
+    ASSERT_TRUE(result.ok()) << result.error().to_text();
+    const NegotiationResult& r = result.value();
+    const auto trace = ring.find(r.request_id);
+    ASSERT_NE(trace, nullptr) << "request " << r.request_id;
+    const Span* wait = trace->find(Stage::kQueueWait);
+    ASSERT_NE(wait, nullptr);
+    ASSERT_TRUE(wait->closed());
+    EXPECT_GE(wait->end_ms - wait->start_ms, r.queue_ms) << "request " << r.request_id;
+    if (r.session_id != 0) fx.sys.sessions->complete(r.session_id);
+  }
+  client.close();
+  fx.server->stop();
+  EXPECT_TRUE(fx.server->net().balanced());
+  EXPECT_TRUE(fx.sys.drained());
 }
 
 TEST(WireServerLoopback, StopWithInflightRequestsStaysBalanced) {

@@ -44,7 +44,7 @@ OfferList eager_oracle(const FeasibleSet& feasible, const MMProfile& mm,
   EnumerationConfig config;
   config.max_offers = 1'000'000;  // corpus products are far smaller: no cap
   OfferList list = enumerate_offers(feasible, mm, CostModel{}, config);
-  classify_offers(list.offers, mm, importance, policy);
+  classify_offers(list.eager, mm, importance, policy);
   return list;
 }
 
@@ -119,14 +119,14 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
         // Capped streams must yield the *prefix* of the full classified
         // order — the best `cap` offers, not the first `cap` in document
         // order (the eager cap's defect, tested separately below).
-        const std::size_t expect_n = std::min(cap, oracle.offers.size());
+        const std::size_t expect_n = std::min(cap, oracle.eager.size());
         ASSERT_EQ(stream.emit_limit(), expect_n);
         for (std::size_t i = 0; i < expect_n; ++i) {
           auto offer = stream.next();
           ASSERT_TRUE(offer.has_value())
               << "seed " << seed << " doc " << doc->id << " case " << variant
               << ": stream dried up at " << i << " of " << expect_n;
-          const SystemOffer& expected = oracle.offers[i];
+          const SystemOffer& expected = oracle.eager[i];
           ASSERT_EQ(signature(*offer), signature(expected))
               << "seed " << seed << " doc " << doc->id << " case " << variant << " rank " << i;
           EXPECT_EQ(offer->sns, expected.sns) << signature(expected) << " rank " << i;
@@ -255,11 +255,11 @@ TEST(OfferStreamDifferential, NegotiationResultMatchesEagerAcrossCorpora) {
         EXPECT_EQ(a.problems, b.problems) << "seed " << seed << " doc " << id;
         ASSERT_EQ(a.has_commitment(), b.has_commitment());
         if (a.has_commitment()) {
-          EXPECT_EQ(signature(a.offers.offers[a.committed_index]),
-                    signature(b.offers.offers[b.committed_index]));
+          EXPECT_EQ(signature(a.offers.offer(a.committed_index)),
+                    signature(b.offers.offer(b.committed_index)));
           EXPECT_EQ(a.user_offer->cost, b.user_offer->cost);
           // The lazy side must not have materialised past the walk's needs.
-          EXPECT_LE(b.offers.offers.size(), a.offers.offers.size());
+          EXPECT_LE(b.offers.size(), a.offers.size());
         }
         ++compared;
         keep_eager.push_back(std::move(a));
@@ -337,12 +337,12 @@ TEST(OfferStreamRegression, BestFirstCommitsTheBestOfferTheEagerCapDropped) {
   ASSERT_TRUE(best.has_commitment());
 
   // Best-first commits the true best offer: both desired variants.
-  EXPECT_EQ(signature(best.offers.offers[best.committed_index]),
+  EXPECT_EQ(signature(best.offers.offer(best.committed_index)),
             "best-last/video/best|best-last/audio/best|");
   EXPECT_EQ(best.verdict, NegotiationStatus::kSucceeded);
   // The eager cap dropped it, so the eager walk committed something worse —
   // and the truncation was reported, not silent.
-  EXPECT_NE(signature(truncated.offers.offers[truncated.committed_index]),
+  EXPECT_NE(signature(truncated.offers.offer(truncated.committed_index)),
             "best-last/video/best|best-last/audio/best|");
   ASSERT_FALSE(truncated.problems.empty());
   EXPECT_NE(truncated.problems[0].find("truncated"), std::string::npos);
@@ -370,8 +370,8 @@ TEST(OfferStreamAdaptation, LadderMarchMatchesEagerUnderExcludeAllTried) {
   ASSERT_TRUE(b.has_commitment());
   // The lazy negotiation consumed only a prefix; the ladder is still known
   // in full through the stream.
-  ASSERT_LT(b.offers.offers.size(), b.offers.known_count());
-  EXPECT_EQ(b.offers.known_count(), a.offers.offers.size());
+  ASSERT_LT(b.offers.size(), b.offers.known_count());
+  EXPECT_EQ(b.offers.known_count(), a.offers.size());
 
   const AdaptationPolicy policy{.make_before_break = false,
                                 .exclude_all_tried = true,
@@ -394,7 +394,7 @@ TEST(OfferStreamAdaptation, LadderMarchMatchesEagerUnderExcludeAllTried) {
     const TransitionResult rb = lazy_sessions.adapt(la.value(), 5.0 + step);
     EXPECT_EQ(ra.moved, rb.moved) << "step " << step;
     EXPECT_EQ(ra.new_offer, rb.new_offer) << "step " << step;
-    EXPECT_EQ(ra.errors, rb.errors) << "step " << step;
+    EXPECT_EQ(ra.errors(), rb.errors()) << "step " << step;
     if (!ra.moved || !rb.moved) break;
   }
   EXPECT_EQ(eager_sessions.snapshot(ea.value())->state, SessionState::kAborted);
@@ -418,7 +418,7 @@ TEST(OfferStreamAdaptation, FaultedCommitWalkMatchesEagerAndFetchesDeeper) {
     NegotiationResult outcome = manager.negotiate(make_negotiation_request(sys.client, "article", profile));
     return std::tuple{outcome.verdict, outcome.committed_index, outcome.problems,
                       outcome.commit_stats.attempts, outcome.commit_stats.transient_failures,
-                      outcome.offers.offers.size()};
+                      outcome.offers.size()};
   };
   const auto eager = run(EnumerationStrategy::kEager);
   auto lazy = run(EnumerationStrategy::kBestFirst);
@@ -443,10 +443,10 @@ TEST(OfferStreamLaziness, NegotiationMaterialisesOnlyTheWalkedPrefix) {
   ASSERT_TRUE(outcome.has_commitment());
   EXPECT_EQ(outcome.offers.known_count(), 20u);
   // The first offer commits, so the walk needed at most a couple of fetches.
-  EXPECT_LE(outcome.offers.offers.size(), 3u);
-  ASSERT_NE(outcome.offers.stream, nullptr);
+  EXPECT_LE(outcome.offers.size(), 3u);
+  ASSERT_NE(outcome.offers.stream(), nullptr);
   // The stream scored a frontier, not the product.
-  EXPECT_LT(outcome.offers.stream->states_generated(), 20u * 3u);
+  EXPECT_LT(outcome.offers.stream()->states_generated(), 20u * 3u);
 }
 
 }  // namespace

@@ -31,8 +31,8 @@ OfferList offers_for(TestSystem& sys, const UserProfile& profile) {
 TEST(OfferTypes, DescribeListsVariantsAndCost) {
   TestSystem sys;
   OfferList list = offers_for(sys, TestSystem::tolerant_profile());
-  ASSERT_FALSE(list.offers.empty());
-  const std::string s = list.offers[0].describe();
+  ASSERT_FALSE(list.eager.empty());
+  const std::string s = list.eager[0].describe();
   EXPECT_NE(s.find("article/video"), std::string::npos);
   EXPECT_NE(s.find('$'), std::string::npos);
 }
@@ -58,7 +58,9 @@ TEST(OfferTypes, DeriveUserOfferFoldsWeakestAcrossSameKind) {
     offer.components.push_back(c);
   }
   offer.cost.total = Money::dollars(2);
-  const UserOffer user = derive_user_offer(offer);
+  OfferList list;
+  list.eager.push_back(offer);
+  const UserOffer user = derive_user_offer(list, 0);
   ASSERT_TRUE(user.video.has_value());
   EXPECT_EQ(user.video->color, ColorDepth::kBlackWhite);  // weakest colour
   EXPECT_EQ(user.video->frame_rate_fps, 10);              // weakest rate
@@ -68,8 +70,9 @@ TEST(OfferTypes, DeriveUserOfferFoldsWeakestAcrossSameKind) {
 TEST(OfferTypes, DeriveUserOfferCoversAllMedia) {
   TestSystem sys;
   OfferList list = offers_for(sys, TestSystem::tolerant_profile());
-  for (const SystemOffer& offer : list.offers) {
-    const UserOffer user = derive_user_offer(offer);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const SystemOffer& offer = list.eager[i];
+    const UserOffer user = derive_user_offer(list, i);
     EXPECT_TRUE(user.video.has_value());
     EXPECT_TRUE(user.audio.has_value());
     EXPECT_TRUE(user.text.has_value());
@@ -83,8 +86,8 @@ TEST(OfferTypes, OfferListKeepsDocumentAlive) {
   OfferList list = offers_for(sys, TestSystem::tolerant_profile());
   sys.catalog.remove("article");
   // Components still point at valid variants via the shared document.
-  ASSERT_FALSE(list.offers.empty());
-  EXPECT_FALSE(list.offers[0].components[0].variant->id.empty());
+  ASSERT_FALSE(list.eager.empty());
+  EXPECT_FALSE(list.eager[0].components[0].variant->id.empty());
   EXPECT_EQ(list.document->id, "article");
 }
 

@@ -33,7 +33,7 @@ TEST(QoSManager, SucceedsOnSatisfiableRequest) {
   ASSERT_TRUE(outcome.user_offer.has_value());
   ASSERT_TRUE(outcome.has_commitment());
   // The committed offer satisfies the requested QoS and budget.
-  EXPECT_TRUE(satisfies_user(outcome.offers.offers[outcome.committed_index], profile.mm));
+  EXPECT_TRUE(satisfies_user(outcome.offers, outcome.committed_index, profile.mm));
   // The user offer reports the desired video quality (the catalog has it).
   EXPECT_EQ(outcome.user_offer->video->color, ColorDepth::kColor);
   EXPECT_EQ(outcome.user_offer->video->frame_rate_fps, 25);
@@ -49,7 +49,7 @@ TEST(QoSManager, CommitsTheTopClassifiedOffer) {
   // With ample resources the very first (best) offer must be the one
   // committed.
   EXPECT_EQ(outcome.committed_index, 0u);
-  EXPECT_EQ(outcome.offers.offers[0].sns, Sns::kDesirable);
+  EXPECT_EQ(outcome.offers.sns(0), Sns::kDesirable);
 }
 
 TEST(QoSManager, UnknownDocumentFailsWithoutOffer) {
@@ -109,7 +109,7 @@ TEST(QoSManager, UnsatisfiableQosYieldsFailedWithOffer) {
   ASSERT_TRUE(outcome.user_offer.has_value());
   ASSERT_TRUE(outcome.has_commitment());
   // The best the system can do is offered, even though it violates the floor.
-  EXPECT_EQ(outcome.offers.offers[outcome.committed_index].sns, Sns::kConstraint);
+  EXPECT_EQ(outcome.offers.sns(outcome.committed_index), Sns::kConstraint);
 }
 
 TEST(QoSManager, TightBudgetPrefersCheaperSatisfyingOffer) {
@@ -119,12 +119,12 @@ TEST(QoSManager, TightBudgetPrefersCheaperSatisfyingOffer) {
   profile.importance.cost_per_dollar = 10.0;  // cost-sensitive user
   NegotiationResult outcome = manager.negotiate(make_negotiation_request(sys.client, "article", profile));
   ASSERT_TRUE(outcome.has_commitment());
-  const SystemOffer& committed = outcome.offers.offers[outcome.committed_index];
+  const SystemOffer committed = outcome.offers.offer(outcome.committed_index);
   // Every satisfying offer with a higher OIF would have been committed
   // instead; verify nothing satisfying is ranked above the committed one.
   for (std::size_t i = 0; i < outcome.committed_index; ++i) {
-    EXPECT_FALSE(satisfies_user(outcome.offers.offers[i], profile.mm) &&
-                 outcome.offers.offers[i].oif > committed.oif);
+    EXPECT_FALSE(satisfies_user(outcome.offers, i, profile.mm) &&
+                 outcome.offers.oif(i) > committed.oif);
   }
 }
 
@@ -133,12 +133,12 @@ TEST(QoSManager, ClassificationOrderIsBestToWorst) {
   QoSManager manager(sys.catalog, sys.farm, *sys.transport);
   NegotiationResult outcome =
       manager.negotiate(make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile()));
-  const auto& offers = outcome.offers.offers;
+  const OfferList& offers = outcome.offers;
   for (std::size_t i = 1; i < offers.size(); ++i) {
     // SNS non-decreasing; OIF non-increasing within an SNS class.
-    EXPECT_LE(offers[i - 1].sns, offers[i].sns);
-    if (offers[i - 1].sns == offers[i].sns) {
-      EXPECT_GE(offers[i - 1].oif, offers[i].oif);
+    EXPECT_LE(offers.sns(i - 1), offers.sns(i));
+    if (offers.sns(i - 1) == offers.sns(i)) {
+      EXPECT_GE(offers.oif(i - 1), offers.oif(i));
     }
   }
 }
@@ -155,7 +155,8 @@ TEST(QoSManager, FallsBackToNextOfferWhenBestIsFull) {
   ASSERT_TRUE(outcome.has_commitment()) << outcome.problems.empty();
   // The continuous (guaranteed) streams no longer fit on server-a; only a
   // tiny best-effort text delivery may still land there.
-  for (const auto& c : outcome.offers.offers[outcome.committed_index].components) {
+  const SystemOffer committed = outcome.offers.offer(outcome.committed_index);
+  for (const auto& c : committed.components) {
     if (c.requirements.guarantee == GuaranteeClass::kGuaranteed) {
       EXPECT_EQ(c.variant->server, "server-b") << c.variant->id;
     }
@@ -269,9 +270,9 @@ FaultPlan refuse_every_admission() {
 std::vector<std::string> expected_refusal_lines(const OfferList& offers, const MMProfile& mm) {
   std::vector<std::string> lines;
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < offers.offers.size(); ++i) {
-      if (satisfies_user(offers.offers[i], mm) != (pass == 0)) continue;
-      const ServerId& server = offers.offers[i].components.front().variant->server;
+    for (std::size_t i = 0; i < offers.size(); ++i) {
+      if (satisfies_user(offers, i, mm) != (pass == 0)) continue;
+      const ServerId& server = offers.variant(i, 0)->server;
       lines.push_back("offer " + std::to_string(i) + ": fault:" + server + ": server '" +
                       server + "' transiently refused (injected fault)");
     }
@@ -288,13 +289,13 @@ TEST(QoSManagerCommitErrors, FailedWalkListsEveryRefusalInWalkOrder) {
       manager.negotiate(make_negotiation_request(sys.client, "article", profile));
   EXPECT_EQ(outcome.verdict, NegotiationStatus::kFailedTryLater);
   const std::vector<std::string> expected = expected_refusal_lines(outcome.offers, profile.mm);
-  ASSERT_EQ(expected.size(), outcome.offers.offers.size());
+  ASSERT_EQ(expected.size(), outcome.offers.size());
   EXPECT_EQ(outcome.problems, expected);
 
   CommitAttempt attempt = manager.commit_first(sys.client, outcome.offers, profile.mm);
   EXPECT_FALSE(attempt.ok());
   EXPECT_TRUE(attempt.saw_transient);
-  EXPECT_EQ(attempt.errors, expected);
+  EXPECT_EQ(attempt.errors(), expected);
 }
 
 TEST(QoSManagerCommitErrors, WalkThatCommitsAfterRefusalsLeavesErrorsEmpty) {
@@ -315,7 +316,7 @@ TEST(QoSManagerCommitErrors, WalkThatCommitsAfterRefusalsLeavesErrorsEmpty) {
   ASSERT_TRUE(attempt.ok());
   EXPECT_GT(attempt.stats.transient_failures, 0);
   EXPECT_GT(attempt.index, 0u);
-  EXPECT_TRUE(attempt.errors.empty());
+  EXPECT_TRUE(attempt.errors().empty());
 }
 
 TEST(QoSManagerCommitErrors, TracedRefusedAttemptsCarryTheRefusal) {
@@ -339,7 +340,7 @@ TEST(QoSManagerCommitErrors, TracedRefusedAttemptsCarryTheRefusal) {
     from_spans.push_back("offer " + std::string(span.attr("offer")) + ": " +
                          refusal.substr(0, refusal.size() - suffix.size()));
   }
-  EXPECT_EQ(from_spans, attempt.errors);
+  EXPECT_EQ(from_spans, attempt.errors());
 }
 
 // --- Step 5's nogood memo: a walk that answers repeated refusals from its
@@ -449,7 +450,7 @@ WalkLog run_congesting_sequence(MemoStack& stack) {
     std::string line = "index=" + std::to_string(attempt.index) +
                        " transient=" + std::to_string(attempt.saw_transient) + " " +
                        stats_image(attempt.stats) + "\n";
-    for (const std::string& e : attempt.errors) line += e + "\n";
+    for (const std::string& e : attempt.errors()) line += e + "\n";
     log.lines.push_back(line + attempt_spans_image(again));
     log.nogood_hits += nogood_hits(again);
     if (!attempt.ok()) ++log.failed_walks;
@@ -578,7 +579,7 @@ TEST(QoSManagerNogoodMemo, FaultInjectedWalkRetriesARefusedPrefix) {
       lister.negotiate(make_negotiation_request(sys.client, "article", profile));
   ASSERT_TRUE(listed.has_commitment());
   listed.commitment.release();
-  const std::vector<SystemOffer>& offers = listed.offers.offers;
+  const std::vector<SystemOffer>& offers = listed.offers.eager;  // an eager list
   ASSERT_EQ(listed.committed_index, 0u);
   // The next offer sharing offer 0's first variant; every other offer is
   // excluded, so the walk tries exactly these two.
@@ -617,9 +618,9 @@ CommitStats unmemoised_walk(TestSystem& sys, const OfferList& offers, const MMPr
                             RetryPolicy retry) {
   ResourceCommitter committer(sys.farm, *sys.transport, retry);
   for (int pass = 0; pass < 2; ++pass) {
-    for (const SystemOffer& offer : offers.offers) {
-      if (satisfies_user(offer, mm) != (pass == 0)) continue;
-      EXPECT_FALSE(committer.commit(sys.client, offer).ok());
+    for (std::size_t i = 0; i < offers.size(); ++i) {
+      if (satisfies_user(offers, i, mm) != (pass == 0)) continue;
+      EXPECT_FALSE(committer.commit(sys.client, offers.offer(i)).ok());
     }
   }
   return committer.stats();
@@ -642,7 +643,7 @@ TEST(QoSManagerNogoodMemo, RetriedWalkDrawsEveryJitteredBackoff) {
   const CommitStats expected = unmemoised_walk(sys, result.offers, profile.mm, config.retry);
   EXPECT_EQ(stats_image(result.commit_stats), stats_image(expected));
   EXPECT_EQ(result.commit_stats.attempts,
-            3 * static_cast<int>(result.offers.offers.size()));
+            3 * static_cast<int>(result.offers.size()));
   EXPECT_GT(result.commit_stats.backoff_ms, 0.0);
 }
 
@@ -678,7 +679,7 @@ TEST(QoSManagerNogoodMemo, CustomCommitterSeesEveryExaminedOffer) {
   request.trace = TraceContext(&trace);
   NegotiationResult result = manager.negotiate(request);
   ASSERT_EQ(result.verdict, NegotiationStatus::kFailedTryLater);
-  EXPECT_EQ(calls, static_cast<int>(result.offers.offers.size()));
+  EXPECT_EQ(calls, static_cast<int>(result.offers.size()));
   EXPECT_EQ(result.commit_stats.attempts, calls);
   EXPECT_EQ(nogood_hits(trace), 0u);
 }

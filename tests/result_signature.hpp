@@ -25,7 +25,8 @@ inline std::string result_signature(const NegotiationResult& r) {
   }
   os << "total=" << r.offers.total_combinations << " truncated=" << r.offers.truncated
      << " sns_ordered=" << r.offers.sns_ordered << '\n';
-  for (const SystemOffer& o : r.offers.offers) {
+  for (std::size_t i = 0; i < r.offers.size(); ++i) {
+    const SystemOffer o = r.offers.offer(i);
     os << "offer sns=" << to_string(o.sns) << " oif=" << o.oif
        << " cost=" << o.total_cost().as_micros();
     for (const OfferComponent& c : o.components) os << ' ' << c.variant->id;

@@ -21,7 +21,7 @@ OfferList enumerate_for(TestSystem& sys, const UserProfile& profile) {
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   EXPECT_TRUE(feasible.ok());
   OfferList list = enumerate_offers(feasible.value(), profile.mm, CostModel{});
-  classify_offers(list.offers, profile.mm, profile.importance);
+  classify_offers(list.eager, profile.mm, profile.importance);
   return list;
 }
 
@@ -88,7 +88,7 @@ TEST(RetryPolicy, DeadlineCutsTheAttemptLoop) {
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(faulty, *sys.transport, retry);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_FALSE(commitment.ok());
   EXPECT_TRUE(commitment.error().transient);
   EXPECT_EQ(committer.stats().attempts, 3);
@@ -106,7 +106,7 @@ TEST(RetryPolicy, ZeroRetryConfigReproducesSingleShotBitForBit) {
   TestSystem sys_b(/*access_bps=*/3'000'000, /*backbone_bps=*/3'000'000);
   OfferList list_a = enumerate_for(sys_a, profile);
   OfferList list_b = enumerate_for(sys_b, profile);
-  ASSERT_EQ(list_a.offers.size(), list_b.offers.size());
+  ASSERT_EQ(list_a.eager.size(), list_b.eager.size());
 
   ResourceCommitter plain(sys_a.farm, *sys_a.transport);  // default policy
   RetryPolicy weird;
@@ -118,9 +118,9 @@ TEST(RetryPolicy, ZeroRetryConfigReproducesSingleShotBitForBit) {
   weird.seed = 0xdeadULL;
   ResourceCommitter configured(sys_b.farm, *sys_b.transport, weird);
 
-  for (std::size_t i = 0; i < list_a.offers.size(); ++i) {
-    auto a = plain.commit(sys_a.client, list_a.offers[i]);
-    auto b = configured.commit(sys_b.client, list_b.offers[i]);
+  for (std::size_t i = 0; i < list_a.eager.size(); ++i) {
+    auto a = plain.commit(sys_a.client, list_a.eager[i]);
+    auto b = configured.commit(sys_b.client, list_b.eager[i]);
     ASSERT_EQ(a.ok(), b.ok()) << "offer " << i;
     if (a.ok()) {
       EXPECT_EQ(a.value().stream_count(), b.value().stream_count());
@@ -148,7 +148,7 @@ TEST(RetryPolicy, SuccessOnFirstTryCostsOneAttempt) {
   RetryPolicy retry;
   retry.max_attempts = 5;
   ResourceCommitter committer(sys.farm, *sys.transport, retry);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_TRUE(commitment.ok());
   EXPECT_EQ(commitment.value().stats().attempts, 1);
   EXPECT_EQ(commitment.value().stats().retries, 0);
@@ -170,7 +170,7 @@ TEST(RetryPolicy, PermanentRefusalNeverRetries) {
   RetryPolicy retry;
   retry.max_attempts = 10;
   ResourceCommitter committer(sys.farm, *sys.transport, retry);
-  auto commitment = committer.commit(sys.client, list.offers[0]);
+  auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_FALSE(commitment.ok());
   EXPECT_FALSE(commitment.error().transient);
   EXPECT_EQ(committer.stats().attempts, 1);

@@ -421,8 +421,8 @@ TEST(SessionFinishedRecord, EveryEndingKeepsTheViewAndFreesTheSession) {
     NegotiationResult outcome =
         manager.negotiate(make_negotiation_request(sys.client, "article", profile));
     ASSERT_TRUE(outcome.has_commitment());
-    ASSERT_NE(outcome.offers.stream, nullptr);
-    const std::weak_ptr<OfferStream> stream = outcome.offers.stream;
+    ASSERT_NE(outcome.offers.stream(), nullptr);
+    const std::weak_ptr<OfferStream> stream = outcome.offers.stream();
     auto opened = sessions.open(sys.client, profile, std::move(outcome), 0.0);
     ASSERT_TRUE(opened.ok());
     const SessionId id = opened.value();

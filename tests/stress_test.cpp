@@ -252,7 +252,7 @@ TEST(FaultStress, ConcurrentCommitsUnderFaultsNeverLeak) {
         retry.max_attempts = 3;
         retry.seed = 1000u + static_cast<std::uint64_t>(t);
         ResourceCommitter committer(faulty_farm, faulty_transport, retry);
-        auto c = committer.commit(sys.client, list.offers[t % list.offers.size()]);
+        auto c = committer.commit(sys.client, list.eager[t % list.eager.size()]);
         if (c.ok()) successes.fetch_add(1);
       }));
     }
@@ -292,7 +292,7 @@ TEST(FaultStress, SequentialFaultedRunIsSeedStable) {
     ResourceCommitter committer(faulty_farm, faulty_transport, retry);
     std::vector<bool> pattern;
     for (int t = 0; t < 48; ++t) {
-      auto c = committer.commit(sys.client, list.offers[t % list.offers.size()]);
+      auto c = committer.commit(sys.client, list.eager[t % list.eager.size()]);
       pattern.push_back(c.ok());  // commitment (if any) releases right away
     }
     const FaultStats farm_stats = faulty_farm.stats();

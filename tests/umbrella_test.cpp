@@ -15,8 +15,8 @@ TEST(Umbrella, EndToEndWithSingleInclude) {
 
   TransportService transport(Topology::dumbbell(1, 2, 50'000'000, 200'000'000));
   ServerFarm farm;
-  farm.add(MediaServerConfig{"server-a", "server-node-0", 100'000'000, 16});
-  farm.add(MediaServerConfig{"server-b", "server-node-1", 100'000'000, 16});
+  farm.add(MediaServerConfig{"server-a", "server-node-0", 100'000'000, 16, {}});
+  farm.add(MediaServerConfig{"server-b", "server-node-1", 100'000'000, 16, {}});
 
   ClientMachine client;
   client.name = "client-0";
