@@ -11,6 +11,17 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
+/// "C<i>", the label of throughput class i.
+std::string class_label(std::size_t i) {
+  std::string label = "C";
+  label += std::to_string(i);
+  return label;
+}
+
+}  // namespace
+
 int main() {
   using namespace qosnp;
   using namespace qosnp::bench;
@@ -21,7 +32,7 @@ int main() {
   print_section("Throughput-class cost tables ($/s)");
   Table classes({"class", "up to kbit/s", "network $/s", "server $/s"});
   for (std::size_t i = 0; i < model.network_table().size(); ++i) {
-    classes.row({"C" + std::to_string(i),
+    classes.row({class_label(i),
                  fmt(static_cast<double>(model.network_table().at(i).upper_bps) / 1000.0, 0),
                  model.network_table().at(i).cost_per_second.to_string(),
                  model.server_table().at(i).cost_per_second.to_string()});
@@ -53,7 +64,7 @@ int main() {
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const std::int64_t charged = CostModel::charged_bps(streams[i]);
     table.row({items[i].label, fmt(static_cast<double>(charged) / 1000.0, 1),
-               "C" + std::to_string(model.network_table().classify(charged)),
+               class_label(model.network_table().classify(charged)),
                breakdown.streams[i].network.to_string(),
                breakdown.streams[i].server.to_string()});
     sum += breakdown.streams[i].network + breakdown.streams[i].server;

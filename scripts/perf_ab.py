@@ -2,15 +2,18 @@
 """Paired A/B comparison of two trees on the perfbench workloads.
 
     python3 scripts/perf_ab.py SCRATCH [--base REV] [--change REV|WORKTREE]
-                               [--workloads a,b] [--pairs N] [--seconds S]
+                               [--workloads a,b] [--pairs N] [--first-seed K]
+                               [--seconds S] [--trace 0|1]
 
 Exports the base and the change into SCRATCH/base and SCRATCH/change, builds
 each there with its own CARGO_TARGET_DIR (SCRATCH/<side>-target), then runs
-`perfbench/run.py --trace 0` on both for seeds 1..N per workload. The side that
-runs first alternates from seed to seed, so drift in the host's speed falls
-on both sides alike. For every end-to-end metric in BENCHMARK.json it prints
-each side's median and interquartile range and the number of pairs in which
-the change was better.
+`perfbench/run.py --trace T` on both for seeds K..K+N-1 per workload (K = 1
+unless --first-seed picks held-out seeds). The side that runs first alternates
+from seed to seed, so drift in the host's speed falls on both sides alike. For
+every end-to-end metric in BENCHMARK.json it prints each side's median and
+interquartile range and the number of pairs in which the change was better.
+With --trace 1 it compares the per-layer metrics instead: a traced perfbench
+run reports those and not the end-to-end ones.
 
 --change defaults to HEAD and --base to the change's parent. --change WORKTREE
 takes the working tree as it is (tracked and untracked, not ignored, files),
@@ -63,9 +66,9 @@ def build(tree, env):
         sys.exit("perf_ab: build failed in %s" % tree)
 
 
-def run_once(tree, env, workload, seed, seconds):
+def run_once(tree, env, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -89,8 +92,12 @@ def main():
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--workloads", default=None, help="comma list (default: all)")
     parser.add_argument("--pairs", type=int, default=10, help="seeds per workload")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="first seed of the run (default 1; pick e.g. 17 for held-out seeds)")
     parser.add_argument("--seconds", type=int, default=None,
                         help="default: BENCHMARK.json run_seconds")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: run traced and compare the per-layer metrics")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -113,15 +120,18 @@ def main():
     runs = {w: {"base": [], "change": []} for w in workloads}
     for workload in workloads:
         for i in range(args.pairs):
-            seed = 1 + i
+            seed = args.first_seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 tree, env = sides[side]
-                runs[workload][side].append(run_once(tree, env, workload, seed, seconds))
+                runs[workload][side].append(
+                    run_once(tree, env, workload, seed, seconds, args.trace))
             print("perf_ab: %s seed %d done" % (workload, seed), file=sys.stderr)
 
-    print("base %s vs change %s; %d pairs x %d s per workload; IQR = q1..q3"
-          % (base_rev, args.change, args.pairs, seconds))
+    metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
+    print("base %s vs change %s; seeds %d..%d x %d s per workload, --trace %d; IQR = q1..q3"
+          % (base_rev, args.change, args.first_seed, args.first_seed + args.pairs - 1, seconds,
+             args.trace))
     for workload in workloads:
         base, change = runs[workload]["base"], runs[workload]["change"]
         print("\n%s: correct base %d/%d, change %d/%d" % (
@@ -130,7 +140,7 @@ def main():
         print("| metric | base median | base IQR | change median | change IQR | change | "
               "change better |")
         print("|---|---|---|---|---|---|---|")
-        for metric in bench["end_to_end"]:
+        for metric in metrics:
             name = metric["name"]
             pairs = [(b["metrics"][name], c["metrics"][name]) for b, c in zip(base, change)
                      if name in b.get("metrics", {}) and name in c.get("metrics", {})]

@@ -28,13 +28,11 @@ void Commitment::release() {
   streams_.clear();
 }
 
-namespace {
-
-/// One refused try, as commit() annotates it on the attempt span.
-void annotate_try(TraceContext trace, const Refusal& refusal) {
-  trace.annotate("refusal",
-                 refusal.describe() + (refusal.transient ? " [transient]" : " [permanent]"));
+std::string refusal_trace_text(const Refusal& refusal) {
+  return refusal.describe() + (refusal.transient ? " [transient]" : " [permanent]");
 }
+
+namespace {
 
 /// Attribution for the trace: who refused last, and how hard we tried —
 /// the figures a FAILEDTRYLATER/FAILEDWITHOFFER post-mortem needs.
@@ -104,7 +102,7 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       return commitment;
     }
     last = std::move(result.error());
-    if (trace.active()) annotate_try(trace, last);
+    if (trace.active()) trace.annotate("refusal", refusal_trace_text(last));
     if (last.transient) {
       ++stats.transient_failures;
     } else {
@@ -134,10 +132,10 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
 }
 
 void ResourceCommitter::replay_refusal(const Refusal& refusal, const CommitStats& delta,
-                                       TraceContext trace) {
+                                       const std::string& trace_text, TraceContext trace) {
   stats_.merge(delta);
   if (trace.active()) {
-    annotate_try(trace, refusal);
+    trace.annotate("refusal", trace_text);
     annotate_refused(trace, refusal, delta);
   }
 }

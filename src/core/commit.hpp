@@ -119,6 +119,10 @@ class Commitment {
   CommitStats stats_;
 };
 
+/// How a refused try reads on its attempt span: the refusal's description
+/// and whether it was transient.
+std::string refusal_trace_text(const Refusal& refusal);
+
 class ResourceCommitter {
  public:
   /// `session_class` is stamped onto every StreamRequirements this committer
@@ -143,9 +147,12 @@ class ResourceCommitter {
   /// Account a refusal commit() already returned, as if commit() had run
   /// again and met it: merges `delta` (that commit()'s share of stats()) and
   /// writes the same trace annotations, without touching the servers or the
-  /// transport. Sound only where a refusal is a pure function of the ledger
-  /// state and the refused prefix — see QoSManager::commit_first.
-  void replay_refusal(const Refusal& refusal, const CommitStats& delta, TraceContext trace);
+  /// transport. `trace_text` is refusal_trace_text(refusal), formatted once
+  /// by the caller; it is read only when `trace` is active. Sound only where
+  /// a refusal is a pure function of the ledger state and the refused
+  /// prefix — see QoSManager::commit_first.
+  void replay_refusal(const Refusal& refusal, const CommitStats& delta,
+                      const std::string& trace_text, TraceContext trace);
 
   /// Cumulative counters over every commit() this committer ran.
   const CommitStats& stats() const { return stats_; }

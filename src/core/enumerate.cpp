@@ -549,7 +549,6 @@ std::optional<SystemOffer> OfferStream::next() {
   return offer;
 }
 
-const std::shared_ptr<const OfferStreamSeed>& OfferStream::seed() const { return impl_->seed; }
 std::size_t OfferStream::total_combinations() const { return impl_->seed->total; }
 std::size_t OfferStream::emit_limit() const { return impl_->emit_cap; }
 std::size_t OfferStream::yielded() const { return impl_->emitted; }
@@ -557,31 +556,48 @@ bool OfferStream::exhausted() const { return impl_->emitted >= impl_->emit_cap; 
 std::size_t OfferStream::states_generated() const { return impl_->generated; }
 
 OfferList::OfferList(std::shared_ptr<const MultimediaDocument> doc,
-                     std::shared_ptr<OfferStream> stream)
+                     std::shared_ptr<const OfferStreamSeed> seed, std::size_t max_offers,
+                     const StreamedOffer* head)
     : document(std::move(doc)),
-      total_combinations(stream->total_combinations()),
-      truncated(stream->emit_limit() < stream->total_combinations()),
+      total_combinations(seed->total),
       sns_ordered(true),
       streamed_(std::make_shared<StreamedOffers>()) {
-  streamed_->seed = stream->seed();
-  streamed_->width = streamed_->seed->n;
-  streamed_->stream = std::move(stream);
+  StreamedOffers& s = *streamed_;
+  s.limit = std::min(seed->total, max_offers);
+  truncated = s.limit < seed->total;
+  s.width = seed->n;
+  s.seed = std::move(seed);
+  if (head == nullptr) {
+    s.stream = std::make_shared<OfferStream>(s.seed, s.limit);
+  } else {
+    s.records.push_back(head->record);
+    s.memos = head->row;
+  }
 }
 
 bool OfferList::fetch_next() {
-  if (!streamed_ || !streamed_->stream) return false;
+  if (!streamed_) return false;
+  StreamedOffers& s = *streamed_;
+  if (!s.stream && s.records.size() < s.limit) {
+    // A list that started from a plan's first offer spawns its stream on
+    // the first fetch past it, and skips it.
+    s.stream = std::make_shared<OfferStream>(s.seed, s.limit);
+    OfferRecord skipped;
+    std::vector<const VariantMemo*> row;
+    row.reserve(s.width);
+    for (std::size_t k = 0; k < s.records.size(); ++k) {
+      row.clear();
+      s.stream->next(skipped, row);
+    }
+  }
   OfferRecord record;
-  if (!streamed_->stream->next(record, streamed_->memos)) {
-    streamed_->stream.reset();  // drained: free the frontier
+  if (!s.stream || !s.stream->next(record, s.memos)) {
+    s.limit = s.records.size();
+    s.stream.reset();  // drained: free the frontier
     return false;
   }
-  streamed_->records.push_back(record);
+  s.records.push_back(record);
   return true;
-}
-
-std::size_t OfferList::known_count() const {
-  if (!streamed_ || !streamed_->stream) return size();
-  return std::max(size(), streamed_->stream->emit_limit());
 }
 
 bool OfferList::classified_for(const MMProfile& profile) const {
@@ -595,6 +611,11 @@ void OfferList::materialise(std::size_t i, SystemOffer& into) const {
   }
   materialise_offer(*streamed_->seed, streamed_->records[i],
                     streamed_->memos.data() + i * streamed_->width, into);
+}
+
+StreamedOffer OfferList::streamed(std::size_t i) const {
+  const auto row = streamed_->memos.begin() + static_cast<std::ptrdiff_t>(i * streamed_->width);
+  return {streamed_->records[i], {row, row + static_cast<std::ptrdiff_t>(streamed_->width)}};
 }
 
 SystemOffer OfferList::offer(std::size_t i) const {

@@ -120,9 +120,6 @@ class OfferStream {
   /// The next-best offer in full, or nullopt once emit_limit() offers were
   /// yielded.
   std::optional<SystemOffer> next();
-  /// The seed the stream walks; its memo outlives the stream in any list
-  /// that pins it.
-  const std::shared_ptr<const OfferStreamSeed>& seed() const;
 
   /// Cartesian-product size (saturating, like combination_count()).
   std::size_t total_combinations() const;

@@ -88,16 +88,28 @@ struct OfferRecord {
   bool tolerated = false;
 };
 
+/// One streamed offer on its own: its record and its memo row. A cached
+/// best-first plan keeps the first offer of its stream in this form.
+struct StreamedOffer {
+  OfferRecord record;
+  std::vector<const VariantMemo*> row;  ///< one per component
+};
+
 class OfferStream;
 class OfferStreamSeed;
 
 /// The consumed prefix of a stream-backed OfferList, as compact records,
 /// and the stream that yields the rest.
 struct StreamedOffers {
-  /// The not-yet-consumed tail; null once drained.
+  /// Yields the offers after the consumed prefix; null once drained. A
+  /// list that starts from a cached plan's first offer spawns it only on
+  /// the first fetch past that offer.
   std::shared_ptr<OfferStream> stream;
-  /// Keeps the memo the rows point into alive after the stream drains.
+  /// The memo the rows point into; the stream is spawned over it.
   std::shared_ptr<const OfferStreamSeed> seed;
+  /// How many offers the list can reach: min(combinations, max_offers),
+  /// lowered to the consumed count if the stream runs dry first.
+  std::size_t limit = 0;
   std::size_t width = 0;  ///< components per offer
   std::vector<OfferRecord> records;
   std::vector<const VariantMemo*> memos;  ///< `width` per record, in record order
@@ -132,11 +144,15 @@ struct OfferList {
   bool sns_ordered = false;
 
   OfferList() = default;
-  /// A stream-backed list over `stream`'s offers of `document`, in the
-  /// stream's (SNS-first) order. Defined in enumerate.cpp, like the other
-  /// members that read the stream or its seed.
+  /// A stream-backed list over the best `max_offers` offers of `seed`'s
+  /// space over `document`, in the stream's (SNS-first) order. `head`, when
+  /// given, is the first offer a stream over `seed` yields (a cached plan's
+  /// memoised copy): the list starts with it consumed and spawns its stream
+  /// only when a fetch goes past it. Defined in enumerate.cpp, like the
+  /// other members that read the stream or its seed.
   OfferList(std::shared_ptr<const MultimediaDocument> document,
-            std::shared_ptr<OfferStream> stream);
+            std::shared_ptr<const OfferStreamSeed> seed, std::size_t max_offers,
+            const StreamedOffer* head = nullptr);
 
   /// Offers consumed so far (all of them for an eager list).
   std::size_t size() const { return streamed_ ? streamed_->records.size() : eager.size(); }
@@ -165,18 +181,23 @@ struct OfferList {
   /// eager one. materialise() refills `into`, reusing its capacity.
   SystemOffer offer(std::size_t i) const;
   void materialise(std::size_t i, SystemOffer& into) const;
+  /// Consumed offer i of a stream-backed list in compact form.
+  StreamedOffer streamed(std::size_t i) const;
 
-  /// The lazy tail of the classification order; null for eager lists and
-  /// once the stream is drained.
+  /// The stream yielding the offers after the consumed prefix; null for
+  /// eager lists, once the stream is drained, and in a list started from a
+  /// cached plan's first offer until a fetch goes past it.
   std::shared_ptr<OfferStream> stream() const {
     return streamed_ ? streamed_->stream : nullptr;
   }
-  /// Consume the next offer of the stream. Returns false when there is no
-  /// stream or it is exhausted (and drops the drained stream).
+  /// Consume the next offer of the stream. Returns false for an eager list
+  /// or once the stream is exhausted (and drops the drained stream).
   bool fetch_next();
   /// Offers reachable through this list: consumed prefix plus the stream's
   /// remaining yield. Equals size() for eager lists.
-  std::size_t known_count() const;
+  std::size_t known_count() const {
+    return streamed_ ? streamed_->limit : eager.size();
+  }
 
  private:
   std::shared_ptr<StreamedOffers> streamed_;  ///< null for eager lists

@@ -91,7 +91,7 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
 std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
                            const UserProfile& profile, const std::string& config_digest) {
   std::string out;
-  out.reserve(1024);  // one allocation: a key is under 1 KB (881 B for the test fixture)
+  out.reserve(1024);  // one allocation: a key is under 1 KB (849 B for the test fixture)
   Fingerprint fp(out);
   fp.str("qosnp-plan-key-v1");
   fp.str(config_digest);
@@ -101,10 +101,10 @@ std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& c
   // now — exact even across distinct catalogs sharing one cache.
   fp.str(document_id);
 
-  // Client capabilities (Step 1 local check + Step 2 decoder filter; the
-  // name appears in Step-2 error strings, so it is result-relevant too).
-  fp.str(client.name);
-  fp.str(client.node);
+  // Client capabilities: what Step 1's local check and Step 2's decoder
+  // filter read. Not the name or the node: no stored plan depends on them
+  // (Step 5 reads the node per request, and terminal plans, whose Step-2
+  // text names the client, are not stored).
   fp.i64(client.screen.width_px);
   fp.i64(client.screen.height_px);
   fp.u8(static_cast<std::uint8_t>(client.screen.color));

@@ -3,17 +3,18 @@
 // computation, offer ordering) depend only on the document, the client
 // capabilities and the user profile — never on server or transport state —
 // so their outcome can be computed once and replayed for every later request
-// with the same (document, client, profile). Step 5 (resource commitment)
-// depends on live resources and always runs per request.
+// with the same (document, client capabilities, profile). Step 5 (resource
+// commitment) depends on live resources and always runs per request.
 //
-// A cached NegotiationPlan holds the Step 1-4 outcome: the terminal
-// local-check/compatibility verdict when those steps failed, or the
-// surviving variant sets plus either the shared OfferStream seed (memoised
-// per-variant SNS/OIF contributions and pre-sorted class lists; a replay
-// spawns a fresh cursor over it) or the eager classified offer-list
-// prototype. Invalidation is by identity: a plan pins the document object
-// it was built from, and a lookup whose catalog now holds a different object
-// for that id drops the entry (counted as stale).
+// A cached NegotiationPlan holds the Step 1-4 outcome of a request that
+// passed Steps 1-2: either the shared OfferStream seed (the surviving
+// variant sets, memoised per-variant SNS/OIF contributions and pre-sorted
+// class lists) with the first offer a stream over it yields, or the eager
+// classified offer-list prototype. A replay starts its list from that first
+// offer and spawns a cursor over the seed only to read further. Invalidation
+// is by identity: a plan pins the document object it was built from, and a
+// lookup whose catalog now holds a different object for that id drops the
+// entry (counted as stale).
 //
 // The cache is sharded-LRU: keys hash to a shard, each shard is an
 // independent mutex + LRU list, so concurrent service workers contend only
@@ -82,17 +83,19 @@ struct NegotiationPlan {
   /// the plan is cached.
   std::shared_ptr<const MultimediaDocument> document;
 
-  /// Steps 1-2 failed: verdict/problems/user_offer replay verbatim and the
-  /// commit walk never runs.
+  /// Steps 1-2 failed: verdict/problems/user_offer stand and the commit
+  /// walk never runs. Such a plan is built for one request, never stored.
   bool terminal = false;
   NegotiationStatus verdict = NegotiationStatus::kFailedWithoutOffer;
   std::vector<std::string> problems;
   std::optional<UserOffer> user_offer;
 
-  /// Surviving (post-prune) per-monomedia variant sets of Step 2.
-  FeasibleSet feasible;
-  /// kBestFirst: the shared stream seed; a replay spawns a fresh cursor.
+  /// kBestFirst: the shared stream seed (it holds Step 2's feasible
+  /// variant sets); a replay spawns a fresh cursor when it needs one.
   std::shared_ptr<const OfferStreamSeed> seed;
+  /// kBestFirst: the first offer a stream over `seed` yields, read off the
+  /// walk of the miss that built the plan. A replay's list starts from it.
+  std::optional<StreamedOffer> head;
   /// kEager: the fully classified offer-list prototype. A cache replay
   /// copies it; an uncached negotiation owns its plan exclusively and moves
   /// it out instead (hence not pointer-to-const).
@@ -169,7 +172,8 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
                                const ClassificationPolicy& policy, const CostModel& cost_model);
 
 /// Canonical cache key of one request: the document id, the client's
-/// capabilities, the user profile (MM + importance — the profile *name* is
+/// capabilities (screen, decoders, audio ceiling and audio output; not its
+/// name or node), the user profile (MM + importance — the profile *name* is
 /// deliberately excluded: it does not influence any step) and the manager's
 /// config digest. The document's content is not in the key: lookup() checks
 /// it by object identity. Strings are length-prefixed and numbers

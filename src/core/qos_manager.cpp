@@ -42,6 +42,8 @@ UserOffer local_offer_from(const MMProfile& clipped) {
 /// refused prefix is: prefixes[prefix_begin, prefix_begin + depth).
 struct SeenRefusal {
   CommitStats delta;  ///< the refused commit()'s share of the committer stats
+  /// refusal_trace_text of the refusal, formatted by its first traced replay.
+  std::string trace_text;
   std::size_t prefix_begin = 0;
   std::size_t depth = 0;  ///< 0: not a nogood
 };
@@ -161,7 +163,12 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
       try_span.annotate("pass", static_cast<std::uint64_t>(pass));
       if (memo_refusals_) {
         if (const auto hit = find_nogood(i)) {
-          committer.replay_refusal(log.refusals[*hit], seen[*hit].delta, try_span.context());
+          SeenRefusal& replayed = seen[*hit];
+          if (try_span.context().active() && replayed.trace_text.empty()) {
+            replayed.trace_text = refusal_trace_text(log.refusals[*hit]);
+          }
+          committer.replay_refusal(log.refusals[*hit], replayed.delta, replayed.trace_text,
+                                   try_span.context());
           log.refused.emplace_back(i, *hit);
           ++nogood_hits;
           continue;
@@ -297,12 +304,18 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
     if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, document.get());
     span.annotate("hit", plan ? "true" : "false");
   }
-  if (!plan) {
-    auto fresh = build_plan(request, std::move(document));
-    cache->store(key, fresh);
-    plan = std::move(fresh);
-  }
-  return run_plan(request, *plan, /*exclusive=*/false);
+  if (plan) return run_plan(request, *plan, /*exclusive=*/false);
+
+  // A miss runs its fresh plan, then stores it with the first offer its
+  // walk read, so a hit's list starts from that offer without a stream.
+  // Terminal plans are not stored: Step 2's text names the client, which
+  // the key leaves out.
+  auto fresh = build_plan(request, std::move(document));
+  NegotiationResult result = run_plan(request, *fresh, /*exclusive=*/false);
+  if (fresh->terminal) return result;
+  if (fresh->seed && result.offers.size() > 0) fresh->head = result.offers.streamed(0);
+  cache->store(key, std::move(fresh));
+  return result;
 }
 
 std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
@@ -323,7 +336,6 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
 
   // Steps 3+4: build the offer space and the classification precomputation.
   ScopedSpan enum_span(request.trace, Stage::kEnumeration);
-  plan->feasible = feasible;
   std::size_t total = 0;
   std::size_t known = 0;
   if (config_.enumeration.strategy == EnumerationStrategy::kBestFirst) {
@@ -335,8 +347,7 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
     total = seed_total_combinations(*plan->seed);
     known = std::min(total, config_.enumeration.max_offers);
   } else {
-    OfferList offers =
-        enumerate_offers(plan->feasible, profile.mm, cost_model_, config_.enumeration);
+    OfferList offers = enumerate_offers(feasible, profile.mm, cost_model_, config_.enumeration);
     classify_offers(offers.eager, profile.mm, profile.importance, config_.policy);
     offers.sns_ordered = true;
     total = offers.total_combinations;
@@ -357,9 +368,11 @@ NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
   if (plan.terminal) return result;
 
   if (plan.seed) {
-    // The stream yields offers already classified in final order.
-    result.offers = OfferList(
-        plan.document, std::make_shared<OfferStream>(plan.seed, config_.enumeration.max_offers));
+    // The stream yields offers already classified in final order. A cached
+    // plan's list starts with its first offer consumed, and spawns the
+    // stream only if the walk or a later transition reads past it.
+    result.offers = OfferList(plan.document, plan.seed, config_.enumeration.max_offers,
+                              plan.head ? &*plan.head : nullptr);
   } else if (plan.eager) {
     // shared_ptr does not propagate const to the pointee, so an exclusively
     // owned plan can surrender its list without a per-request copy.

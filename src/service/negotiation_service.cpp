@@ -187,7 +187,9 @@ NegotiationResult NegotiationService::negotiate(NegotiationRequest request, doub
 }
 
 void NegotiationService::worker_loop(std::size_t index) {
-  set_log_tag("w" + std::to_string(index));
+  std::string tag = "w";
+  tag += std::to_string(index);
+  set_log_tag(std::move(tag));
   while (auto item = queue_.pop()) {
     NegotiationResult response = process(*item, index);
     item->done(std::move(response));

@@ -23,6 +23,7 @@
 #include "fault/fault_injector.hpp"
 #include "result_signature.hpp"
 #include "service/negotiation_service.hpp"
+#include "session/session.hpp"
 #include "test_system.hpp"
 #include "util/rng.hpp"
 
@@ -170,6 +171,219 @@ TEST(PlanCacheDifferential, ParityHoldsUnderFlappingServers) {
     EXPECT_GT(cache->stats().hits, 0u);
   }
   EXPECT_GE(compared, 96u);
+}
+
+// --- A hit starts from the plan's first offer. -----------------------------
+
+/// Every offer `list` can reach, fetched to the end, as one text line each:
+/// the record's key bit for bit and its variant pointers.
+std::vector<std::string> drained_records(OfferList& list) {
+  while (list.fetch_next()) {
+  }
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const StreamedOffer o = list.streamed(i);
+    std::ostringstream os;
+    os << to_string(o.record.sns) << ' ' << std::hexfloat << o.record.oif << ' '
+       << o.record.cost.as_micros() << ' ' << o.record.tolerated;
+    for (const VariantMemo* m : o.row) os << ' ' << m->variant;
+    lines.push_back(os.str());
+  }
+  return lines;
+}
+
+TEST(PlanCacheHead, AHitCommittingTheFirstOfferSpawnsNoStream) {
+  TestSystem cached_sys;
+  TestSystem plain_sys;
+  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                    cached_config(EnumerationStrategy::kBestFirst,
+                                  std::make_shared<NegotiationPlanCache>()));
+  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  const UserProfile profile = TestSystem::tolerant_profile();
+  std::vector<NegotiationResult> keep;
+  for (int rep = 0; rep < 2; ++rep) {
+    keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article",
+                                                             profile)));
+    keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article",
+                                                            profile)));
+    const NegotiationResult& a = keep[keep.size() - 2];
+    const NegotiationResult& b = keep.back();
+    EXPECT_EQ(result_signature(a), result_signature(b)) << "rep " << rep;
+    EXPECT_EQ(a.offers.known_count(), b.offers.known_count()) << "rep " << rep;
+    ASSERT_EQ(a.committed_index, 0u);
+  }
+  EXPECT_EQ(cached.plan_cache()->stats().hits, 1u);
+  // The miss walked a stream; the hit read its first offer off the plan.
+  EXPECT_NE(keep[0].offers.stream(), nullptr);
+  EXPECT_EQ(keep[2].offers.stream(), nullptr);
+  EXPECT_EQ(keep[2].offers.size(), 1u);
+}
+
+TEST(PlanCacheHead, HitsReadingPastTheFirstOfferMatchAFreshStream) {
+  // Small servers and every result kept alive: repeated requests for one
+  // (document, profile) fill the farm, so later hits walk past the plan's
+  // first offer and spawn their stream.
+  std::size_t hits_past_head = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    TestSystem sys(50'000'000, 200'000'000, 100'000'000, /*server_sessions=*/6);
+    CorpusConfig corpus;
+    corpus.seed = seed;
+    corpus.num_documents = 2;
+    corpus.servers = {"server-a", "server-b"};
+    for (auto& doc : generate_corpus(corpus)) sys.catalog.add(std::move(doc));
+    NegotiationConfig config = cached_config(EnumerationStrategy::kBestFirst,
+                                             std::make_shared<NegotiationPlanCache>());
+    config.enumeration.max_offers = 1 + seed % 40;  // some lists are capped
+    QoSManager manager(sys.catalog, sys.farm, *sys.transport, CostModel{}, config);
+    Rng rng(seed);
+    std::vector<NegotiationResult> keep;
+    for (const DocumentId& id : sys.catalog.list()) {
+      const UserProfile profile = random_profile(rng);
+      const auto document = sys.catalog.find(id);
+      auto feasible = compatible_variants(document, sys.client, profile.mm);
+      if (!feasible.ok()) continue;
+      const auto seed_of_doc =
+          make_offer_stream_seed(std::move(feasible.value()), profile.mm, profile.importance,
+                                 CostModel{}, ClassificationPolicy{});
+      OfferList fresh(document, seed_of_doc, config.enumeration.max_offers);
+      const std::size_t known = fresh.known_count();
+      const bool truncated = fresh.truncated;
+      const std::vector<std::string> expected = drained_records(fresh);
+      for (int rep = 0; rep < 8; ++rep) {
+        NegotiationResult r = manager.negotiate(make_negotiation_request(sys.client, id, profile));
+        EXPECT_EQ(r.offers.known_count(), known) << "seed " << seed << " rep " << rep;
+        EXPECT_EQ(r.offers.truncated, truncated) << "seed " << seed << " rep " << rep;
+        if (rep > 0 && r.offers.size() > 1) ++hits_past_head;
+        OfferList offers = r.offers;  // shares the prefix and the stream
+        EXPECT_EQ(drained_records(offers), expected) << "seed " << seed << " rep " << rep;
+        keep.push_back(std::move(r));
+      }
+    }
+    const PlanCacheStats stats = manager.plan_cache()->stats();
+    EXPECT_EQ(stats.lookups, stats.hits + stats.misses) << "seed " << seed;
+  }
+  EXPECT_GT(hits_past_head, 10u);
+}
+
+TEST(PlanCacheHead, AdaptingAHitMatchesAnUncachedSession) {
+  TestSystem cached_sys;
+  TestSystem plain_sys;
+  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                    cached_config(EnumerationStrategy::kBestFirst,
+                                  std::make_shared<NegotiationPlanCache>()));
+  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  const UserProfile profile = TestSystem::tolerant_profile();
+  // The first request of each side is released before the second, which
+  // is a hit on the cached side.
+  (void)cached.negotiate(make_negotiation_request(cached_sys.client, "article", profile));
+  (void)plain.negotiate(make_negotiation_request(plain_sys.client, "article", profile));
+  NegotiationResult a =
+      cached.negotiate(make_negotiation_request(cached_sys.client, "article", profile));
+  NegotiationResult b =
+      plain.negotiate(make_negotiation_request(plain_sys.client, "article", profile));
+  ASSERT_EQ(cached.plan_cache()->stats().hits, 1u);
+  ASSERT_EQ(a.offers.stream(), nullptr);
+  ASSERT_EQ(result_signature(a), result_signature(b));
+
+  const AdaptationPolicy policy{.make_before_break = false,
+                                .exclude_all_tried = true,
+                                .transition_latency_s = 0.5};
+  SessionManager cached_sessions(cached, policy);
+  SessionManager plain_sessions(plain, policy);
+  auto ca = cached_sessions.open(cached_sys.client, profile, std::move(a), 0.0);
+  auto pa = plain_sessions.open(plain_sys.client, profile, std::move(b), 0.0);
+  ASSERT_TRUE(ca.ok());
+  ASSERT_TRUE(pa.ok());
+  ASSERT_TRUE(cached_sessions.confirm(ca.value(), 1.0).ok());
+  ASSERT_TRUE(plain_sessions.confirm(pa.value(), 1.0).ok());
+  // March both down the whole ladder: the cached session's first adaptation
+  // spawns its stream past the plan's first offer.
+  std::size_t moves = 0;
+  for (int step = 0;; ++step) {
+    ASSERT_LT(step, 64) << "ladder march did not terminate";
+    const TransitionResult rc = cached_sessions.adapt(ca.value(), 5.0 + step);
+    const TransitionResult rp = plain_sessions.adapt(pa.value(), 5.0 + step);
+    EXPECT_EQ(rc.moved, rp.moved) << "step " << step;
+    EXPECT_EQ(rc.new_offer, rp.new_offer) << "step " << step;
+    EXPECT_EQ(rc.errors(), rp.errors()) << "step " << step;
+    if (!rc.moved || !rp.moved) break;
+    ++moves;
+  }
+  EXPECT_GT(moves, 2u);
+  EXPECT_EQ(cached_sessions.snapshot(ca.value())->state, SessionState::kAborted);
+  EXPECT_EQ(plain_sessions.snapshot(pa.value())->state, SessionState::kAborted);
+}
+
+TEST(PlanCacheHead, ClientsDifferingOnlyByNameAndNodeShareOnePlan) {
+  TestSystem cached_sys;
+  TestSystem plain_sys;
+  for (TestSystem* sys : {&cached_sys, &plain_sys}) {
+    sys->transport = std::make_unique<TransportService>(
+        Topology::dumbbell(2, 2, 50'000'000, 200'000'000));
+  }
+  auto cache = std::make_shared<NegotiationPlanCache>();
+  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                    cached_config(EnumerationStrategy::kBestFirst, cache));
+  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  ClientMachine other = cached_sys.client;
+  other.name = "client-1";
+  other.node = "client-1";
+  const UserProfile profile = TestSystem::tolerant_profile();
+  const std::string digest =
+      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, CostModel{});
+  EXPECT_EQ(plan_cache_key("article", other, profile, digest),
+            plan_cache_key("article", cached_sys.client, profile, digest));
+  std::vector<NegotiationResult> keep;
+  for (const ClientMachine* client : {&cached_sys.client, &other}) {
+    keep.push_back(cached.negotiate(make_negotiation_request(*client, "article", profile)));
+    keep.push_back(plain.negotiate(make_negotiation_request(*client, "article", profile)));
+    const NegotiationResult& a = keep[keep.size() - 2];
+    const NegotiationResult& b = keep.back();
+    EXPECT_EQ(result_signature(a), result_signature(b)) << client->name;
+    EXPECT_EQ(a.offers.known_count(), b.offers.known_count()) << client->name;
+    ASSERT_TRUE(a.has_commitment()) << client->name;
+    EXPECT_EQ(a.commitment.flow_count(), b.commitment.flow_count()) << client->name;
+  }
+  EXPECT_EQ(cached_sys.transport->total_reserved_bps(), plain_sys.transport->total_reserved_bps());
+  const PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(cache->size(), 1u);
+}
+
+TEST(PlanCacheHead, StepTwoTextNamesTheAskingClient) {
+  TestSystem cached_sys;
+  TestSystem plain_sys;
+  auto cache = std::make_shared<NegotiationPlanCache>();
+  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                    cached_config(EnumerationStrategy::kBestFirst, cache));
+  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  // No video decoder: Step 2 finds no decodable variant of the video.
+  ClientMachine first = cached_sys.client;
+  first.decoders = {CodingFormat::kPCM, CodingFormat::kPlainText};
+  ClientMachine second = first;
+  second.name = "client-1";
+  const UserProfile profile = TestSystem::tolerant_profile();
+  for (const ClientMachine* client : {&first, &second, &first}) {
+    const NegotiationResult a =
+        cached.negotiate(make_negotiation_request(*client, "article", profile));
+    const NegotiationResult b =
+        plain.negotiate(make_negotiation_request(*client, "article", profile));
+    EXPECT_EQ(result_signature(a), result_signature(b)) << client->name;
+    EXPECT_EQ(a.verdict, NegotiationStatus::kFailedWithoutOffer);
+    ASSERT_EQ(a.problems.size(), 1u);
+    EXPECT_NE(a.problems[0].find("client '" + client->name + "'"), std::string::npos)
+        << a.problems[0];
+  }
+  const PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.lookups, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.stores, 0u);
 }
 
 // --- Cache-unit surface. ---------------------------------------------------
