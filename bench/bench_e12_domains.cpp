@@ -34,11 +34,11 @@ std::unique_ptr<MultiDomainTransport> make_world(MultiDomainTransport::RoutePoli
   // always buys the premium route, while the cost-aware policy takes the
   // two-hop regional route while it has capacity.
   std::vector<DomainConfig> domains = {
-      {"client-domain", 400'000'000, flat_tariff(Money::micros(200)), 1.0},
-      {"regional-a", 120'000'000, flat_tariff(Money::micros(500)), 5.0},
-      {"regional-b", 120'000'000, flat_tariff(Money::micros(500)), 5.0},
-      {"premium-backbone", 400'000'000, flat_tariff(Money::micros(8'000)), 3.0},
-      {"server-domain", 400'000'000, flat_tariff(Money::micros(200)), 1.0},
+      {"client-domain", 400'000'000, flat_tariff(Money::micros(200))},
+      {"regional-a", 120'000'000, flat_tariff(Money::micros(500))},
+      {"regional-b", 120'000'000, flat_tariff(Money::micros(500))},
+      {"premium-backbone", 400'000'000, flat_tariff(Money::micros(8'000))},
+      {"server-domain", 400'000'000, flat_tariff(Money::micros(200))},
   };
   auto net = std::make_unique<MultiDomainTransport>(std::move(domains), policy);
   (void)net->add_peering("client-domain", "regional-a");

@@ -28,11 +28,11 @@ int main() {
   };
   MultiDomainTransport net(
       {
-          {"metro-net", 400'000'000, flat(200), 1.0},
-          {"regional-a", 40'000'000, flat(500), 5.0},
-          {"regional-b", 40'000'000, flat(500), 5.0},
-          {"premium-backbone", 400'000'000, flat(8'000), 3.0},
-          {"hoster-net", 400'000'000, flat(200), 1.0},
+          {"metro-net", 400'000'000, flat(200)},
+          {"regional-a", 40'000'000, flat(500)},
+          {"regional-b", 40'000'000, flat(500)},
+          {"premium-backbone", 400'000'000, flat(8'000)},
+          {"hoster-net", 400'000'000, flat(200)},
       },
       MultiDomainTransport::RoutePolicy::kCheapest);
   (void)net.add_peering("metro-net", "regional-a");

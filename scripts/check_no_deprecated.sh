@@ -7,7 +7,8 @@
 #    simulator metrics fields and experiment options nothing read or set;
 #    the plan cache's document fingerprint and catalog epochs; the negotiation,
 #    service and experiment options only tests set; the wire server's
-#    completion queue and its orphan accounting):
+#    completion queue and its orphan accounting; the connection, cache,
+#    policy and session values that only tests set):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -75,6 +76,17 @@ done
 # Each wire request runs to completion on the loop that read it: the
 # completion queue, its drain and the in-flight/orphan accounting are gone.
 for name in drain_completions orphaned_results requests_inflight; do
+    check "$name" "\b$name\b"
+done
+# The paper fixes its own parameters: the settable values nothing outside
+# tests set are gone — the wire client's connect retries, the wire router's
+# overload hops, the load generator's think time, the upgrade scan's switch
+# and bound, make-before-break preemption, the transition latency, the plan
+# cache's shard count, the listen backlog, the domain transit delay and the
+# service's queue-depth probe. Each default is now a constant.
+for name in connect_attempts connect_backoff_ms overload_retries think_ms upgrade_enabled \
+    max_upgrades_per_scan allow_release transition_latency_s cache_shards listen_backlog \
+    transit_delay_ms queue_depth; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

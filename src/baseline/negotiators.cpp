@@ -39,7 +39,7 @@ NegotiationResult EnumeratingNegotiator::negotiate(const NegotiationRequest& req
 
 OfferList EnumeratingNegotiator::scored_offers(const FeasibleSet& feasible,
                                                const UserProfile& profile) const {
-  OfferList list = enumerate_offers(feasible, profile.mm, cost_model_, enumeration_);
+  OfferList list = enumerate_offers(feasible, profile.mm, cost_model_);
   for (SystemOffer& o : list.eager) {
     o.sns = compute_sns(o, profile.mm, profile.importance);
     o.oif = compute_oif(o, profile.importance);

@@ -48,17 +48,15 @@ class SmartNegotiator final : public Negotiator {
 
 /// The non-smart baselines: one negotiate() body over the offers a subclass
 /// lists in its own order. Inherently eager: each order is imposed on the
-/// materialised list, which is not the classification order the lazy
-/// best-first stream yields, so EnumerationConfig::strategy is ignored (only
-/// max_offers applies). The produced OfferList carries no stream and is not
-/// sns_ordered.
+/// materialised list (enumerate_offers under the default cap), which is not
+/// the classification order the lazy best-first stream yields. The produced
+/// OfferList carries no stream and is not sns_ordered.
 class EnumeratingNegotiator : public Negotiator {
  public:
   EnumeratingNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
-                        CostModel cost_model, EnumerationConfig enumeration = {},
-                        RetryPolicy retry = {})
+                        CostModel cost_model = {}, RetryPolicy retry = {})
       : catalog_(&catalog), farm_(&farm), transport_(&transport),
-        cost_model_(std::move(cost_model)), enumeration_(enumeration), retry_(retry) {}
+        cost_model_(std::move(cost_model)), retry_(retry) {}
 
   NegotiationResult negotiate(const NegotiationRequest& request) final;
 
@@ -76,7 +74,6 @@ class EnumeratingNegotiator : public Negotiator {
   ServerProvider* farm_;
   TransportProvider* transport_;
   CostModel cost_model_;
-  EnumerationConfig enumeration_;
   RetryPolicy retry_;
 };
 
@@ -103,9 +100,7 @@ class QoSOnlyNegotiator final : public EnumeratingNegotiator {
 /// Static first-fit negotiation without alternatives.
 class BasicNegotiator final : public EnumeratingNegotiator {
  public:
-  BasicNegotiator(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
-                  CostModel cost_model = {}, RetryPolicy retry = {})
-      : EnumeratingNegotiator(catalog, farm, transport, std::move(cost_model), {}, retry) {}
+  using EnumeratingNegotiator::EnumeratingNegotiator;
 
   std::string_view name() const override { return "basic"; }
 

@@ -1,8 +1,5 @@
 #include "core/commit.hpp"
 
-#include <chrono>
-#include <thread>
-
 #include "util/log.hpp"
 
 namespace qosnp {
@@ -110,9 +107,8 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       break;  // retrying an unknown server or missing route cannot help
     }
     if (attempt + 1 >= max_attempts) break;
-    // Back off before the next try. Time is accounted virtually (and only
-    // slept when the policy asks for real delays) so the per-offer deadline
-    // cuts the loop deterministically.
+    // Back off before the next try. Time is accounted virtually, never
+    // slept, so the per-offer deadline cuts the loop deterministically.
     const double delay = retry_.jittered_backoff_ms(attempt, jitter_rng_);
     if (retry_.deadline_ms > 0.0 && stats.backoff_ms + delay > retry_.deadline_ms) {
       QOSNP_LOG_DEBUG("commit", "retry deadline reached after ", stats.attempts,
@@ -120,9 +116,6 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       break;
     }
     stats.backoff_ms += delay;
-    if (retry_.sleep) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
-    }
   }
   stats_.merge(stats);
   if (trace.active()) annotate_refused(trace, last, stats);

@@ -46,10 +46,6 @@ struct RetryPolicy {
   double deadline_ms = 0.0;
   /// Seed of the jitter stream; the same seed reproduces the same delays.
   std::uint64_t seed = 0x51ab5eedULL;
-  /// Actually sleep the backoff delays. Off by default: the negotiation
-  /// procedure and every test account backoff in virtual time, which keeps
-  /// seeded runs fast and bit-for-bit reproducible.
-  bool sleep = false;
 
   /// The deterministic (un-jittered) schedule; monotone non-decreasing.
   double backoff_ms(int retry_index) const {

@@ -276,12 +276,11 @@ struct OfferStream::Impl {
   std::vector<ClassStream> classes;
   std::size_t current_class = 0;
 
+  // A capped stream logs nothing: it runs on the request path, and the
+  // result already says so (OfferList::truncated and run_plan's problem
+  // line).
   Impl(std::shared_ptr<const OfferStreamSeed> s, std::size_t max_offers) : seed(std::move(s)) {
     emit_cap = std::min(seed->total, max_offers);
-    if (emit_cap < seed->total) {
-      QOSNP_LOG_WARN("enumerate", "offer space of ", seed->total, " combinations truncated to ",
-                     emit_cap, " (best-first: the cap keeps the best offers)");
-    }
     build_classes();
   }
 

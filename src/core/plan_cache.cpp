@@ -74,14 +74,12 @@ class Fingerprint {
 
 }  // namespace
 
-std::string plan_config_digest(const EnumerationConfig& enumeration,
-                               const ClassificationPolicy& policy, const CostModel& cost_model) {
+std::string plan_config_digest(const EnumerationConfig& enumeration, const CostModel& cost_model) {
   std::string out;
   Fingerprint fp(out);
   fp.str("qosnp-plan-cfg-v1");
   fp.u64(enumeration.max_offers);
   fp.u8(static_cast<std::uint8_t>(enumeration.strategy));
-  fp.u8(static_cast<std::uint8_t>(policy.sns_rule));
   fp.table(cost_model.network_table());
   fp.table(cost_model.server_table());
   fp.f64(cost_model.best_effort_discount());
@@ -91,7 +89,7 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
 std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
                            const UserProfile& profile, const std::string& config_digest) {
   std::string out;
-  out.reserve(1024);  // one allocation: a key is under 1 KB (849 B for the test fixture)
+  out.reserve(1024);  // one allocation: a key is under 1 KB (848 B for the test fixture)
   Fingerprint fp(out);
   fp.str("qosnp-plan-key-v1");
   fp.str(config_digest);
@@ -160,16 +158,15 @@ std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& c
 }
 
 CachePolicy CachePolicy::validated(CachePolicy policy) {
-  require_config(policy.shards > 0, "CachePolicy", "shards must be at least 1");
   require_config(policy.capacity > 0, "CachePolicy", "capacity must be at least 1");
   return policy;
 }
 
 NegotiationPlanCache::NegotiationPlanCache(CachePolicy policy)
     : policy_(CachePolicy::validated(policy)) {
-  per_shard_capacity_ = (policy_.capacity + policy_.shards - 1) / policy_.shards;
-  shards_.reserve(policy_.shards);
-  for (std::size_t i = 0; i < policy_.shards; ++i) shards_.push_back(std::make_unique<Shard>());
+  per_shard_capacity_ = (policy_.capacity + kPlanCacheShards - 1) / kPlanCacheShards;
+  shards_.reserve(kPlanCacheShards);
+  for (std::size_t i = 0; i < kPlanCacheShards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
 NegotiationPlanCache::Shard& NegotiationPlanCache::shard_for(const std::string& key) {

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "client/client_machine.hpp"
-#include "core/classify.hpp"
 #include "core/enumerate.hpp"
 #include "core/offer.hpp"
 #include "cost/cost_model.hpp"
@@ -47,19 +46,20 @@
 namespace qosnp {
 
 /// Plan-cache sizing. Validated through the same require_config path as
-/// ServiceConfig — a zero-shard or zero-capacity cache throws
-/// std::invalid_argument at construction instead of dividing by zero at
-/// lookup.
+/// ServiceConfig — a zero-capacity cache throws std::invalid_argument at
+/// construction.
 struct CachePolicy {
-  /// Independent LRU shards (each its own mutex); keys hash to a shard.
-  std::size_t shards = 8;
-  /// Total cached plans across all shards (each shard holds its share,
-  /// rounded up, and evicts least-recently-used beyond it).
+  /// Total cached plans across all kPlanCacheShards shards (each shard holds
+  /// its share, rounded up, and evicts least-recently-used beyond it).
   std::size_t capacity = 1024;
 
-  /// Throws std::invalid_argument when unusable (zero shards or capacity).
+  /// Throws std::invalid_argument when unusable (zero capacity).
   static CachePolicy validated(CachePolicy policy);
 };
+
+/// Independent LRU shards of every plan cache (each its own mutex); keys
+/// hash to a shard.
+inline constexpr std::size_t kPlanCacheShards = 8;
 
 /// Monotone counters of one cache's lifetime. Conservation law:
 /// lookups == hits + misses, and every stale drop also counts as a miss
@@ -82,13 +82,6 @@ struct NegotiationPlan {
   /// this object; pinning it also keeps its address from being reused while
   /// the plan is cached.
   std::shared_ptr<const MultimediaDocument> document;
-
-  /// Steps 1-2 failed: verdict/problems/user_offer stand and the commit
-  /// walk never runs. Such a plan is built for one request, never stored.
-  bool terminal = false;
-  NegotiationStatus verdict = NegotiationStatus::kFailedWithoutOffer;
-  std::vector<std::string> problems;
-  std::optional<UserOffer> user_offer;
 
   /// kBestFirst: the shared stream seed (it holds Step 2's feasible
   /// variant sets); a replay spawns a fresh cursor when it needs one.
@@ -164,12 +157,11 @@ class NegotiationPlanCache {
   std::atomic<Counter*> stale_metric_{nullptr};
 };
 
-/// Canonical fingerprint of the manager-side knobs that shape a plan:
-/// enumeration config, classification policy and the cost model (tables +
-/// discount). Computed once per QoSManager so a cache shared between
-/// differently-configured managers can never alias plans.
-std::string plan_config_digest(const EnumerationConfig& enumeration,
-                               const ClassificationPolicy& policy, const CostModel& cost_model);
+/// Canonical fingerprint of the manager-side knobs that shape a plan: the
+/// enumeration config and the cost model (tables + discount). Computed once
+/// per QoSManager so a cache shared between differently-configured managers
+/// can never alias plans.
+std::string plan_config_digest(const EnumerationConfig& enumeration, const CostModel& cost_model);
 
 /// Canonical cache key of one request: the document id, the client's
 /// capabilities (screen, decoders, audio ceiling and audio output; not its

@@ -15,7 +15,7 @@ QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider
                        CostModel cost_model, NegotiationConfig config)
     : catalog_(&catalog), farm_(&farm), transport_(&transport),
       cost_model_(std::move(cost_model)), config_(std::move(config)),
-      plan_digest_(plan_config_digest(config_.enumeration, config_.policy, cost_model_)),
+      plan_digest_(plan_config_digest(config_.enumeration, cost_model_)),
       // Both concrete types are final, so the casts test the exact type.
       memo_refusals_(config_.committer_factory == nullptr && config_.retry.max_attempts <= 1 &&
                      dynamic_cast<ServerFarm*>(farm_) != nullptr &&
@@ -284,7 +284,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   // catalog cannot vouch for a cached plan.
   if (request.resolved) {
     auto plan = build_plan(request, request.resolved);
-    return run_plan(request, *plan, /*exclusive=*/true);
+    if (!plan.ok()) return std::move(plan.error());
+    return run_plan(request, *plan.value(), /*exclusive=*/true);
   }
 
   // A catalog miss has no document to validate a plan by; build_plan
@@ -293,7 +294,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   NegotiationPlanCache* cache = config_.plan_cache.get();
   if (!document || cache == nullptr || request.cache == CacheUse::kBypass) {
     auto plan = build_plan(request, std::move(document));
-    return run_plan(request, *plan, /*exclusive=*/true);
+    if (!plan.ok()) return std::move(plan.error());
+    return run_plan(request, *plan.value(), /*exclusive=*/true);
   }
 
   std::string key;
@@ -308,30 +310,24 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
 
   // A miss runs its fresh plan, then stores it with the first offer its
   // walk read, so a hit's list starts from that offer without a stream.
-  // Terminal plans are not stored: Step 2's text names the client, which
-  // the key leaves out.
-  auto fresh = build_plan(request, std::move(document));
+  // A request that fails Steps 1-2 stores nothing: Step 2's text names the
+  // client, which the key leaves out.
+  auto built = build_plan(request, std::move(document));
+  if (!built.ok()) return std::move(built.error());
+  std::shared_ptr<NegotiationPlan>& fresh = built.value();
   NegotiationResult result = run_plan(request, *fresh, /*exclusive=*/false);
-  if (fresh->terminal) return result;
   if (fresh->seed && result.offers.size() > 0) fresh->head = result.offers.streamed(0);
   cache->store(key, std::move(fresh));
   return result;
 }
 
-std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
+Result<std::shared_ptr<NegotiationPlan>, NegotiationResult> QoSManager::build_plan(
     const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document) {
-  auto plan = std::make_shared<NegotiationPlan>();
-  plan->document = document;
-  auto checked = static_check(request, std::move(document));
-  if (!checked.ok()) {
-    NegotiationResult& refused = checked.error();
-    plan->terminal = true;
-    plan->verdict = refused.verdict;
-    plan->problems = std::move(refused.problems);
-    plan->user_offer = std::move(refused.user_offer);
-    return plan;
-  }
+  auto checked = static_check(request, document);
+  if (!checked.ok()) return Err(std::move(checked.error()));
   FeasibleSet& feasible = checked.value();
+  auto plan = std::make_shared<NegotiationPlan>();
+  plan->document = std::move(document);
   const UserProfile& profile = request.profile;
 
   // Steps 3+4: build the offer space and the classification precomputation.
@@ -342,13 +338,13 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
     // Lazy best-first stream: Steps 3+4 are fused into the enumeration and
     // offers materialise one at a time as Step 5 walks them. The seed holds
     // all the memoisation; each request spawns its own cursor over it.
-    plan->seed = make_offer_stream_seed(std::move(feasible), profile.mm,
-                                        profile.importance, cost_model_, config_.policy);
+    plan->seed = make_offer_stream_seed(std::move(feasible), profile.mm, profile.importance,
+                                        cost_model_, ClassificationPolicy{});
     total = seed_total_combinations(*plan->seed);
     known = std::min(total, config_.enumeration.max_offers);
   } else {
     OfferList offers = enumerate_offers(feasible, profile.mm, cost_model_, config_.enumeration);
-    classify_offers(offers.eager, profile.mm, profile.importance, config_.policy);
+    classify_offers(offers.eager, profile.mm, profile.importance);
     offers.sns_ordered = true;
     total = offers.total_combinations;
     known = offers.known_count();
@@ -362,11 +358,6 @@ std::shared_ptr<NegotiationPlan> QoSManager::build_plan(
 NegotiationResult QoSManager::run_plan(const NegotiationRequest& request,
                                        const NegotiationPlan& plan, bool exclusive) {
   NegotiationResult result;
-  result.verdict = plan.verdict;
-  result.problems = plan.problems;
-  result.user_offer = plan.user_offer;
-  if (plan.terminal) return result;
-
   if (plan.seed) {
     // The stream yields offers already classified in final order. A cached
     // plan's list starts with its first offer consumed, and spawns the

@@ -41,7 +41,6 @@ struct NegotiationConfig {
   /// classification order (Step 5 pulls them one at a time); kEager
   /// materialises and sorts the whole product — kept as the test oracle.
   EnumerationConfig enumeration;
-  ClassificationPolicy policy;
   /// How resource commitment retries transiently-refused offers before the
   /// walk falls through to the next (worse) offer. Default: no retries.
   RetryPolicy retry;
@@ -152,10 +151,11 @@ class QoSManager {
 
  private:
   /// Steps 1-4 for `request` over `document` (null = a catalog miss): the
-  /// cacheable part. Emits the local-check/compatibility/enumeration spans it
+  /// cacheable part, or static_check's terminal result when Step 1 or 2
+  /// fails. Emits the local-check/compatibility/enumeration spans it
   /// executes.
-  std::shared_ptr<NegotiationPlan> build_plan(const NegotiationRequest& request,
-                                              std::shared_ptr<const MultimediaDocument> document);
+  Result<std::shared_ptr<NegotiationPlan>, NegotiationResult> build_plan(
+      const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document);
   /// Step 5 (+ verdict) over a built or replayed plan. The single exit path
   /// of every negotiation, so cached and uncached requests produce
   /// byte-identical results. `exclusive` marks a plan owned by this request

@@ -10,70 +10,6 @@ namespace qosnp {
 
 namespace {
 
-std::string qos_fields(const MonomediaQoS& qos) {
-  return std::visit(
-      [](const auto& q) -> std::string {
-        using T = std::decay_t<decltype(q)>;
-        std::ostringstream os;
-        if constexpr (std::is_same_v<T, VideoQoS>) {
-          os << to_string(q.color) << ' ' << q.frame_rate_fps << ' ' << q.resolution;
-        } else if constexpr (std::is_same_v<T, AudioQoS>) {
-          os << to_string(q.quality);
-        } else if constexpr (std::is_same_v<T, TextQoS>) {
-          os << to_string(q.language);
-        } else {
-          os << to_string(q.color) << ' ' << q.resolution;
-        }
-        return os.str();
-      },
-      qos);
-}
-
-bool parse_qos_fields(MediaKind kind, const std::string& text, MonomediaQoS& out) {
-  std::vector<std::string> fields;
-  for (const auto& f : split(text, ' ')) {
-    if (!trim(f).empty()) fields.emplace_back(trim(f));
-  }
-  switch (kind) {
-    case MediaKind::kVideo: {
-      if (fields.size() != 3) return false;
-      const auto color = parse_color_depth(fields[0]);
-      if (!color) return false;
-      VideoQoS q;
-      q.color = *color;
-      q.frame_rate_fps = std::atoi(fields[1].c_str());
-      q.resolution = std::atoi(fields[2].c_str());
-      out = q;
-      return q.frame_rate_fps > 0 && q.resolution > 0;
-    }
-    case MediaKind::kAudio: {
-      if (fields.size() != 1) return false;
-      const auto quality = parse_audio_quality(fields[0]);
-      if (!quality) return false;
-      out = AudioQoS{*quality};
-      return true;
-    }
-    case MediaKind::kText: {
-      if (fields.size() != 1) return false;
-      const auto language = parse_language(fields[0]);
-      if (!language) return false;
-      out = TextQoS{*language};
-      return true;
-    }
-    case MediaKind::kImage: {
-      if (fields.size() != 2) return false;
-      const auto color = parse_color_depth(fields[0]);
-      if (!color) return false;
-      ImageQoS q;
-      q.color = *color;
-      q.resolution = std::atoi(fields[1].c_str());
-      out = q;
-      return q.resolution > 0;
-    }
-  }
-  return false;
-}
-
 std::vector<std::string> pipe_fields(const std::string& value) {
   std::vector<std::string> out;
   for (const auto& f : split(value, '|')) out.emplace_back(trim(f));
@@ -110,7 +46,7 @@ std::string to_text(const MultimediaDocument& doc) {
       os << "variant = " << v.id << " | " << to_string(v.format) << " | " << v.server << " | "
          << v.avg_block_bytes << " | " << v.max_block_bytes << " | "
          << format_double(v.blocks_per_second, 3) << " | " << v.file_bytes << " | "
-         << qos_fields(v.qos) << '\n';
+         << qos_text(v.qos) << '\n';
     }
   }
   for (const TemporalRelation& t : doc.sync.temporal) {
@@ -180,7 +116,7 @@ Result<std::vector<MultimediaDocument>> parse_documents(const std::string& text)
       v.max_block_bytes = std::atoll(fields[4].c_str());
       v.blocks_per_second = std::atof(fields[5].c_str());
       v.file_bytes = std::atoll(fields[6].c_str());
-      if (!parse_qos_fields(current.monomedia.back().kind, fields[7], v.qos)) {
+      if (!parse_qos_text(current.monomedia.back().kind, fields[7], v.qos)) {
         return fail(line_no, "bad QoS fields '" + fields[7] + "'");
       }
       current.monomedia.back().variants.push_back(std::move(v));

@@ -33,7 +33,6 @@ struct DomainConfig {
   DomainId id;
   std::int64_t capacity_bps = 100'000'000;  ///< aggregate segment capacity
   CostTable tariff = CostTable::standard_network();
-  double transit_delay_ms = 5.0;
 };
 
 struct DomainUsage {

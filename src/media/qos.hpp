@@ -7,6 +7,7 @@
 
 #include <compare>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -79,5 +80,14 @@ using MonomediaQoS = std::variant<VideoQoS, AudioQoS, TextQoS, ImageQoS>;
 MediaKind media_kind_of(const MonomediaQoS& qos);
 
 std::string to_string(const MonomediaQoS& qos);
+
+/// The plain-text form both the document and the profile formats store:
+/// "color fps resolution" for video, "color resolution" for an image, and
+/// the quality or language name for audio and text.
+std::string qos_text(const MonomediaQoS& qos);
+
+/// Parse qos_text's form of a `kind` QoS into `out`; false when malformed
+/// (wrong field count, unknown name, non-positive number).
+bool parse_qos_text(MediaKind kind, std::string_view text, MonomediaQoS& out);
 
 }  // namespace qosnp

@@ -22,11 +22,12 @@ namespace qosnp {
 using wire::WireError;
 using wire::WireErrorCode;
 
+namespace {
+constexpr int kConnectAttempts = 3;
+constexpr std::chrono::milliseconds kConnectBackoff{50};
+}  // namespace
+
 WireClientConfig WireClientConfig::validated(WireClientConfig config) {
-  require_config(config.connect_attempts >= 1, "WireClientConfig",
-                 "connect_attempts must be at least 1");
-  require_config(config.connect_backoff_ms >= 0.0, "WireClientConfig",
-                 "connect_backoff_ms must not be negative");
   require_config(config.deadline_ms >= 0.0, "WireClientConfig",
                  "deadline_ms must not be negative");
   require_config(config.max_frame_bytes >= wire::kMinMaxFrameBytes,
@@ -50,11 +51,8 @@ void WireClient::close() {
 Result<bool, WireError> WireClient::connect() {
   if (connected()) return true;
   std::string last_error = "unknown";
-  for (int attempt = 0; attempt < config_.connect_attempts; ++attempt) {
-    if (attempt > 0 && config_.connect_backoff_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(config_.connect_backoff_ms));
-    }
+  for (int attempt = 0; attempt < kConnectAttempts; ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(kConnectBackoff);
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
       last_error = std::strerror(errno);
@@ -82,7 +80,7 @@ Result<bool, WireError> WireClient::connect() {
   }
   return Err(WireError{WireErrorCode::kConnectionClosed,
                        "connect to " + config_.host + ":" + std::to_string(config_.port) +
-                           " failed after " + std::to_string(config_.connect_attempts) +
+                           " failed after " + std::to_string(kConnectAttempts) +
                            " attempts: " + last_error});
 }
 

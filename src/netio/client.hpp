@@ -31,10 +31,6 @@ namespace qosnp {
 struct WireClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// connect() tries this many times, sleeping `connect_backoff_ms` between
-  /// attempts — enough to ride out a server that is still binding its port.
-  int connect_attempts = 3;
-  double connect_backoff_ms = 50.0;
   /// Default wait bound for submit()/await()/ping(); 0 blocks forever.
   double deadline_ms = 0.0;
   std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
@@ -50,7 +46,8 @@ class WireClient {
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
 
-  /// Establish the connection (with retries). Idempotent while connected.
+  /// Establish the connection, trying 3 times 50 ms apart: enough to ride
+  /// out a server that is still binding its port. Idempotent while connected.
   Result<bool, wire::WireError> connect();
   void close();
   bool connected() const { return fd_ >= 0; }

@@ -62,12 +62,6 @@ NodeConfig& NodeConfig::plan_cache_enabled(bool on) {
   return *this;
 }
 
-NodeConfig& NodeConfig::cache_shards(std::size_t n) {
-  require_field(n >= 1, "cache_shards", "must be >= 1");
-  cache_.shards = n;
-  return *this;
-}
-
 NodeConfig& NodeConfig::cache_capacity(std::size_t n) {
   require_field(n >= 1, "cache_capacity", "must be >= 1");
   cache_.capacity = n;
@@ -82,12 +76,6 @@ NodeConfig& NodeConfig::bind_address(std::string address) {
 
 NodeConfig& NodeConfig::listen_port(std::uint16_t port) {
   wire_.port = port;  // 0 is valid: bind an ephemeral port
-  return *this;
-}
-
-NodeConfig& NodeConfig::listen_backlog(int backlog) {
-  require_field(backlog >= 1, "listen_backlog", "must be >= 1");
-  wire_.listen_backlog = backlog;
   return *this;
 }
 

@@ -44,13 +44,11 @@ class NodeConfig {
 
   // --- plan cache fields ---------------------------------------------------
   NodeConfig& plan_cache_enabled(bool on);
-  NodeConfig& cache_shards(std::size_t n);
   NodeConfig& cache_capacity(std::size_t n);
 
   // --- wire listener fields ------------------------------------------------
   NodeConfig& bind_address(std::string address);
   NodeConfig& listen_port(std::uint16_t port);
-  NodeConfig& listen_backlog(int backlog);
   NodeConfig& max_connections(std::size_t n);
   NodeConfig& max_frame_bytes(std::size_t n);
   NodeConfig& idle_timeout_ms(double ms);

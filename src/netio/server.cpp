@@ -23,6 +23,7 @@ namespace qosnp {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 64;
 
 std::size_t frame_type_index(wire::FrameType type) {
   return static_cast<std::size_t>(type);
@@ -31,7 +32,7 @@ std::size_t frame_type_index(wire::FrameType type) {
 /// A non-blocking listener bound to `addr`. It does not share its port
 /// (no SO_REUSEPORT), so a second server on a taken port fails with
 /// EADDRINUSE. Throws std::runtime_error.
-int open_listener(const sockaddr_in& addr, int backlog) {
+int open_listener(const sockaddr_in& addr) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error("WireServer: socket() failed: " + std::string(std::strerror(errno)));
@@ -39,7 +40,7 @@ int open_listener(const sockaddr_in& addr, int backlog) {
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, backlog) != 0) {
+      ::listen(fd, kListenBacklog) != 0) {
     const std::string why = std::strerror(errno);
     ::close(fd);
     throw std::runtime_error("WireServer: bind/listen failed: " + why);
@@ -58,8 +59,6 @@ void watch_readable(int epoll_fd, int fd, std::uint32_t extra = 0) {
 WireServerConfig WireServerConfig::validated(WireServerConfig config) {
   require_config(config.max_connections > 0, "WireServerConfig",
                  "max_connections must be at least 1");
-  require_config(config.listen_backlog > 0, "WireServerConfig",
-                 "listen_backlog must be at least 1");
   require_config(config.max_frame_bytes >= wire::kMinMaxFrameBytes,
                  "WireServerConfig", "max_frame_bytes cannot carry any frame");
   require_config(config.idle_timeout_ms >= 0.0, "WireServerConfig",
@@ -84,7 +83,7 @@ void WireServer::start() {
     if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1) {
       throw std::runtime_error("WireServer: bad bind address '" + config_.bind_address + "'");
     }
-    listen_fd_ = open_listener(addr, config_.listen_backlog);
+    listen_fd_ = open_listener(addr);
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);  // resolves an ephemeral port

@@ -44,7 +44,6 @@ struct WireServerConfig {
   std::string bind_address = "127.0.0.1";
   /// Port to listen on; 0 binds an ephemeral port (see WireServer::port()).
   std::uint16_t port = 0;
-  int listen_backlog = 64;
   /// Connections beyond this, over all loops, are accepted, answered with
   /// one kOverloaded ERROR frame (retry later) and closed.
   std::size_t max_connections = 256;

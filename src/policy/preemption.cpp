@@ -19,9 +19,6 @@ PreemptionPolicy PreemptionPolicy::validated(PreemptionPolicy p) {
   if (p.max_victims <= 0) {
     throw std::invalid_argument("PreemptionPolicy: max_victims must be positive");
   }
-  if (p.max_upgrades_per_scan <= 0) {
-    throw std::invalid_argument("PreemptionPolicy: max_upgrades_per_scan must be positive");
-  }
   return p;
 }
 
@@ -117,17 +114,15 @@ NegotiationResult PolicyEngine::negotiate(const NegotiationRequest& request) {
   if (try_preempt) {
     ScopedSpan span(request.trace, Stage::kPreemption);
     span.annotate("class", std::string(to_string(request.session_class)));
-    // The candidate list is gathered once: a make-before-break victim that
-    // could not be degraded stays playing but must not be re-picked, or a
-    // stubborn victim would pin the loop.
+    // The candidate list is gathered once, so a victim another thread
+    // finished meanwhile is skipped, never re-picked.
     const std::vector<PlayingSession> candidates = victim_candidates(request.session_class);
     int victims_used = 0;
     for (const PlayingSession& candidate : candidates) {
       if (victims_used >= policy_.max_victims) break;
       if (result.has_commitment()) break;
-      TransitionResult victim =
-          sessions_->preempt_degrade(candidate.id, policy_.allow_release, span.context());
-      if (!victim.moved && !victim.released) continue;  // untouched, try the next one
+      TransitionResult victim = sessions_->preempt_degrade(candidate.id, span.context());
+      if (!victim.moved && !victim.released) continue;  // no longer playing, try the next one
       ++victims_used;
       VictimEvent event;
       event.session = candidate.id;
@@ -165,7 +160,7 @@ NegotiationResult PolicyEngine::negotiate(const NegotiationRequest& request) {
 }
 
 std::size_t PolicyEngine::run_upgrades(TraceContext trace) {
-  if (!policy_.enabled || !policy_.upgrade_enabled) return 0;
+  if (!policy_.enabled) return 0;
   std::vector<PlayingSession> candidates = sessions_->playing_sessions_with_class();
   std::erase_if(candidates, [](const PlayingSession& p) {
     return p.current_offer == 0 || p.current_offer == SIZE_MAX;  // already at its best offer
@@ -185,7 +180,7 @@ std::size_t PolicyEngine::run_upgrades(TraceContext trace) {
   std::size_t promoted = 0;
   int attempts = 0;
   for (const PlayingSession& candidate : candidates) {
-    if (attempts >= policy_.max_upgrades_per_scan) break;
+    if (attempts >= kMaxUpgradesPerScan) break;
     ++attempts;
     TransitionResult upgrade = sessions_->try_upgrade(candidate.id, span.context());
     if (!upgrade.moved) continue;

@@ -34,19 +34,16 @@ struct PreemptionPolicy {
   /// Master switch. Off = negotiate() is a pass-through (byte-identical to
   /// QoSManager::negotiate) and run_upgrades() is a no-op.
   bool enabled = false;
-  /// Whether a victim that fits no worse offer may be released (aborted
-  /// with kPreemptedAbortReason). Off = make-before-break degrades only;
-  /// untouchable victims survive and the requester may stay shed.
-  bool allow_release = true;
-  /// Most victims degraded/released for one request.
+  /// Most victims degraded/released for one request. A victim that fits no
+  /// worse offer is released (aborted with kPreemptedAbortReason).
   int max_victims = 8;
-  /// Upgrade scanning switch and per-scan attempt bound.
-  bool upgrade_enabled = true;
-  int max_upgrades_per_scan = 32;
 
-  /// Throws std::invalid_argument on non-positive bounds.
+  /// Throws std::invalid_argument on a non-positive victim bound.
   static PreemptionPolicy validated(PreemptionPolicy p);
 };
+
+/// Most sessions one upgrade scan tries to promote.
+inline constexpr int kMaxUpgradesPerScan = 32;
 
 enum class VictimAction { kDegraded, kReleased };
 

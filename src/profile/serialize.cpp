@@ -11,18 +11,6 @@ namespace qosnp {
 
 namespace {
 
-std::string video_qos_text(const VideoQoS& q) {
-  std::ostringstream os;
-  os << to_string(q.color) << ' ' << q.frame_rate_fps << ' ' << q.resolution;
-  return os.str();
-}
-
-std::string image_qos_text(const ImageQoS& q) {
-  std::ostringstream os;
-  os << to_string(q.color) << ' ' << q.resolution;
-  return os.str();
-}
-
 std::string array_text(std::span<const double> values) {
   std::ostringstream os;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -41,35 +29,6 @@ std::string curve_text(const PiecewiseLinear& curve, std::span<const double> xs)
     os << format_double(xs[i], 0) << ':' << format_double(curve.at(xs[i]), 3);
   }
   return os.str();
-}
-
-bool parse_video_qos(const std::string& value, VideoQoS& out) {
-  const auto parts = split(value, ' ');
-  std::vector<std::string> fields;
-  for (const auto& p : parts) {
-    if (!trim(p).empty()) fields.emplace_back(trim(p));
-  }
-  if (fields.size() != 3) return false;
-  const auto color = parse_color_depth(fields[0]);
-  if (!color) return false;
-  out.color = *color;
-  out.frame_rate_fps = std::atoi(fields[1].c_str());
-  out.resolution = std::atoi(fields[2].c_str());
-  return out.frame_rate_fps > 0 && out.resolution > 0;
-}
-
-bool parse_image_qos(const std::string& value, ImageQoS& out) {
-  const auto parts = split(value, ' ');
-  std::vector<std::string> fields;
-  for (const auto& p : parts) {
-    if (!trim(p).empty()) fields.emplace_back(trim(p));
-  }
-  if (fields.size() != 2) return false;
-  const auto color = parse_color_depth(fields[0]);
-  if (!color) return false;
-  out.color = *color;
-  out.resolution = std::atoi(fields[1].c_str());
-  return out.resolution > 0;
 }
 
 bool parse_doubles(const std::string& value, std::vector<double>& out) {
@@ -111,8 +70,8 @@ std::string to_text(const UserProfile& p) {
   std::ostringstream os;
   os << "profile = " << p.name << '\n';
   if (p.mm.video) {
-    os << "video.desired = " << video_qos_text(p.mm.video->desired) << '\n';
-    os << "video.worst = " << video_qos_text(p.mm.video->worst) << '\n';
+    os << "video.desired = " << qos_text(p.mm.video->desired) << '\n';
+    os << "video.worst = " << qos_text(p.mm.video->worst) << '\n';
   }
   if (p.mm.audio) {
     os << "audio.desired = " << to_string(p.mm.audio->desired.quality) << '\n';
@@ -127,8 +86,8 @@ std::string to_text(const UserProfile& p) {
     }
   }
   if (p.mm.image) {
-    os << "image.desired = " << image_qos_text(p.mm.image->desired) << '\n';
-    os << "image.worst = " << image_qos_text(p.mm.image->worst) << '\n';
+    os << "image.desired = " << qos_text(p.mm.image->desired) << '\n';
+    os << "image.worst = " << qos_text(p.mm.image->worst) << '\n';
   }
   os << "cost.max = " << p.mm.cost.max_cost.to_string() << '\n';
   os << "time.delivery = " << format_double(p.mm.time.delivery_time_s, 1) << '\n';
@@ -192,10 +151,12 @@ Result<std::vector<UserProfile>> parse_profiles(const std::string& text) {
     auto& imp = current.importance;
     std::vector<double> nums;
     if (key == "video.desired" || key == "video.worst") {
-      VideoQoS q;
-      if (!parse_video_qos(value, q)) return fail(line_no, "bad video QoS '" + value + "'");
+      MonomediaQoS q;
+      if (!parse_qos_text(MediaKind::kVideo, value, q)) {
+        return fail(line_no, "bad video QoS '" + value + "'");
+      }
       if (!mm.video) mm.video = VideoProfile{};
-      (key == "video.desired" ? mm.video->desired : mm.video->worst) = q;
+      (key == "video.desired" ? mm.video->desired : mm.video->worst) = std::get<VideoQoS>(q);
     } else if (key == "audio.desired" || key == "audio.worst") {
       const auto q = parse_audio_quality(value);
       if (!q) return fail(line_no, "bad audio quality '" + value + "'");
@@ -217,10 +178,12 @@ Result<std::vector<UserProfile>> parse_profiles(const std::string& text) {
         mm.text->acceptable.push_back(*l);
       }
     } else if (key == "image.desired" || key == "image.worst") {
-      ImageQoS q;
-      if (!parse_image_qos(value, q)) return fail(line_no, "bad image QoS '" + value + "'");
+      MonomediaQoS q;
+      if (!parse_qos_text(MediaKind::kImage, value, q)) {
+        return fail(line_no, "bad image QoS '" + value + "'");
+      }
       if (!mm.image) mm.image = ImageProfile{};
-      (key == "image.desired" ? mm.image->desired : mm.image->worst) = q;
+      (key == "image.desired" ? mm.image->desired : mm.image->worst) = std::get<ImageQoS>(q);
     } else if (key == "cost.max") {
       mm.cost.max_cost = Money::parse(value);
     } else if (key == "time.delivery") {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace qosnp {
@@ -14,7 +15,7 @@ namespace qosnp {
 namespace {
 
 NegotiationRequest make_request(const LoadConfig& config, std::uint64_t index) {
-  Rng rng = request_rng(config.seed, index);
+  Rng rng = indexed_rng(config.seed, index);
   NegotiationRequest req;
   req.id = index + 1;
   req.client = config.clients[index % config.clients.size()];
@@ -56,7 +57,6 @@ LoadReport run_load(NegotiationService& service, const LoadConfig& config) {
           service.sessions().complete(resp.session_id);
           completed_sessions.fetch_add(1, std::memory_order_relaxed);
         }
-        sleep_ms(config.think_ms);
       }
     };
     std::vector<std::thread> clients;

@@ -2,7 +2,7 @@
 //
 //   closed: `concurrency` synthetic clients each run submit -> wait for the
 //           response -> (hold a committed session, then complete it) ->
-//           think -> next request. Offered load tracks service capacity —
+//           next request. Offered load tracks service capacity —
 //           the mode for throughput/latency scaling measurements.
 //   open:   requests arrive on a Poisson process regardless of completions
 //           (arrival_rate_per_s), the regime that drives the queue into
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "service/negotiation_service.hpp"
-#include "util/rng.hpp"
 
 namespace qosnp {
 
@@ -33,8 +32,6 @@ struct LoadConfig {
   std::size_t requests = 1000;
   /// Open loop: Poisson arrival rate.
   double arrival_rate_per_s = 100.0;
-  /// Closed loop: think time between a response and the next submission.
-  double think_ms = 0.0;
   /// Closed loop: how long a committed session is held before the client
   /// completes it (0 = complete immediately, capacity returns at once).
   /// Open-loop sessions are completed at drain.
@@ -54,12 +51,6 @@ struct LoadReport {
   double wall_s = 0.0;                 ///< generator wall time, submit to drain
   double throughput_rps = 0.0;         ///< responses per generator wall second
 };
-
-/// The per-request RNG: same (seed, index) => same draws. SplitMix64 is
-/// seed-sequence friendly, so consecutive indices yield independent streams.
-inline Rng request_rng(std::uint64_t seed, std::uint64_t index) {
-  return Rng(seed + index * 0x9e3779b97f4a7c15ULL);
-}
 
 /// Drive `service` (which must be started) with the configured workload and
 /// block until every request is resolved and every generator-opened session

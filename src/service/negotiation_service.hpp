@@ -164,7 +164,6 @@ class NegotiationService final : public NegotiationClient {
   /// the service auto-confirms (its workers would take Step 6 themselves).
   NegotiationResult negotiate(NegotiationRequest request, double now_s) override;
 
-  std::size_t queue_depth() const { return queue_.size(); }
   /// Service clock: seconds since construction (the time base sessions are
   /// opened/confirmed against).
   double now_s() const { return clock_.elapsed_seconds(); }

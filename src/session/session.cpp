@@ -164,7 +164,7 @@ void SessionManager::install_locked(Session& s, std::size_t index, Commitment&& 
   if (std::find(s.tried.begin(), s.tried.end(), index) == s.tried.end()) s.tried.push_back(index);
   index_commitment_locked(s);
   s.stats.*counter += 1;
-  s.stats.interrupted_s += policy_.transition_latency_s;
+  s.stats.interrupted_s += kTransitionLatencyS;
   s.stats.charged = s.offers.total_cost(s.current_offer);
 }
 
@@ -221,7 +221,7 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
   install_locked(s, attempt.index, std::move(attempt.commitment), rule.moved);
   result.moved = true;
   result.new_offer = attempt.index;
-  result.interruption_s = policy_.transition_latency_s;
+  result.interruption_s = kTransitionLatencyS;
   QOSNP_LOG_INFO(rule.log_tag, "session ", id, " moved from offer ", result.old_offer, " to ",
                  result.new_offer, " at position ", s.position_s, "s");
   return result;
@@ -241,19 +241,17 @@ TransitionResult SessionManager::adapt(SessionId id, double /*now_s*/) {
                     {});
 }
 
-TransitionResult SessionManager::preempt_degrade(SessionId id, bool allow_release,
-                                                 TraceContext trace) {
+TransitionResult SessionManager::preempt_degrade(SessionId id, TraceContext trace) {
   // Only offers strictly worse than the current one are eligible: the policy
   // invariant "a preempted victim's new offer is always a later entry in its
   // own offer list" is enforced structurally. Releasing first is the point
-  // of preempting (the victim's resources are what the higher class needs);
-  // without allow_release a worse offer must fit alongside the current one.
+  // of preempting (the victim's resources are what the higher class needs).
   return transition(id,
                     {.window = TransitionRule::Window::kWorse,
-                     .make_before_break = !allow_release,
+                     .make_before_break = false,
                      .moved = &SessionStats::preempt_degrades,
                      .log_tag = "preempt",
-                     .abort_reason = allow_release ? kPreemptedAbortReason : std::string_view{}},
+                     .abort_reason = kPreemptedAbortReason},
                     trace);
 }
 

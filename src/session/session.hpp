@@ -40,6 +40,10 @@ std::string_view to_string(SessionState state);
 /// policy" (vs "adaptation failed") accounting off this exact string.
 inline constexpr std::string_view kPreemptedAbortReason = "preempted by policy";
 
+/// Fixed cost of one transition (stop + reposition + restart, the paper's
+/// simple transition procedure), added to the session's interruption time.
+inline constexpr double kTransitionLatencyS = 0.5;
+
 struct SessionStats {
   int transitions = 0;  ///< successful adaptations
   int failed_adaptations = 0;
@@ -97,9 +101,6 @@ struct AdaptationPolicy {
   /// Exclude every previously-tried offer, not just the current one (the
   /// paper excludes only the current offer).
   bool exclude_all_tried = false;
-  /// Fixed transition cost added to the session's interruption time
-  /// (stop + reposition + restart, paper's simple transition procedure).
-  double transition_latency_s = 0.5;
 };
 
 /// Outcome of one move of a playing session along its own offer list:
@@ -112,7 +113,7 @@ struct TransitionResult {
   bool released = false;  ///< no offer in the window committed: session aborted
   std::size_t old_offer = SIZE_MAX;
   std::size_t new_offer = SIZE_MAX;  ///< moved only
-  double interruption_s = 0.0;       ///< moved only: the policy's transition latency
+  double interruption_s = 0.0;       ///< moved only: kTransitionLatencyS
   /// Why the session could not move: the guard's message when it was not
   /// live or not playing; otherwise empty.
   std::string error;
@@ -211,13 +212,11 @@ class SessionManager {
 
   /// Policy-driven preemption of one playing victim: force it down its own
   /// offer list (Step 5 over the offers strictly worse than — i.e. indexed
-  /// after — everything up to its current one). With `allow_release` the
-  /// walk is break-before-make (the victim's resources free up first, which
-  /// is the whole point of preempting); failure to re-commit aborts the
-  /// victim with kPreemptedAbortReason. Without it the walk is
-  /// make-before-break: the victim is degraded only when a worse offer fits
-  /// *alongside* its current one, and is left untouched otherwise.
-  TransitionResult preempt_degrade(SessionId id, bool allow_release, TraceContext trace = {});
+  /// after — everything up to its current one). The walk is
+  /// break-before-make (the victim's resources free up first, which is the
+  /// whole point of preempting); failure to re-commit aborts the victim with
+  /// kPreemptedAbortReason.
+  TransitionResult preempt_degrade(SessionId id, TraceContext trace = {});
 
   /// Policy-driven upgrade of one playing session: re-run Step 5 over the
   /// offers strictly better than its current one, make-before-break. On

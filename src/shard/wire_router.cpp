@@ -7,12 +7,14 @@
 
 namespace qosnp {
 
+namespace {
+/// How many other shards an overloaded submit hops to before giving up.
+constexpr int kOverloadRetries = 1;
+}  // namespace
+
 WireShardRouterConfig WireShardRouterConfig::validated(WireShardRouterConfig config) {
   if (config.backends.empty()) {
     throw std::invalid_argument("WireShardRouterConfig: at least one backend is required");
-  }
-  if (config.overload_retries < 0) {
-    throw std::invalid_argument("WireShardRouterConfig: overload_retries must not be negative");
   }
   return config;
 }
@@ -31,7 +33,7 @@ Result<NegotiationResult, wire::WireError> WireShardRouter::submit(
     const NegotiationRequest& request, double deadline_ms) {
   const std::size_t home = home_shard(request);
   ++stats_.routed[home];
-  const int hops = std::min<int>(config_.overload_retries,
+  const int hops = std::min<int>(kOverloadRetries,
                                  static_cast<int>(clients_.size()) - 1);
   wire::WireError last{};
   for (int hop = 0; hop <= hops; ++hop) {

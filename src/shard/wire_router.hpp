@@ -7,8 +7,8 @@
 //
 // Retry policy (the reason WireClient deadlines are typed): a response of
 // kOverloaded — the backend shed the connection or request — is retried on
-// the next shard(s) in ring order, up to overload_retries hops; every other
-// error, kDeadlineExceeded above all, fails fast. An expired deadline means
+// the next shard in ring order, one hop at most; every other error,
+// kDeadlineExceeded above all, fails fast. An expired deadline means
 // the home shard may still be computing the answer — retrying it elsewhere
 // would double-spend the reservation, and the other shard does not own the
 // document anyway (it answers with a clean typed refusal, which is why the
@@ -36,8 +36,6 @@ namespace qosnp {
 struct WireShardRouterConfig {
   /// One backend per shard, index = shard id.
   std::vector<WireClientConfig> backends;
-  /// How many other shards an overloaded submit hops to before giving up.
-  int overload_retries = 1;
 
   static WireShardRouterConfig validated(WireShardRouterConfig config);
 };

@@ -137,12 +137,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     case Strategy::kCostOnly:
       negotiator = std::make_unique<CostOnlyNegotiator>(catalog, *server_provider,
                                                         *transport_provider, CostModel{},
-                                                        EnumerationConfig{}, config.retry);
+                                                        config.retry);
       break;
     case Strategy::kQoSOnly:
       negotiator = std::make_unique<QoSOnlyNegotiator>(catalog, *server_provider,
                                                        *transport_provider, CostModel{},
-                                                       EnumerationConfig{}, config.retry);
+                                                       config.retry);
       break;
   }
 

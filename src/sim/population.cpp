@@ -268,7 +268,7 @@ void Population::arrive(std::size_t class_index) {
   if (config_.arrival_observer) config_.arrival_observer(class_index, queue_.now());
 
   const std::uint64_t index = next_arrival_index_++;
-  Rng rng = user_rng(config_.seed, index);
+  Rng rng = indexed_rng(config_.seed, index);
   const UserDraws draws = draw_user(cls, rng, documents_);
 
   NegotiationRequest request = make_negotiation_request(cls.machine, draws.document, cls.profile);

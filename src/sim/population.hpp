@@ -166,12 +166,6 @@ struct UserDraws {
 
 UserDraws draw_user(const ClientClass& cls, Rng& rng, std::span<const DocumentId> documents);
 
-/// The per-user RNG stream: same (seed, arrival index) => same draws, no
-/// matter which class the arrival belongs to or what happened before it.
-inline Rng user_rng(std::uint64_t seed, std::uint64_t arrival_index) {
-  return Rng(seed + arrival_index * 0x9e3779b97f4a7c15ULL);
-}
-
 struct PopulationConfig {
   std::vector<ClientClass> classes;
   /// Arrivals stop at this simulation time; every lifecycle already started

@@ -82,4 +82,12 @@ class Rng {
   std::uint64_t state_;
 };
 
+/// The stream of one item of a seeded run (a request, an arriving user):
+/// same (seed, index) => same draws, no matter which thread handles the
+/// item or what happened before it. SplitMix64 is seed-sequence friendly,
+/// so consecutive indices yield independent streams.
+inline Rng indexed_rng(std::uint64_t seed, std::uint64_t index) {
+  return Rng(seed + index * 0x9e3779b97f4a7c15ULL);
+}
+
 }  // namespace qosnp

@@ -30,10 +30,10 @@ CostTable flat_tariff(Money per_second) {
 std::unique_ptr<MultiDomainTransport> diamond(MultiDomainTransport::RoutePolicy policy,
                                               std::int64_t cheap_capacity = 20'000'000) {
   std::vector<DomainConfig> domains = {
-      {"client-domain", 1'000'000'000, flat_tariff(Money::micros(100)), 1.0},
-      {"cheap-transit", cheap_capacity, flat_tariff(Money::micros(500)), 5.0},
-      {"pricey-transit", 1'000'000'000, flat_tariff(Money::micros(5'000)), 5.0},
-      {"server-domain", 1'000'000'000, flat_tariff(Money::micros(100)), 1.0},
+      {"client-domain", 1'000'000'000, flat_tariff(Money::micros(100))},
+      {"cheap-transit", cheap_capacity, flat_tariff(Money::micros(500))},
+      {"pricey-transit", 1'000'000'000, flat_tariff(Money::micros(5'000))},
+      {"server-domain", 1'000'000'000, flat_tariff(Money::micros(100))},
   };
   auto net = std::make_unique<MultiDomainTransport>(std::move(domains), policy);
   EXPECT_TRUE(net->add_peering("client-domain", "cheap-transit").ok());
@@ -47,7 +47,7 @@ std::unique_ptr<MultiDomainTransport> diamond(MultiDomainTransport::RoutePolicy 
 }
 
 TEST(MultiDomain, ConfigurationValidation) {
-  MultiDomainTransport net({{"a", 1'000, flat_tariff(Money::micros(1)), 1.0}});
+  MultiDomainTransport net({{"a", 1'000, flat_tariff(Money::micros(1))}});
   EXPECT_FALSE(net.add_peering("a", "ghost").ok());
   EXPECT_FALSE(net.add_peering("a", "a").ok());
   EXPECT_FALSE(net.attach("n", "ghost").ok());
@@ -107,11 +107,11 @@ TEST(MultiDomain, FewestDomainsPolicyIgnoresTariffs) {
   // picked; make the cheap one *longer* (client->extra->cheap->server) so
   // the policies diverge deterministically.
   std::vector<DomainConfig> domains = {
-      {"client-domain", 1'000'000'000, flat_tariff(Money::micros(100)), 1.0},
-      {"extra", 1'000'000'000, flat_tariff(Money::micros(50)), 1.0},
-      {"cheap-transit", 1'000'000'000, flat_tariff(Money::micros(50)), 5.0},
-      {"pricey-transit", 1'000'000'000, flat_tariff(Money::micros(5'000)), 5.0},
-      {"server-domain", 1'000'000'000, flat_tariff(Money::micros(100)), 1.0},
+      {"client-domain", 1'000'000'000, flat_tariff(Money::micros(100))},
+      {"extra", 1'000'000'000, flat_tariff(Money::micros(50))},
+      {"cheap-transit", 1'000'000'000, flat_tariff(Money::micros(50))},
+      {"pricey-transit", 1'000'000'000, flat_tariff(Money::micros(5'000))},
+      {"server-domain", 1'000'000'000, flat_tariff(Money::micros(100))},
   };
   for (const auto policy : {MultiDomainTransport::RoutePolicy::kCheapest,
                             MultiDomainTransport::RoutePolicy::kFewestDomains}) {

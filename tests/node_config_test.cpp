@@ -48,7 +48,6 @@ TEST(NodeConfig, WireFieldsFlowThroughTheFinisher) {
   const auto net = NodeConfig{}
                        .bind_address("0.0.0.0")
                        .listen_port(0)
-                       .listen_backlog(7)
                        .max_connections(12)
                        .max_frame_bytes(4096)
                        .idle_timeout_ms(250.0)
@@ -56,7 +55,6 @@ TEST(NodeConfig, WireFieldsFlowThroughTheFinisher) {
                        .wire_server();
   EXPECT_EQ(net.bind_address, "0.0.0.0");
   EXPECT_EQ(net.port, 0);
-  EXPECT_EQ(net.listen_backlog, 7);
   EXPECT_EQ(net.max_connections, 12u);
   EXPECT_EQ(net.max_frame_bytes, 4096u);
   EXPECT_EQ(net.idle_timeout_ms, 250.0);
@@ -69,8 +67,7 @@ TEST(NodeConfig, SmallestAcceptedFrameLimitFlowsThroughTheFinisher) {
 }
 
 TEST(NodeConfig, CacheFieldsFlowThroughTheFinisher) {
-  const auto policy = NodeConfig{}.cache_shards(3).cache_capacity(99).cache_policy();
-  EXPECT_EQ(policy.shards, 3u);
+  const auto policy = NodeConfig{}.cache_capacity(99).cache_policy();
   EXPECT_EQ(policy.capacity, 99u);
 }
 
@@ -95,14 +92,10 @@ TEST(NodeConfig, EveryBadFieldNamesItselfInTheError) {
                      "NodeConfig.deadline_ms: must not be negative");
   expect_field_error([] { NodeConfig{}.simulated_rtt_ms(-0.5); },
                      "NodeConfig.simulated_rtt_ms: must not be negative");
-  expect_field_error([] { NodeConfig{}.cache_shards(0); },
-                     "NodeConfig.cache_shards: must be >= 1");
   expect_field_error([] { NodeConfig{}.cache_capacity(0); },
                      "NodeConfig.cache_capacity: must be >= 1");
   expect_field_error([] { NodeConfig{}.bind_address(""); },
                      "NodeConfig.bind_address: must not be empty");
-  expect_field_error([] { NodeConfig{}.listen_backlog(0); },
-                     "NodeConfig.listen_backlog: must be >= 1");
   expect_field_error([] { NodeConfig{}.max_connections(0); },
                      "NodeConfig.max_connections: must be >= 1");
   expect_field_error([] { NodeConfig{}.max_frame_bytes(8); },
@@ -128,7 +121,6 @@ TEST(NodeConfig, DefaultsMatchTheSubsystemDefaults) {
   EXPECT_EQ(node.service().workers, 4u);
   EXPECT_EQ(node.service().queue_capacity, 64u);
   EXPECT_TRUE(node.service().auto_confirm);
-  EXPECT_EQ(node.cache_policy().shards, 8u);
   EXPECT_EQ(node.cache_policy().capacity, 1024u);
   EXPECT_EQ(node.wire_server().bind_address, "127.0.0.1");
   EXPECT_EQ(node.wire_server().max_connections, 256u);

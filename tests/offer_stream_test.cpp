@@ -373,9 +373,7 @@ TEST(OfferStreamAdaptation, LadderMarchMatchesEagerUnderExcludeAllTried) {
   ASSERT_LT(b.offers.size(), b.offers.known_count());
   EXPECT_EQ(b.offers.known_count(), a.offers.size());
 
-  const AdaptationPolicy policy{.make_before_break = false,
-                                .exclude_all_tried = true,
-                                .transition_latency_s = 0.5};
+  const AdaptationPolicy policy{.make_before_break = false, .exclude_all_tried = true};
   SessionManager eager_sessions(eager, policy);
   SessionManager lazy_sessions(lazy, policy);
   auto ea = eager_sessions.open(eager_sys.client, profile, std::move(a), 0.0);

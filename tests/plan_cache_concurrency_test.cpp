@@ -23,9 +23,9 @@ using testing::TestSystem;
 
 TEST(PlanCacheConcurrency, SharedCacheSurvivesWorkerStormWithCatalogChurn) {
   NegotiationConfig negotiation;
-  // Few shards + tiny capacity on purpose: maximum contention and constant
-  // eviction traffic, so every code path of the shard runs under fire.
-  auto cache = std::make_shared<NegotiationPlanCache>(CachePolicy{/*shards=*/2, /*capacity=*/8});
+  // Tiny capacity on purpose (one plan per shard): constant eviction
+  // traffic, so every code path of the shard runs under fire.
+  auto cache = std::make_shared<NegotiationPlanCache>(CachePolicy{/*capacity=*/8});
   negotiation.plan_cache = cache;
   ServiceSystem sys(16, 1'000'000'000, 10'000'000'000, 10'000'000'000, 100'000,
                     std::move(negotiation));

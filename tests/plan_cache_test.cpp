@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iomanip>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/qos_manager.hpp"
@@ -287,9 +289,7 @@ TEST(PlanCacheHead, AdaptingAHitMatchesAnUncachedSession) {
   ASSERT_EQ(a.offers.stream(), nullptr);
   ASSERT_EQ(result_signature(a), result_signature(b));
 
-  const AdaptationPolicy policy{.make_before_break = false,
-                                .exclude_all_tried = true,
-                                .transition_latency_s = 0.5};
+  const AdaptationPolicy policy{.make_before_break = false, .exclude_all_tried = true};
   SessionManager cached_sessions(cached, policy);
   SessionManager plain_sessions(plain, policy);
   auto ca = cached_sessions.open(cached_sys.client, profile, std::move(a), 0.0);
@@ -332,8 +332,7 @@ TEST(PlanCacheHead, ClientsDifferingOnlyByNameAndNodeShareOnePlan) {
   other.name = "client-1";
   other.node = "client-1";
   const UserProfile profile = TestSystem::tolerant_profile();
-  const std::string digest =
-      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, CostModel{});
+  const std::string digest = plan_config_digest(EnumerationConfig{}, CostModel{});
   EXPECT_EQ(plan_cache_key("article", other, profile, digest),
             plan_cache_key("article", cached_sys.client, profile, digest));
   std::vector<NegotiationResult> keep;
@@ -445,15 +444,22 @@ TEST(PlanCache, BypassSkipsAndRefreshOverwrites) {
 }
 
 TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
-  NegotiationPlanCache cache(CachePolicy{/*shards=*/1, /*capacity=*/2});
+  // Two plans per shard, and three keys that hash to the same shard.
+  NegotiationPlanCache cache(CachePolicy{/*capacity=*/2 * kPlanCacheShards});
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 3; ++i) {
+    const std::string key = std::to_string(i);
+    if (std::hash<std::string_view>{}(key) % kPlanCacheShards == 0) keys.push_back(key);
+  }
+  const std::string &a = keys[0], &b = keys[1], &c = keys[2];
   auto plan = std::make_shared<NegotiationPlan>();
-  cache.store("a", plan);
-  cache.store("b", plan);
-  EXPECT_NE(cache.lookup("a", 0), nullptr);  // "a" is now most recent
-  cache.store("c", plan);                    // evicts "b"
-  EXPECT_EQ(cache.lookup("b", 0), nullptr);
-  EXPECT_NE(cache.lookup("a", 0), nullptr);
-  EXPECT_NE(cache.lookup("c", 0), nullptr);
+  cache.store(a, plan);
+  cache.store(b, plan);
+  EXPECT_NE(cache.lookup(a, 0), nullptr);  // a is now most recent
+  cache.store(c, plan);                    // evicts b
+  EXPECT_EQ(cache.lookup(b, 0), nullptr);
+  EXPECT_NE(cache.lookup(a, 0), nullptr);
+  EXPECT_NE(cache.lookup(c, 0), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   cache.clear();
@@ -463,8 +469,7 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
 
 TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   TestSystem sys;
-  const std::string digest =
-      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, CostModel{});
+  const std::string digest = plan_config_digest(EnumerationConfig{}, CostModel{});
 
   UserProfile profile = TestSystem::tolerant_profile();
   profile.importance.preferred_servers = {"server-a"};
@@ -487,8 +492,7 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
 
   EnumerationConfig fewer_offers;
   fewer_offers.max_offers = 7;
-  const std::string other_digest =
-      plan_config_digest(fewer_offers, ClassificationPolicy{}, CostModel{});
+  const std::string other_digest = plan_config_digest(fewer_offers, CostModel{});
   EXPECT_NE(plan_cache_key("article", sys.client, profile, other_digest), base);
 
   // One importance input apart never shares a plan: one media weight, one
@@ -594,11 +598,9 @@ TEST(PlanCache, CatalogsSharingOneCacheNeverAlias) {
 }
 
 TEST(PlanCache, ValidationSharesOnePathWithServiceConfig) {
-  EXPECT_THROW((void)CachePolicy::validated(CachePolicy{0, 16}), std::invalid_argument);
-  EXPECT_THROW((void)CachePolicy::validated(CachePolicy{4, 0}), std::invalid_argument);
-  EXPECT_THROW((void)NegotiationPlanCache(CachePolicy{0, 0}), std::invalid_argument);
-  const CachePolicy ok = CachePolicy::validated(CachePolicy{4, 64});
-  EXPECT_EQ(ok.shards, 4u);
+  EXPECT_THROW((void)CachePolicy::validated(CachePolicy{0}), std::invalid_argument);
+  EXPECT_THROW((void)NegotiationPlanCache(CachePolicy{0}), std::invalid_argument);
+  const CachePolicy ok = CachePolicy::validated(CachePolicy{64});
   EXPECT_EQ(ok.capacity, 64u);
 
   ServiceConfig bad_workers;

@@ -267,32 +267,6 @@ TEST(Preemption, DisabledEngineNeverTouchesSessions) {
   EXPECT_TRUE(sys.drained());
 }
 
-TEST(Preemption, MakeBeforeBreakLeavesUntouchableVictimsPlaying) {
-  // Without allow_release a saturated farm has no room to fit a victim's
-  // worse offer *alongside* its current one, so every victim stays playing
-  // untouched and no session is ever aborted by the policy.
-  ServiceSystem sys = congested_system(20'000'000);
-  PreemptionPolicy policy;
-  policy.enabled = true;
-  policy.allow_release = false;
-  PolicyEngine engine(*sys.manager, *sys.sessions, policy);
-  const std::vector<SessionClass> mix = {SessionClass::kBestEffort};
-  std::uint64_t next_id = 1;
-  const std::vector<SessionId> playing = fill_until_shed(sys, engine, mix, next_id);
-
-  std::vector<VictimEvent> events;
-  engine.set_victim_observer([&](const VictimEvent& e) { events.push_back(e); });
-  NegotiationResult result = engine.negotiate(
-      class_request(sys.clients[0], "article", SessionClass::kPremium, next_id++));
-  for (const VictimEvent& e : events) {
-    EXPECT_EQ(e.action, VictimAction::kDegraded) << "make-before-break released a victim";
-  }
-  EXPECT_EQ(sys.sessions->playing_sessions().size(), playing.size());
-  result.commitment.release();
-  drain_all(sys);
-  EXPECT_TRUE(sys.drained());
-}
-
 // ---------------------------------------------------------------------------
 // Upgrades: once capacity frees, the scanner promotes degraded sessions to a
 // strictly earlier (better) entry of their own offer list.

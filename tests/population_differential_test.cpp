@@ -2,7 +2,7 @@
 // byte-identical to calling QoSManager::negotiate directly with the same
 // request. Per seed, twin systems are built (same corpus, same hardware);
 // the population runs on one, observing the raw result of its first arrival
-// (user_rng(seed, 0) makes that user's request reconstructible), and the
+// (indexed_rng(seed, 0) makes that user's request reconstructible), and the
 // reconstructed request is negotiated directly on the other. 200+ seeded
 // corpora, with the plan cache cold, pre-warmed (hit path), and bypassed —
 // the cache must be invisible, and the population layer must add nothing to
@@ -74,10 +74,10 @@ std::optional<std::string> observed_first_result(ServiceSystem& sys,
 }
 
 /// The request the population builds for arrival index 0, reconstructed from
-/// the documented draw order of user_rng(seed, 0).
+/// the documented draw order of indexed_rng(seed, 0).
 NegotiationRequest reconstruct_first_request(const ClientClass& cls, std::uint64_t seed,
                                              const std::vector<DocumentId>& documents) {
-  Rng rng = user_rng(seed, 0);
+  Rng rng = indexed_rng(seed, 0);
   const UserDraws draws = draw_user(cls, rng, documents);
   NegotiationRequest request = make_negotiation_request(cls.machine, draws.document, cls.profile);
   request.id = 1;

@@ -385,7 +385,9 @@ std::string attempt_spans_image(const NegotiationTrace& trace) {
   for (const Span& span : trace.spans()) {
     if (span.stage != Stage::kCommitAttempt) continue;
     image += "span";
-    for (const SpanAttr& a : span.attrs) image += " " + std::string(a.key) + "=" + a.value;
+    for (const SpanAttr& a : span.attrs) {
+      image.append(" ").append(a.key).append("=").append(a.value);
+    }
     image += '\n';
   }
   return image;

@@ -1,6 +1,6 @@
 // Reproducibility and conservation of the concurrent service.
 //
-// Determinism: every request's random draws come from request_rng(seed,
+// Determinism: every request's random draws come from indexed_rng(seed,
 // index), so a single-worker single-client closed loop is a fully
 // deterministic function of (seed, trace) — two fresh systems must produce
 // the identical outcome mix and shed count.

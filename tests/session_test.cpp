@@ -135,8 +135,7 @@ TEST_F(SessionFixture, AdaptFailsWhenNoAlternativeFits) {
 
 TEST_F(SessionFixture, MakeBeforeBreakAdaptationWorks) {
   SessionManager bbm(manager, AdaptationPolicy{.make_before_break = true,
-                                               .exclude_all_tried = false,
-                                               .transition_latency_s = 1.0});
+                                               .exclude_all_tried = false});
   UserProfile profile = TestSystem::tolerant_profile();
   NegotiationResult outcome = manager.negotiate(make_negotiation_request(sys.client, "article", profile));
   ASSERT_TRUE(outcome.has_commitment());
@@ -145,13 +144,12 @@ TEST_F(SessionFixture, MakeBeforeBreakAdaptationWorks) {
   bbm.confirm(opened.value(), 1.0);
   TransitionResult result = bbm.adapt(opened.value(), 5.0);
   EXPECT_TRUE(result.moved);
-  EXPECT_DOUBLE_EQ(result.interruption_s, 1.0);
+  EXPECT_DOUBLE_EQ(result.interruption_s, kTransitionLatencyS);
 }
 
 TEST_F(SessionFixture, ExcludeAllTriedPolicyExhaustsLadder) {
   SessionManager strict(manager, AdaptationPolicy{.make_before_break = true,
-                                                  .exclude_all_tried = true,
-                                                  .transition_latency_s = 0.5});
+                                                  .exclude_all_tried = true});
   UserProfile profile = TestSystem::tolerant_profile();
   NegotiationResult outcome = manager.negotiate(make_negotiation_request(sys.client, "article", profile));
   ASSERT_TRUE(outcome.has_commitment());
@@ -402,7 +400,7 @@ std::vector<Ending> all_endings() {
       {"preempt-release", true,
        [fail_servers](SessionManager& m, TestSystem& sys, SessionId id) {
          fail_servers(sys);
-         EXPECT_TRUE(m.preempt_degrade(id, /*allow_release=*/true).released);
+         EXPECT_TRUE(m.preempt_degrade(id).released);
        },
        SessionState::kAborted, std::string(kPreemptedAbortReason), 10.0, true, 0},
       {"advance-to-end", true,
@@ -571,19 +569,14 @@ struct TransitionKind {
 
 std::vector<TransitionKind> all_transition_kinds() {
   const Move adapt = [](SessionManager& m, SessionId id) { return m.adapt(id, 5.0).moved; };
-  const auto degrade = [](bool allow_release) -> Move {
-    return [allow_release](SessionManager& m, SessionId id) {
-      return m.preempt_degrade(id, allow_release).moved;
-    };
+  const Move degrade = [](SessionManager& m, SessionId id) {
+    return m.preempt_degrade(id).moved;
   };
   return {
       {"adapt break-before-make", false, nullptr, adapt, &SessionStats::transitions},
       {"adapt make-before-break", true, nullptr, adapt, &SessionStats::transitions},
-      {"preempt_degrade with release", false, nullptr, degrade(true),
-       &SessionStats::preempt_degrades},
-      {"preempt_degrade without release", false, nullptr, degrade(false),
-       &SessionStats::preempt_degrades},
-      {"try_upgrade", false, degrade(false),
+      {"preempt_degrade", false, nullptr, degrade, &SessionStats::preempt_degrades},
+      {"try_upgrade", false, degrade,
        [](SessionManager& m, SessionId id) { return m.try_upgrade(id).moved; },
        &SessionStats::upgrades},
       {"renegotiate", false, nullptr,
@@ -595,14 +588,12 @@ std::vector<TransitionKind> all_transition_kinds() {
 }
 
 TEST(SessionTransitions, FlowIndexFollowsEveryTransitionKind) {
-  constexpr double kLatency = 0.75;
   for (const TransitionKind& kind : all_transition_kinds()) {
     SCOPED_TRACE(kind.name);
     TestSystem sys;
     QoSManager manager(sys.catalog, sys.farm, *sys.transport);
     SessionManager sessions(manager, AdaptationPolicy{.make_before_break = kind.make_before_break,
-                                                      .exclude_all_tried = false,
-                                                      .transition_latency_s = kLatency});
+                                                      .exclude_all_tried = false});
     const UserProfile profile = TestSystem::tolerant_profile();
     NegotiationResult outcome =
         manager.negotiate(make_negotiation_request(sys.client, "article", profile));
@@ -632,7 +623,7 @@ TEST(SessionTransitions, FlowIndexFollowsEveryTransitionKind) {
     }
     const SessionStats after = sessions.snapshot(id)->stats;
     EXPECT_EQ(after.*kind.counter, before.*kind.counter + 1);
-    EXPECT_DOUBLE_EQ(after.interrupted_s, before.interrupted_s + kLatency);
+    EXPECT_DOUBLE_EQ(after.interrupted_s, before.interrupted_s + kTransitionLatencyS);
   }
 }
 
