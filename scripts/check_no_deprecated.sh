@@ -8,7 +8,8 @@
 #    the plan cache's document fingerprint and catalog epochs; the negotiation,
 #    service and experiment options only tests set; the wire server's
 #    completion queue and its orphan accounting; the connection, cache,
-#    policy and session values that only tests set):
+#    policy and session values that only tests set; the committer's refusal
+#    replay, which the Step-5 walk's nogood counting replaced):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -89,6 +90,9 @@ for name in connect_attempts connect_backoff_ms overload_retries think_ms upgrad
     transit_delay_ms queue_depth; do
     check "$name" "\b$name\b"
 done
+# A walk refuses offers by its nogoods and counts them: the committer's
+# refusal replay is gone.
+check "replay_refusal" "\breplay_refusal\b"
 # The two aliases kept for perfbench/ may appear only on their own lines.
 check "PopulationBackend" "\bPopulationBackend\b" \
     "/src/sim/population\.hpp:[0-9]*:using PopulationBackend = NegotiationClient;\$"

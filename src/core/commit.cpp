@@ -124,13 +124,4 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
   return failed;
 }
 
-void ResourceCommitter::replay_refusal(const Refusal& refusal, const CommitStats& delta,
-                                       const std::string& trace_text, TraceContext trace) {
-  stats_.merge(delta);
-  if (trace.active()) {
-    trace.annotate("refusal", trace_text);
-    annotate_refused(trace, refusal, delta);
-  }
-}
-
 }  // namespace qosnp

@@ -140,16 +140,6 @@ class ResourceCommitter {
   Result<Commitment, Refusal> commit(const ClientMachine& client, const SystemOffer& offer,
                                      TraceContext trace = {});
 
-  /// Account a refusal commit() already returned, as if commit() had run
-  /// again and met it: merges `delta` (that commit()'s share of stats()) and
-  /// writes the same trace annotations, without touching the servers or the
-  /// transport. `trace_text` is refusal_trace_text(refusal), formatted once
-  /// by the caller; it is read only when `trace` is active. Sound only where
-  /// a refusal is a pure function of the ledger state and the refused
-  /// prefix — see QoSManager::commit_first.
-  void replay_refusal(const Refusal& refusal, const CommitStats& delta,
-                      const std::string& trace_text, TraceContext trace);
-
   /// Cumulative counters over every commit() this committer ran.
   const CommitStats& stats() const { return stats_; }
 

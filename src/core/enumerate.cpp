@@ -1,6 +1,7 @@
 #include "core/enumerate.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <utility>
@@ -233,6 +234,12 @@ void OfferStreamSeed::grade(const Variant& v, VariantMemo& m) const {
   m.desired_ok = g.desired && g.tolerated;
 }
 
+namespace {
+
+std::atomic<std::uint64_t> g_streams_constructed{0};
+
+}  // namespace
+
 struct OfferStream::Impl {
   /// The shared precomputation — read-only here; all mutable state below is
   /// private to this cursor.
@@ -241,6 +248,10 @@ struct OfferStream::Impl {
   std::size_t emit_cap = 0;
   std::size_t emitted = 0;
   std::size_t generated = 0;
+  /// A fork's refused prefixes (null: nothing is skipped), and the memo row
+  /// of the state being tested against them.
+  const PrefixPruner* pruner = nullptr;
+  std::vector<const VariantMemo*> row_scratch;
 
   /// One frontier state of a product cursor: where its per-position ranks
   /// into the cursor's lists start in the cursor's rank pool, plus the
@@ -282,6 +293,39 @@ struct OfferStream::Impl {
   Impl(std::shared_ptr<const OfferStreamSeed> s, std::size_t max_offers) : seed(std::move(s)) {
     emit_cap = std::min(seed->total, max_offers);
     build_classes();
+    g_streams_constructed.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// A fork of `at`: the same frontier, with each cursor's rank pool
+  /// compacted to the states still on it.
+  Impl(const Impl& at, const PrefixPruner& p)
+      : seed(at.seed), emit_cap(at.emit_cap), emitted(at.emitted), pruner(&p),
+        row_scratch(at.seed->n), current_class(at.current_class) {
+    const std::size_t n = seed->n;
+    classes.reserve(at.classes.size());
+    for (const ClassStream& from : at.classes) {
+      ClassStream& to = classes.emplace_back();
+      to.sns = from.sns;
+      to.cursors.reserve(from.cursors.size());
+      for (const Cursor& c : from.cursors) {
+        Cursor& copy = to.cursors.emplace_back();
+        copy.lists = c.lists;
+        copy.filter = c.filter;
+        copy.seeded = c.seeded;
+        copy.rank_pool.reserve((c.heap.size() + (c.staged ? 1 : 0)) * n);
+        auto moved = [&](Node node) {
+          const auto from_at = c.rank_pool.begin() + static_cast<std::ptrdiff_t>(node.ranks);
+          node.ranks = copy.rank_pool.size();
+          copy.rank_pool.insert(copy.rank_pool.end(), from_at,
+                                from_at + static_cast<std::ptrdiff_t>(n));
+          return node;
+        };
+        copy.heap.reserve(c.heap.size());
+        for (const Node& node : c.heap) copy.heap.push_back(moved(node));
+        if (c.staged) copy.staged = moved(*c.staged);
+      }
+    }
+    g_streams_constructed.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Each SNS class is a disjoint union of product sub-spaces, keyed by the
@@ -404,11 +448,12 @@ struct OfferStream::Impl {
     return node;
   }
 
-  /// Push the unexplored neighbours of a popped state. Each state has a
-  /// unique canonical predecessor (decrement its last nonzero rank), so
-  /// incrementing only ranks at or after the last nonzero one generates
-  /// every state exactly once — no visited-set needed.
-  void expand(Cursor& c, const Node& node) {
+  /// Push the unexplored neighbours of a popped state, raising positions
+  /// below `limit` only. Each state has a unique canonical predecessor
+  /// (decrement its last nonzero rank), so incrementing only ranks at or
+  /// after the last nonzero one generates every state exactly once — no
+  /// visited-set needed.
+  void expand(Cursor& c, const Node& node, std::size_t limit) {
     const std::size_t n = seed->n;
     std::size_t tail = 0;
     for (std::size_t i = n; i-- > 0;) {
@@ -417,7 +462,7 @@ struct OfferStream::Impl {
         break;
       }
     }
-    for (std::size_t j = tail; j < n; ++j) {
+    for (std::size_t j = tail; j < std::min(n, limit); ++j) {
       if (c.rank_pool[node.ranks + j] + 1 < c.lists[j]->size()) {
         // Copy by index: growing the pool may move the parent's ranks.
         const std::size_t next = c.rank_pool.size();
@@ -439,8 +484,18 @@ struct OfferStream::Impl {
     return true;
   }
 
+  /// The depth of the shortest refused prefix of a state (0: none, or no
+  /// pruner).
+  std::size_t refused_depth(const Cursor& c, const Node& node) {
+    if (pruner == nullptr) return 0;
+    for (std::size_t i = 0; i < seed->n; ++i) row_scratch[i] = &memo_at(c, node, i);
+    return pruner->refused_depth(row_scratch.data());
+  }
+
   /// Stage the cursor's next filter-passing state (filtered states still
-  /// expand — their successors may pass).
+  /// expand — their successors may pass). A refused state is dropped, and
+  /// expanded only below its refused depth: the states it would reach from
+  /// there share the refused prefix.
   const Node* peek(Cursor& c) {
     if (!c.seeded) {
       c.seeded = true;
@@ -453,8 +508,9 @@ struct OfferStream::Impl {
     }
     while (!c.staged && !c.heap.empty()) {
       const Node node = heap_pop(c);
-      expand(c, node);
-      if (passes(c, node)) c.staged = node;
+      const std::size_t refused = refused_depth(c, node);
+      expand(c, node, refused == 0 ? seed->n : refused);
+      if (refused == 0 && passes(c, node)) c.staged = node;
     }
     return c.staged ? &*c.staged : nullptr;
   }
@@ -481,6 +537,8 @@ struct OfferStream::Impl {
       }
       const Node node = *best->staged;
       best->staged.reset();
+      // A prefix refused since the state was staged drops it now.
+      if (refused_depth(*best, node) != 0) continue;
       record.tolerated = true;
       for (std::size_t i = 0; i < seed->n; ++i) {
         const VariantMemo& m = memo_at(*best, node, i);
@@ -532,6 +590,16 @@ OfferStream::OfferStream(FeasibleSet feasible, MMProfile profile, ImportanceProf
 
 OfferStream::OfferStream(std::shared_ptr<const OfferStreamSeed> seed, std::size_t max_offers)
     : impl_(std::make_unique<Impl>(std::move(seed), max_offers)) {}
+
+OfferStream::OfferStream(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+
+std::unique_ptr<OfferStream> OfferStream::fork(const PrefixPruner& pruner) const {
+  return std::unique_ptr<OfferStream>(new OfferStream(std::make_unique<Impl>(*impl_, pruner)));
+}
+
+std::uint64_t OfferStream::constructed() {
+  return g_streams_constructed.load(std::memory_order_relaxed);
+}
 
 OfferStream::~OfferStream() = default;
 
@@ -610,6 +678,31 @@ void OfferList::materialise(std::size_t i, SystemOffer& into) const {
   }
   materialise_offer(*streamed_->seed, streamed_->records[i],
                     streamed_->memos.data() + i * streamed_->width, into);
+}
+
+void OfferList::materialise(const OfferRecord& record, const VariantMemo* const* row,
+                            SystemOffer& into) const {
+  materialise_offer(*streamed_->seed, record, row, into);
+}
+
+std::size_t OfferList::feasible_count(std::size_t k) const {
+  return streamed_->seed->feasible.variants[k].size();
+}
+
+std::unique_ptr<OfferStream> OfferList::fork(const PrefixPruner& pruner) const {
+  const StreamedOffers& s = *streamed_;
+  if (s.stream) return s.stream->fork(pruner);
+  if (s.records.size() >= s.limit) return nullptr;
+  // A list started from a plan's first offer has no stream yet: fork one
+  // positioned after that offer.
+  OfferStream fresh(s.seed, s.limit);
+  OfferRecord skipped;
+  std::vector<const VariantMemo*> row;
+  for (std::size_t k = 0; k < s.records.size(); ++k) {
+    row.clear();
+    fresh.next(skipped, row);
+  }
+  return fresh.fork(pruner);
 }
 
 StreamedOffer OfferList::streamed(std::size_t i) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -87,6 +88,19 @@ std::shared_ptr<const OfferStreamSeed> make_offer_stream_seed(FeasibleSet feasib
 /// FeasibleSet::combination_count()).
 std::size_t seed_total_combinations(const OfferStreamSeed& seed);
 
+/// Which offers a pruned stream skips (OfferStream::fork): the refused
+/// prefixes a Step-5 walk has learned. refused_depth() looks at the memo row
+/// of one offer (one entry per position) and returns the smallest d > 0 such
+/// that the offer's first d variants form a refused prefix, or 0 when none
+/// does.
+class PrefixPruner {
+ public:
+  virtual std::size_t refused_depth(const VariantMemo* const* row) const = 0;
+
+ protected:
+  ~PrefixPruner() = default;
+};
+
 /// Lazy best-first generator over the offer space (Steps 3+4 fused into the
 /// enumeration): next() yields system offers with sns/oif already filled, in
 /// exactly the classification order of classify_offers — SNS ascending, then
@@ -121,6 +135,20 @@ class OfferStream {
   /// yielded.
   std::optional<SystemOffer> next();
 
+  /// A private copy of this cursor at its current position that skips
+  /// every offer `pruner` refuses, in the same order otherwise. A refused
+  /// state of depth d is dropped when popped and is expanded only at
+  /// positions below d: every state sharing its first d variants descends
+  /// from it through positions at or after d, so the whole refused sub-space
+  /// is skipped without being scored. `pruner` is read on every pull, so
+  /// prefixes learned between pulls prune too; it must outlive the fork.
+  /// The fork counts its own states_generated(), from zero.
+  std::unique_ptr<OfferStream> fork(const PrefixPruner& pruner) const;
+
+  /// Streams constructed in this process so far, forks included (for tests
+  /// that assert a walk builds no stream it does not need).
+  static std::uint64_t constructed();
+
   /// Cartesian-product size (saturating, like combination_count()).
   std::size_t total_combinations() const;
   /// min(total_combinations, max_offers): how many offers next() will yield.
@@ -134,6 +162,7 @@ class OfferStream {
 
  private:
   struct Impl;
+  explicit OfferStream(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -97,6 +97,7 @@ struct StreamedOffer {
 
 class OfferStream;
 class OfferStreamSeed;
+class PrefixPruner;
 
 /// The consumed prefix of a stream-backed OfferList, as compact records,
 /// and the stream that yields the rest.
@@ -183,6 +184,20 @@ struct OfferList {
   void materialise(std::size_t i, SystemOffer& into) const;
   /// Consumed offer i of a stream-backed list in compact form.
   StreamedOffer streamed(std::size_t i) const;
+  /// Build an offer of this stream-backed list's space that a fork
+  /// yielded, from its record and memo row.
+  void materialise(const OfferRecord& record, const VariantMemo* const* row,
+                   SystemOffer& into) const;
+
+  /// Whether the offers come from a stream (false for an eager list).
+  bool stream_backed() const { return streamed_ != nullptr; }
+  /// Stream-backed lists: how many feasible variants position k draws from.
+  std::size_t feasible_count(std::size_t k) const;
+  /// Stream-backed lists: a private cursor over the offers after the
+  /// consumed prefix that skips every offer `pruner` refuses
+  /// (OfferStream::fork). The list itself is left as it was. Null once the
+  /// list has consumed every offer it can reach.
+  std::unique_ptr<OfferStream> fork(const PrefixPruner& pruner) const;
 
   /// The stream yielding the offers after the consumed prefix; null for
   /// eager lists, once the stream is drained, and in a list started from a

@@ -1,6 +1,7 @@
 #include "core/qos_manager.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdint>
 #include <optional>
@@ -36,18 +37,6 @@ UserOffer local_offer_from(const MMProfile& clipped) {
   return offer;
 }
 
-/// What the walk keeps beside each refusal the servers and the transport
-/// returned (the Refusal itself sits in the walk's RefusalLog, at the same
-/// index): what it takes to replay it, and, when it is a nogood, where its
-/// refused prefix is: prefixes[prefix_begin, prefix_begin + depth).
-struct SeenRefusal {
-  CommitStats delta;  ///< the refused commit()'s share of the committer stats
-  /// refusal_trace_text of the refusal, formatted by its first traced replay.
-  std::string trace_text;
-  std::size_t prefix_begin = 0;
-  std::size_t depth = 0;  ///< 0: not a nogood
-};
-
 /// Hash of a variant prefix, extended one variant at a time, so one pass
 /// over an offer's variants yields the key of every depth.
 constexpr std::uint64_t kPrefixHashSeed = 0xcbf29ce484222325ULL;
@@ -57,22 +46,132 @@ std::uint64_t extend_prefix_hash(std::uint64_t h, const Variant* v) {
   return h ^ (h >> 29);
 }
 
+/// The nogoods a walk has learned: entries of its RefusalLog whose refused
+/// prefix rules out every offer that starts with it, looked up by (depth,
+/// prefix) hash. Also what the walk's stream fork prunes by.
+class Nogoods final : public PrefixPruner {
+ public:
+  explicit Nogoods(const RefusalLog& log) : log_(&log) {}
+
+  bool empty() const { return depths_.empty(); }
+
+  /// The refused prefix of log entry n: its first `depth` variants.
+  const Variant* const* prefix(std::size_t n) const {
+    return log_->variants.data() + n * log_->width;
+  }
+
+  /// Record log entry n, whose depth is set, as a nogood.
+  void add(std::size_t n) {
+    const std::size_t depth = log_->entries[n].depth;
+    std::uint64_t h = kPrefixHashSeed;
+    for (std::size_t k = 0; k < depth; ++k) h = extend_prefix_hash(h, prefix(n)[k]);
+    by_hash_.emplace(h, n);
+    const auto at = std::lower_bound(depths_.begin(), depths_.end(), depth);
+    if (at == depths_.end() || *at != depth) depths_.insert(at, depth);
+  }
+
+  /// The earliest recorded nogood that an offer starts with, as a scan of
+  /// the log in walk order would find; `variant(k)` is the offer's k-th
+  /// variant.
+  template <typename VariantAt>
+  std::optional<std::size_t> earliest(VariantAt variant) const {
+    std::optional<std::size_t> first;
+    for_each_match(variant, [&](std::size_t n) {
+      if (!first || n < *first) first = n;
+      return false;
+    });
+    return first;
+  }
+
+  std::size_t refused_depth(const VariantMemo* const* row) const override {
+    std::size_t depth = 0;
+    for_each_match([row](std::size_t k) { return row[k]->variant; },
+                   [&](std::size_t n) {
+                     depth = log_->entries[n].depth;
+                     return true;
+                   });
+    return depth;
+  }
+
+ private:
+  /// Call `found(n)` for each nogood n the offer starts with, shallowest
+  /// depth first, until it returns true.
+  template <typename VariantAt, typename Found>
+  void for_each_match(VariantAt variant, Found found) const {
+    std::uint64_t h = kPrefixHashSeed;
+    std::size_t hashed = 0;
+    for (const std::size_t depth : depths_) {
+      for (; hashed < depth; ++hashed) h = extend_prefix_hash(h, variant(hashed));
+      const auto [lo, hi] = by_hash_.equal_range(h);
+      for (auto it = lo; it != hi; ++it) {
+        const std::size_t n = it->second;
+        if (log_->entries[n].depth != depth) continue;
+        std::size_t k = 0;
+        while (k < depth && prefix(n)[k] == variant(k)) ++k;
+        if (k == depth && found(n)) return;
+      }
+    }
+  }
+
+  const RefusalLog* log_;
+  std::unordered_multimap<std::uint64_t, std::size_t> by_hash_;
+  std::vector<std::size_t> depths_;  ///< the distinct depths recorded, ascending
+};
+
+/// Append `count` variant ids, joined with '|'.
+void append_ids(std::string& out, const Variant* const* variants, std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    if (k > 0) out.push_back('|');
+    out.append(variants[k]->id);
+  }
+}
+
+std::size_t ids_length(const Variant* const* variants, std::size_t count) {
+  std::size_t length = count == 0 ? 0 : count - 1;
+  for (std::size_t k = 0; k < count; ++k) length += variants[k]->id.size();
+  return length;
+}
+
 }  // namespace
 
+std::string offer_positions(const SystemOffer& offer) {
+  char buffer[64];
+  char* end = buffer;
+  for (const OfferComponent& c : offer.components) {
+    if (end != buffer && end < buffer + sizeof buffer) *end++ = '.';
+    const auto position = static_cast<std::size_t>(c.variant - c.monomedia->variants.data());
+    end = std::to_chars(end, buffer + sizeof buffer, position).ptr;
+  }
+  return std::string(buffer, end);
+}
+
 void RefusalLog::render(std::vector<std::string>& out) const {
-  out.reserve(out.size() + refused.size());
-  for (const auto& [offer, n] : refused) {
-    const Refusal& r = refusals[n];
-    char digits[24];
-    const char* digits_end = std::to_chars(digits, digits + sizeof digits, offer).ptr;
-    const auto digit_count = static_cast<std::size_t>(digits_end - digits);
+  std::size_t lines = entries.size();
+  for (const Entry& e : entries) lines += e.depth > 0 ? 1 : 0;
+  out.reserve(out.size() + lines);
+  for (std::size_t n = 0; n < entries.size(); ++n) {
+    const Entry& e = entries[n];
+    const Refusal& r = e.refusal;
+    const Variant* const* offer = variants.data() + n * width;
     std::string line;
-    line.reserve(8 + digit_count + (r.component.empty() ? 0 : r.component.size() + 2) +
-                 r.message.size());
-    line.append("offer ").append(digits, digit_count).append(": ");
+    line.reserve(8 + ids_length(offer, width) +
+                 (r.component.empty() ? 0 : r.component.size() + 2) + r.message.size());
+    line.append("offer ");
+    append_ids(line, offer, width);
+    line.append(": ");
     if (!r.component.empty()) line.append(r.component).append(": ");
     line.append(r.message);
     out.push_back(std::move(line));
+    if (e.depth == 0) continue;
+    char digits[24];
+    const char* digits_end = std::to_chars(digits, digits + sizeof digits, e.refused).ptr;
+    const auto digit_count = static_cast<std::size_t>(digits_end - digits);
+    std::string nogood;
+    nogood.reserve(29 + ids_length(offer, e.depth) + digit_count);
+    nogood.append("prefix ");
+    append_ids(nogood, offer, e.depth);
+    nogood.append(": ").append(digits, digit_count).append(" more offers refused");
+    out.push_back(std::move(nogood));
   }
 }
 
@@ -80,7 +179,7 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
                                        const MMProfile& profile,
                                        std::span<const std::size_t> exclude,
                                        TraceContext trace, SessionClass session_class,
-                                       std::size_t end_index) {
+                                       std::size_t begin_index, std::size_t end_index) {
   CommitAttempt attempt;
   ScopedSpan walk_span(trace, Stage::kCommitWalk);
   walk_span.annotate("class", std::string(to_string(session_class)));
@@ -90,11 +189,10 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
           : std::make_unique<ResourceCommitter>(*farm_, *transport_, config_.retry,
                                                 session_class);
   ResourceCommitter& committer = *owned_committer;
+  // Outside the window: before its begin, or excluded.
   auto excluded = [&](std::size_t i) {
-    return std::find(exclude.begin(), exclude.end(), i) != exclude.end();
+    return i < begin_index || std::find(exclude.begin(), exclude.end(), i) != exclude.end();
   };
-  std::size_t offers_examined = 0;
-  std::size_t nogood_hits = 0;
   // satisfies_user, read off the record when the list was classified for
   // this very profile.
   const bool classified = offers.classified_for(profile);
@@ -102,54 +200,104 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
     return classified ? offers.tolerated(i) && offers.total_cost(i) <= profile.cost.max_cost
                       : satisfies_user(offers, i, profile);
   };
-  // Refusals the servers and the transport returned, in walk order, with
-  // what replays them (`seen`, parallel to log.refusals) and the variants of
-  // the refused prefixes.
+  auto listed = [&offers](std::size_t i) {
+    return [&offers, i](std::size_t k) { return offers.variant(i, k); };
+  };
+  // The real refusals, with per entry the list index of the refused offer
+  // (SIZE_MAX for one the fork yielded), and the nogoods among them.
   RefusalLog log;
-  std::vector<SeenRefusal> seen;
-  std::vector<const Variant*> prefixes;
-  // Nogoods by prefix hash (the key of depth d hashes the first d variants;
-  // a lookup verifies each hit against the stored prefix), and the distinct
-  // depths recorded, ascending.
-  std::unordered_multimap<std::uint64_t, std::size_t> nogoods;
-  std::vector<std::size_t> depths;
-  // The earliest recorded nogood that offer i's prefix matches, as a scan of
-  // `seen` in walk order would find.
-  auto find_nogood = [&](std::size_t i) -> std::optional<std::size_t> {
-    std::optional<std::size_t> first;
-    const std::size_t width = offers.component_count(i);
-    std::uint64_t h = kPrefixHashSeed;
-    std::size_t hashed = 0;
-    for (const std::size_t depth : depths) {
-      if (depth > width) break;
-      for (; hashed < depth; ++hashed) h = extend_prefix_hash(h, offers.variant(i, hashed));
-      const auto [lo, hi] = nogoods.equal_range(h);
-      for (auto it = lo; it != hi; ++it) {
-        const std::size_t n = it->second;
-        const SeenRefusal& s = seen[n];
-        if (s.depth != depth || (first && *first < n)) continue;
-        std::size_t k = 0;
-        while (k < depth && prefixes[s.prefix_begin + k] == offers.variant(i, k)) ++k;
-        if (k == depth) first = n;
+  std::vector<std::size_t> refused_at;
+  Nogoods nogoods(log);
+  // The offer being committed, rebuilt in place for each real commit; the
+  // committed one once the walk commits.
+  SystemOffer candidate;
+
+  // Examine one offer in walk order: refuse it by a nogood, or commit it
+  // for real. `index` is its list index, or SIZE_MAX past the consumed
+  // prefix of a forked walk, whose skipped offers are counted when it ends.
+  // True when it committed.
+  auto examine = [&](auto variant, auto materialise, std::size_t index, int pass) {
+    if (memo_refusals_) {
+      if (const auto hit = nogoods.earliest(variant)) {
+        if (index != SIZE_MAX) ++log.entries[*hit].refused;
+        return false;
       }
     }
-    return first;
+    ScopedSpan try_span(walk_span.context(), Stage::kCommitAttempt);
+    materialise(candidate);
+    if (try_span.context().active()) {
+      try_span.annotate("offer", offer_positions(candidate));
+      try_span.annotate("pass", static_cast<std::uint64_t>(pass));
+    }
+    const int released_before = committer.stats().released_on_failure;
+    auto committed = committer.commit(client, candidate, try_span.context());
+    if (committed.ok()) {
+      attempt.commitment = std::move(committed.value());
+      return true;
+    }
+    RefusalLog::Entry& entry = log.entries.emplace_back();
+    entry.refusal = std::move(committed.error());
+    entry.released = committer.stats().released_on_failure - released_before;
+    if (!log.document) log.document = offers.document;
+    log.width = candidate.components.size();
+    for (const OfferComponent& c : candidate.components) log.variants.push_back(c.variant);
+    refused_at.push_back(index);
+    if (entry.refusal.transient) attempt.saw_transient = true;
+    if (!memo_refusals_) return false;
+    // A single try refused at component k rolled back 2k reservations
+    // (the server refused) or 2k + 1 (the flow did). The one exception is
+    // an unknown server, a permanent refusal that rolls back uncounted, so
+    // an even count from a permanent refusal gives no depth. A refusal at
+    // the last component is no nogood either: no other offer has all the
+    // same variants.
+    const auto depth = static_cast<std::size_t>(entry.released / 2 + 1);
+    if ((entry.refusal.transient || entry.released % 2 == 1) && depth < log.width) {
+      entry.depth = depth;
+      nogoods.add(log.entries.size() - 1);
+    }
+    return false;
   };
-  // The offer being committed, rebuilt in place for each real commit.
-  SystemOffer candidate;
+
+  // The fork: over a stream-backed, untruncated list whose window starts
+  // and excludes inside the consumed prefix, a walk that knows a nogood
+  // leaves the list at the end of its consumed prefix (fork_at) for a
+  // private cursor that skips what the nogoods refuse.
+  const bool can_fork =
+      memo_refusals_ && classified && offers.stream_backed() && !offers.truncated &&
+      end_index >= offers.known_count() && begin_index <= offers.size() &&
+      std::all_of(exclude.begin(), exclude.end(), [&](std::size_t i) { return i < offers.size(); });
+  std::unique_ptr<OfferStream> fork;
+  bool fork_tried = false;
+  std::size_t fork_at = 0;
+  std::array<bool, 2> forked_pass{};
+  // What pass 0 pulled from the fork and left to pass 1 (the offers that do
+  // not satisfy the profile), in order, with their memo rows.
+  std::vector<OfferRecord> deferred;
+  std::vector<const VariantMemo*> deferred_rows;
+  OfferRecord record;
+  std::vector<const VariantMemo*> row;
+  std::size_t committed_index = SIZE_MAX;
+  int committed_pass = -1;
   // Pass 1: offers satisfying the requested QoS/cost; pass 2: the rest
   // ("If there are not enough resources to support any of the acceptable
   // system offers, the same procedure is applied on the feasible (not
   // acceptable) system offers").
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0;; ++i) {
+  for (int pass = 0; pass < 2 && committed_pass < 0; ++pass) {
+    bool past_prefix = false;
+    for (std::size_t i = begin_index;; ++i) {
       // The caller may bound the walk (upgrade scans try only offers
       // strictly better than the session's current one); the bound also
       // stops the lazy stream from consuming past it.
       if (i >= end_index) break;
       // Consume the next offer from the lazy stream when the walk runs off
-      // the end of the consumed prefix.
-      if (i >= offers.size() && !offers.fetch_next()) break;
+      // the end of the consumed prefix, unless it can fork.
+      if (i >= offers.size()) {
+        if (can_fork && !nogoods.empty()) {
+          past_prefix = true;
+          break;
+        }
+        if (!offers.fetch_next()) break;
+      }
       // A satisfying offer needs the tolerable QoS at acceptable cost, which
       // no CONSTRAINT offer provides; in an SNS-ordered list everything after
       // the first CONSTRAINT is CONSTRAINT too, so the satisfying pass can
@@ -157,71 +305,152 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
       if (pass == 0 && offers.sns_ordered && offers.sns(i) == Sns::kConstraint) break;
       if (excluded(i)) continue;
       if ((pass == 0) != satisfies(i)) continue;
-      ++offers_examined;
-      ScopedSpan try_span(walk_span.context(), Stage::kCommitAttempt);
-      try_span.annotate("offer", static_cast<std::uint64_t>(i));
-      try_span.annotate("pass", static_cast<std::uint64_t>(pass));
-      if (memo_refusals_) {
-        if (const auto hit = find_nogood(i)) {
-          SeenRefusal& replayed = seen[*hit];
-          if (try_span.context().active() && replayed.trace_text.empty()) {
-            replayed.trace_text = refusal_trace_text(log.refusals[*hit]);
-          }
-          committer.replay_refusal(log.refusals[*hit], replayed.delta, replayed.trace_text,
-                                   try_span.context());
-          log.refused.emplace_back(i, *hit);
-          ++nogood_hits;
-          continue;
-        }
-      }
-      offers.materialise(i, candidate);
-      const int released_before = committer.stats().released_on_failure;
-      auto committed = committer.commit(client, candidate, try_span.context());
-      if (committed.ok()) {
-        attempt.index = i;
-        attempt.commitment = std::move(committed.value());
-        attempt.stats = committer.stats();
-        try_span.end();
-        walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
-        walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
-        walk_span.annotate("committed_offer", static_cast<std::uint64_t>(i));
-        return attempt;
-      }
-      const Refusal& refusal = log.refusals.emplace_back(std::move(committed.error()));
-      SeenRefusal& learned = seen.emplace_back();
-      if (refusal.transient) attempt.saw_transient = true;
-      log.refused.emplace_back(i, seen.size() - 1);
-      if (!memo_refusals_) continue;
-      // A single try refused at component k rolled back 2k reservations
-      // (the server refused) or 2k + 1 (the flow did). The one exception is
-      // an unknown server, a permanent refusal that rolls back uncounted, so
-      // an even count from a permanent refusal gives no depth. A refusal at
-      // the last component is no nogood either: no other offer has all the
-      // same variants.
-      const int released = committer.stats().released_on_failure - released_before;
-      const auto depth = static_cast<std::size_t>(released / 2 + 1);
-      learned.delta.attempts = 1;
-      ++(refusal.transient ? learned.delta.transient_failures
-                           : learned.delta.permanent_failures);
-      learned.delta.released_on_failure = released;
-      if ((refusal.transient || released % 2 == 1) && depth < candidate.components.size()) {
-        learned.prefix_begin = prefixes.size();
-        learned.depth = depth;
-        std::uint64_t h = kPrefixHashSeed;
-        for (std::size_t k = 0; k < depth; ++k) {
-          prefixes.push_back(candidate.components[k].variant);
-          h = extend_prefix_hash(h, prefixes.back());
-        }
-        nogoods.emplace(h, seen.size() - 1);
-        const auto at = std::lower_bound(depths.begin(), depths.end(), depth);
-        if (at == depths.end() || *at != depth) depths.insert(at, depth);
+      if (examine(listed(i), [&](SystemOffer& into) { offers.materialise(i, into); }, i, pass)) {
+        committed_index = i;
+        committed_pass = pass;
+        break;
       }
     }
+    if (!past_prefix) continue;
+    if (!fork_tried) {
+      fork_tried = true;
+      fork_at = offers.size();
+      fork = offers.fork(nogoods);
+    }
+    if (!fork) continue;
+    forked_pass[static_cast<std::size_t>(pass)] = true;
+    const std::size_t width = offers.component_count(0);
+    auto examine_forked = [&](const OfferRecord& r, const VariantMemo* const* memo_row) {
+      return examine([memo_row](std::size_t k) { return memo_row[k]->variant; },
+                     [&](SystemOffer& into) { offers.materialise(r, memo_row, into); }, SIZE_MAX,
+                     pass);
+    };
+    for (std::size_t d = 0; pass == 1 && d < deferred.size() && committed_pass < 0; ++d) {
+      if (examine_forked(deferred[d], deferred_rows.data() + d * width)) committed_pass = pass;
+    }
+    while (committed_pass < 0) {
+      row.clear();
+      if (!fork->next(record, row)) break;
+      const bool satisfying = record.tolerated && record.cost <= profile.cost.max_cost;
+      if (pass == 0 && !satisfying) {
+        deferred.push_back(record);
+        deferred_rows.insert(deferred_rows.end(), row.begin(), row.end());
+        if (record.sns == Sns::kConstraint) break;
+        continue;
+      }
+      if (pass == 1 && satisfying) continue;
+      if (examine_forked(record, row.data())) committed_pass = pass;
+    }
+  }
+
+  if (fork && committed_pass >= 0) {
+    // Fetch the list as far as a walk without the fork would have, and
+    // count each offer the fork skipped on the way against its earliest
+    // nogood: the offers past fork_at are the forked passes' real commits
+    // (in order), the committed offer, and offers some nogood refuses.
+    std::vector<const Variant*> chosen;
+    for (const OfferComponent& c : candidate.components) chosen.push_back(c.variant);
+    auto is_offer = [&](std::size_t i, const Variant* const* variants) {
+      for (std::size_t k = 0; k < chosen.size(); ++k) {
+        if (offers.variant(i, k) != variants[k]) return false;
+      }
+      return true;
+    };
+    std::size_t next_forked = 0;
+    auto skip_listed = [&] {
+      while (next_forked < refused_at.size() && refused_at[next_forked] != SIZE_MAX) ++next_forked;
+    };
+    skip_listed();
+    for (int pass = 0; pass <= committed_pass; ++pass) {
+      if (!forked_pass[static_cast<std::size_t>(pass)]) continue;
+      for (std::size_t i = fork_at;; ++i) {
+        if (i >= offers.size() && !offers.fetch_next()) break;
+        if (pass == 0 && offers.sns(i) == Sns::kConstraint) break;
+        if ((pass == 0) != satisfies(i)) continue;
+        if (pass == committed_pass && committed_index == SIZE_MAX && is_offer(i, chosen.data())) {
+          committed_index = i;
+          break;
+        }
+        if (next_forked < refused_at.size() &&
+            is_offer(i, log.variants.data() + next_forked * log.width)) {
+          ++next_forked;
+          skip_listed();
+          continue;
+        }
+        if (const auto hit = nogoods.earliest(listed(i))) ++log.entries[*hit].refused;
+      }
+    }
+  } else if (fork) {
+    // A failed walk examined every offer of its window once. The offers a
+    // nogood n refused are those starting with its prefix that no earlier
+    // nogood claims (the sub-spaces of earlier nogoods extending n's
+    // prefix), less those outside the window and those really committed.
+    const std::size_t width = log.width;
+    auto subspace = [&](std::size_t depth) {
+      std::size_t size = 1;
+      for (std::size_t k = depth; k < width; ++k) size *= offers.feasible_count(k);
+      return size;
+    };
+    // Whether nogood m's prefix properly extends nogood n's.
+    auto extends = [&](std::size_t m, std::size_t n) {
+      const std::size_t d = log.entries[n].depth;
+      return log.entries[m].depth > d &&
+             std::equal(nogoods.prefix(n), nogoods.prefix(n) + d, nogoods.prefix(m));
+    };
+    std::vector<std::size_t> claimed;
+    for (std::size_t n = 0; n < log.entries.size(); ++n) {
+      RefusalLog::Entry& entry = log.entries[n];
+      if (entry.depth == 0) continue;
+      entry.refused = subspace(entry.depth);
+      // The earlier extensions, shallowest first; one inside another's
+      // sub-space is already subtracted with it.
+      claimed.clear();
+      for (std::size_t m = 0; m < n; ++m) {
+        if (extends(m, n)) claimed.push_back(m);
+      }
+      std::stable_sort(claimed.begin(), claimed.end(), [&](std::size_t a, std::size_t b) {
+        return log.entries[a].depth < log.entries[b].depth;
+      });
+      for (std::size_t c = 0; c < claimed.size(); ++c) {
+        const std::size_t m = claimed[c];
+        bool inside = false;
+        for (std::size_t o = 0; o < c && !inside; ++o) inside = extends(m, claimed[o]);
+        if (!inside) entry.refused -= subspace(log.entries[m].depth);
+      }
+    }
+    for (std::size_t j = 0; j < fork_at; ++j) {
+      if (!excluded(j)) continue;
+      if (const auto hit = nogoods.earliest(listed(j))) --log.entries[*hit].refused;
+    }
+    for (std::size_t n = 0; n < log.entries.size(); ++n) {
+      const Variant* const* variants = log.variants.data() + n * width;
+      const auto hit = nogoods.earliest([variants](std::size_t k) { return variants[k]; });
+      if (hit) --log.entries[*hit].refused;
+    }
+  }
+
+  // Each offer a nogood refused stands for the commit() that taught it.
+  attempt.stats = committer.stats();
+  std::size_t nogood_hits = 0;
+  for (const RefusalLog::Entry& e : log.entries) {
+    if (e.refused == 0) continue;
+    const int n = static_cast<int>(e.refused);
+    nogood_hits += e.refused;
+    attempt.stats.attempts += n;
+    (e.refusal.transient ? attempt.stats.transient_failures
+                         : attempt.stats.permanent_failures) += n;
+    attempt.stats.released_on_failure += n * e.released;
+  }
+  const std::size_t examined = log.entries.size() + nogood_hits + (committed_pass >= 0 ? 1 : 0);
+  walk_span.annotate("offers_examined", static_cast<std::uint64_t>(examined));
+  walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
+  if (fork) walk_span.annotate("pruned_states", static_cast<std::uint64_t>(fork->states_generated()));
+  if (committed_pass >= 0) {
+    attempt.index = committed_index;
+    walk_span.annotate("committed_offer", static_cast<std::uint64_t>(committed_index));
+    return attempt;
   }
   attempt.refusals = std::move(log);
-  attempt.stats = committer.stats();
-  walk_span.annotate("offers_examined", static_cast<std::uint64_t>(offers_examined));
-  walk_span.annotate("nogood_hits", static_cast<std::uint64_t>(nogood_hits));
   return attempt;
 }
 

@@ -63,16 +63,30 @@ struct NegotiationConfig {
 /// callers other than run_plan (session transitions, policy scans) never
 /// read them, so they pay for no text.
 struct RefusalLog {
-  /// The distinct refusals the servers and the transport returned.
-  std::vector<Refusal> refusals;
-  /// One (offer index, index into refusals) per refused offer, in walk
-  /// order; an offer answered from the nogood memo names the refusal it
-  /// replayed.
-  std::vector<std::pair<std::size_t, std::size_t>> refused;
+  /// One commit() the servers or the transport refused.
+  struct Entry {
+    Refusal refusal;
+    /// The refused prefix's length when the refusal became a nogood (the
+    /// first `depth` variants of the offer), else 0.
+    std::size_t depth = 0;
+    /// Reservations the refused commit() rolled back.
+    int released = 0;
+    /// Offers the nogood refused without a commit.
+    std::size_t refused = 0;
+  };
+  /// The real refusals, in walk order.
+  std::vector<Entry> entries;
+  /// The refused offers' variants, `width` per entry, in entry order, and
+  /// the document they belong to.
+  std::vector<const Variant*> variants;
+  std::shared_ptr<const MultimediaDocument> document;
+  std::size_t width = 0;  ///< components per offer
 
-  bool empty() const { return refused.empty(); }
-  /// Append one "offer <i>: <component>: <message>" line per refused offer,
-  /// in walk order, to `out`, each built with one allocation.
+  bool empty() const { return entries.empty(); }
+  /// Append, in walk order, one "offer <ids>: <component>: <message>" line
+  /// per real refusal, naming the offer by its variant ids joined with '|',
+  /// each followed, when it taught a nogood, by one "prefix <ids>: <n> more
+  /// offers refused" line. Each line is built with one allocation.
   void render(std::vector<std::string>& out) const;
 };
 
@@ -115,33 +129,42 @@ class QoSManager {
   /// tried or in difficulty). Takes the list by mutable reference because a
   /// lazy list materialises further offers from its stream as the walk
   /// reaches them. `session_class` is stamped onto every reservation the
-  /// walk attempts; `end_index` restricts the walk to offers with index
-  /// strictly below it (the upgrade scanner passes the session's current
-  /// offer so only strictly better entries are tried — and a lazy list never
-  /// materialises past the bound).
+  /// walk attempts. The walk examines only offers with index in
+  /// [begin_index, end_index): preemption passes the session's current
+  /// offer + 1 as the begin, so only strictly worse entries are tried; the
+  /// upgrade scanner passes it as the end, so only strictly better ones are
+  /// (and a lazy list never materialises past the bound).
   ///
   /// Nothing commits inside a walk until it ends, and commit_once() reserves
   /// an offer's components in order, rolling back on the first refusal. So a
   /// refusal at component k is a learned nogood for the rest of the walk:
   /// any later offer whose first k+1 variants equal the refused prefix meets
-  /// the same ledger state and gets the same refusal. The walk answers such
-  /// an offer from its memo — replaying the refusal, its CommitStats share
-  /// and its trace annotations — without touching the servers or the
-  /// transport. The memo is bypassed (see memo_refusals_) wherever a refusal
-  /// is not a pure function of (ledger state, prefix).
+  /// the same ledger state and gets the same refusal. The walk refuses such
+  /// an offer without touching the servers or the transport, and accounts
+  /// it in CommitStats as the commit() it stands for. The nogoods are
+  /// bypassed (see memo_refusals_) wherever a refusal is not a pure function
+  /// of (ledger state, prefix).
   ///
-  /// The walk reads each offer through the list's accessors: whether it
-  /// satisfies the user, and whether a nogood covers it, come from its
-  /// classification key and its variant pointers. Nogoods are looked up by
-  /// (depth, prefix) hash, and the earliest recorded match wins, as in walk
-  /// order. Only an offer that reaches the committer is materialised, so a
-  /// replayed offer of a stream-backed list costs no allocation.
+  /// Over a stream-backed, untruncated list, the walk fetches through the
+  /// list as long as it knows no nogood. Past the consumed prefix it then
+  /// continues on a private fork of the list's stream that never yields,
+  /// nor scores most of, an offer a nogood refuses (OfferStream::fork):
+  /// - a walk that commits fetches the list up to the committed offer, as a
+  ///   walk without the fork would, and counts each offer it skipped on the
+  ///   way against its earliest matching nogood;
+  /// - a walk that fails examined every offer of the window, so each nogood
+  ///   refused the offers of its prefix's sub-space that no earlier nogood
+  ///   claims, less those outside the window and those really committed:
+  ///   it counts them instead of visiting them. Its list keeps only what it
+  ///   consumed.
+  /// Elsewhere (eager lists, truncated spaces, bounded or bypassed walks)
+  /// the walk checks each offer it reaches against its nogoods.
   CommitAttempt commit_first(const ClientMachine& client, OfferList& offers,
                              const MMProfile& profile,
                              std::span<const std::size_t> exclude = {},
                              TraceContext trace = {},
                              SessionClass session_class = SessionClass::kStandard,
-                             std::size_t end_index = SIZE_MAX);
+                             std::size_t begin_index = 0, std::size_t end_index = SIZE_MAX);
 
   const CostModel& cost_model() const { return cost_model_; }
   const NegotiationConfig& config() const { return config_; }
@@ -172,10 +195,10 @@ class QoSManager {
   /// Fingerprint of the manager knobs entering plan_cache_key (computed
   /// once; the config is immutable after construction).
   std::string plan_digest_;
-  /// Whether commit_first() may answer offers from its nogood memo: only
+  /// Whether commit_first() may refuse offers by its nogoods: only
   /// over the plain ServerFarm and TransportService (fault injectors and
   /// test doubles may refuse by their own state), with the built-in
-  /// committer (no committer_factory) and single-try commits (a replayed
+  /// committer (no committer_factory) and single-try commits (a skipped
   /// retry would skip the jitter stream's draws).
   bool memo_refusals_;
 };
@@ -187,6 +210,12 @@ class QoSManager {
 /// request.trace. Every negotiator runs these steps through here.
 Result<FeasibleSet, NegotiationResult> static_check(
     const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document);
+
+/// How a commit-attempt span names the offer it tried: each component's
+/// position in its monomedia's variant list, joined with '.' ("2.0.1").
+/// Short enough for a string's inline buffer, so a traced commit costs no
+/// allocation for it.
+std::string offer_positions(const SystemOffer& offer);
 
 /// Step 5's verdict once a walk has ended with result.committed_index set
 /// (or SIZE_MAX when nothing committed): FAILEDTRYLATER when a refusal was

@@ -1,7 +1,6 @@
 #include "session/session.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/log.hpp"
 
@@ -185,14 +184,12 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
   result.old_offer = s.current_offer;
 
   std::vector<std::size_t> exclude;
+  std::size_t begin_index = 0;
   std::size_t end_index = SIZE_MAX;
   switch (rule.window) {
     case TransitionRule::Window::kAllButCurrent: exclude.push_back(s.current_offer); break;
     case TransitionRule::Window::kUntried: exclude = s.tried; break;
-    case TransitionRule::Window::kWorse:
-      exclude.resize(s.current_offer + 1);
-      std::iota(exclude.begin(), exclude.end(), std::size_t{0});
-      break;
+    case TransitionRule::Window::kWorse: begin_index = s.current_offer + 1; break;
     case TransitionRule::Window::kBetter:
       if (s.current_offer == 0) return result;  // already at the top
       end_index = s.current_offer;  // a lazy list never materialises past it
@@ -206,7 +203,7 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
     s.commitment.release();
   }
   CommitAttempt attempt = manager_->commit_first(s.client, s.offers, s.profile.mm, exclude, trace,
-                                                 s.session_class, end_index);
+                                                 s.session_class, begin_index, end_index);
   s.stats.commit.merge(attempt.stats);
   if (!attempt.ok()) {
     result.refusals = std::move(attempt.refusals);
@@ -227,7 +224,7 @@ TransitionResult SessionManager::transition(SessionId id, const TransitionRule& 
   return result;
 }
 
-TransitionResult SessionManager::adapt(SessionId id, double /*now_s*/) {
+TransitionResult SessionManager::adapt(SessionId id, double /*now_s*/, TraceContext trace) {
   // The ordered set of system offers, except the one in difficulty (and,
   // under the stricter policy, every offer already tried).
   return transition(id,
@@ -238,7 +235,7 @@ TransitionResult SessionManager::adapt(SessionId id, double /*now_s*/) {
                      .log_tag = "adapt",
                      .abort_reason = "no alternate configuration available",
                      .failed = &SessionStats::failed_adaptations},
-                    {});
+                    trace);
 }
 
 TransitionResult SessionManager::preempt_degrade(SessionId id, TraceContext trace) {

@@ -173,8 +173,9 @@ class SessionManager {
   /// session's current configuration: Step 5 over every offer but the
   /// current one (every untried one under exclude_all_tried), in the
   /// policy's commit order. Releases (aborts) the session when no alternate
-  /// configuration can be committed.
-  TransitionResult adapt(SessionId id, double now_s);
+  /// configuration can be committed. An active `trace` gets the walk's
+  /// spans.
+  TransitionResult adapt(SessionId id, double now_s, TraceContext trace = {});
 
   /// User-driven renegotiation (paper Sec. 8: "the procedure can be used
   /// for negotiation, renegotiation, and adaptation with almost no

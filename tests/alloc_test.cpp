@@ -3,12 +3,15 @@
 // check is exact on any host).
 //
 // A walk over a stream-backed offer list keeps each consumed offer as a
-// compact record in pooled vectors and answers an offer whose refused
-// prefix it already met from its nogood memo. Such a replayed offer must
-// cost no allocation of its own: a walk that replays N offers allocates
-// O(log N) times, for pool growth, not O(N). The walk's refusal lines are
-// built only when read, with one allocation each. A plan-cache hit that
-// commits its plan's first offer spawns no offer stream.
+// compact record in pooled vectors. Once it has learned a nogood (a refused
+// prefix), it continues on a private fork of the list's stream that skips
+// the prefix's whole sub-space without scoring it, and a failed walk counts
+// the offers it skipped instead of visiting them. So a failed walk's
+// allocations do not grow with the number of offers its nogoods refuse, and
+// it scores fewer stream states than a walk that visits every offer. The
+// walk's refusal lines are built only when read, with one allocation each.
+// A walk that commits at its first try builds only its list's stream, and a
+// plan-cache hit that commits its plan's first offer builds none.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 
 #include "core/enumerate.hpp"
 #include "core/qos_manager.hpp"
+#include "obs/trace.hpp"
 #include "test_system.hpp"
 
 namespace {
@@ -92,12 +96,16 @@ struct WalkCount {
   int attempts = 0;
   bool committed = true;
   RefusalLog refusals;
+  std::size_t consumed = 0;        ///< offers the list holds after the walk
+  std::size_t shared_states = 0;   ///< states its list's stream scored
+  std::size_t pruned_states = 0;   ///< states the walk's fork scored
+  std::size_t oracle_states = 0;   ///< states a stream yielding every offer scores
 };
 
 /// One Step-5 walk over a fresh stream-backed list of the wide document,
 /// with server-a out of capacity: the first offer is refused at its video
 /// component, and every later offer shares that refused prefix, so the
-/// walk replays N - 1 refusals from its memo.
+/// walk's one nogood refuses the N - 1 others.
 WalkCount congested_walk(int offers) {
   TestSystem sys;
   auto document = std::make_shared<const MultimediaDocument>(wide_document(offers));
@@ -110,6 +118,7 @@ WalkCount congested_walk(int offers) {
                                      CostModel{}, ClassificationPolicy{});
 
   OfferList list(document, seed, 100'000);
+  NegotiationTrace trace(1);
   WalkCount count;
   count.allocations = allocations_during([&] {
     CommitAttempt attempt = manager.commit_first(sys.client, list, profile.mm);
@@ -117,35 +126,85 @@ WalkCount congested_walk(int offers) {
     count.committed = attempt.ok();
     count.refusals = std::move(attempt.refusals);
   });
+  // The same walk, traced, over a fresh list: what its streams scored.
+  OfferList traced(document, seed, 100'000);
+  manager.commit_first(sys.client, traced, profile.mm, {}, TraceContext(&trace));
+  count.consumed = traced.size();
+  count.shared_states = traced.stream() ? traced.stream()->states_generated() : 0;
+  const Span* walk = trace.find(Stage::kCommitWalk);
+  EXPECT_NE(walk, nullptr);
+  if (walk != nullptr && walk->has_attr("pruned_states")) {
+    count.pruned_states = std::stoul(std::string(walk->attr("pruned_states")));
+  }
+  OfferStream every(seed, 100'000);
+  while (every.next()) {
+  }
+  count.oracle_states = every.states_generated();
   return count;
 }
 
-TEST(StepFiveAllocations, ReplayedOffersAllocateOnlyForPoolGrowth) {
+TEST(StepFiveAllocations, FailedWalkAllocationsDoNotGrowWithPrunedOffers) {
   const WalkCount small = congested_walk(1'000);
   const WalkCount large = congested_walk(4'000);
   ASSERT_FALSE(small.committed);
   ASSERT_FALSE(large.committed);
-  // Every offer was examined once: one real refusal, the rest replayed.
+  // Every offer is accounted once: one real refusal, the rest refused by
+  // its nogood without a commit.
   EXPECT_EQ(small.attempts, 1'000);
   EXPECT_EQ(large.attempts, 4'000);
-  // Pool growth is logarithmic: four times the offers add two doublings to
-  // each pooled vector, not 3,000 allocations.
-  EXPECT_LT(small.allocations, 200u) << "1,000 replayed offers";
-  EXPECT_LT(large.allocations, small.allocations + 40) << "4,000 replayed offers";
+  ASSERT_EQ(small.refusals.entries.size(), 1u);
+  EXPECT_EQ(small.refusals.entries[0].refused, 999u);
+  EXPECT_EQ(large.refusals.entries[0].refused, 3'999u);
+  // Four times the pruned sub-space costs not one allocation more.
+  EXPECT_LT(small.allocations, 100u) << "999 pruned offers";
+  EXPECT_LE(large.allocations, small.allocations) << "3,999 pruned offers";
 }
 
 TEST(StepFiveAllocations, RefusalLinesAreBuiltOnlyWhenReadWithOneAllocationEach) {
   const WalkCount walk = congested_walk(1'000);
-  ASSERT_EQ(walk.refusals.refused.size(), 1'000u);
-  ASSERT_EQ(walk.refusals.refusals.size(), 1u);  // one real refusal, replayed 999 times
+  ASSERT_EQ(walk.refusals.entries.size(), 1u);  // one real refusal, one nogood
+  ASSERT_EQ(walk.refusals.entries[0].refused, 999u);
   std::vector<std::string> lines;
   const std::size_t allocations = allocations_during([&] { walk.refusals.render(lines); });
-  ASSERT_EQ(lines.size(), 1'000u);
-  EXPECT_EQ(lines[0].rfind("offer 0: ", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[999].rfind("offer 999: ", 0), 0u) << lines[999];
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("offer wide/video/only|wide/audio/", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1], "prefix wide/video/only: 999 more offers refused");
   // The vector once, then one per line (each is longer than the small-string
   // buffer).
   EXPECT_EQ(allocations, lines.size() + 1);
+}
+
+// The pruned walk stops at the consumed prefix and scores almost nothing
+// past it; a walk visiting every offer scores a state per offer.
+TEST(StepFiveStreamWork, PrunedWalkScoresFewerStatesThanAWalkOverEveryOffer) {
+  const WalkCount walk = congested_walk(1'000);
+  ASSERT_FALSE(walk.committed);
+  EXPECT_EQ(walk.consumed, 1u);
+  EXPECT_GE(walk.oracle_states, 1'000u);
+  EXPECT_LT(walk.shared_states + walk.pruned_states, walk.oracle_states);
+  EXPECT_LE(walk.shared_states + walk.pruned_states, 4u);
+}
+
+// A walk that commits at its first real try learns no nogood: it builds its
+// list's stream and no fork (the plan-cache miss path). A cache hit that
+// commits its plan's first offer builds no stream at all.
+TEST(StepFiveStreamWork, FirstTryCommitBuildsOneStreamAndACacheHitNone) {
+  TestSystem sys;
+  NegotiationConfig config;
+  config.plan_cache = std::make_shared<NegotiationPlanCache>();
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport, CostModel{}, std::move(config));
+  const NegotiationRequest request =
+      make_negotiation_request(sys.client, "article", TestSystem::tolerant_profile());
+  const std::uint64_t before_miss = OfferStream::constructed();
+  const NegotiationResult miss = manager.negotiate(request);
+  ASSERT_EQ(miss.committed_index, 0u);
+  EXPECT_EQ(OfferStream::constructed() - before_miss, 1u);
+
+  const std::uint64_t before_hit = OfferStream::constructed();
+  const NegotiationResult hit = manager.negotiate(request);
+  ASSERT_EQ(manager.plan_cache()->stats().hits, 1u);
+  ASSERT_EQ(hit.committed_index, 0u);
+  EXPECT_EQ(OfferStream::constructed() - before_hit, 0u);
 }
 
 // A plan-cache hit whose walk commits the first offer replays Steps 1-4 and

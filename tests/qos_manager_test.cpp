@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <iomanip>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -265,15 +267,27 @@ FaultPlan refuse_every_admission() {
   return plan;
 }
 
+/// Offer i's variant ids, joined with '|': how refusal lines name it.
+std::string offer_ids(const OfferList& offers, std::size_t i) {
+  std::string ids;
+  for (std::size_t k = 0; k < offers.component_count(i); ++k) {
+    if (k > 0) ids += '|';
+    ids += offers.variant(i, k)->id;
+  }
+  return ids;
+}
+
 /// The walk's problem lines built straight from the offer list: satisfying
-/// offers first, then the rest, each "offer <i>: <component>: <message>".
+/// offers first, then the rest, each "offer <ids>: <component>: <message>".
+/// The fault injector refuses by its own state, so the walk learns no
+/// nogood and every offer gets its own line.
 std::vector<std::string> expected_refusal_lines(const OfferList& offers, const MMProfile& mm) {
   std::vector<std::string> lines;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < offers.size(); ++i) {
       if (satisfies_user(offers, i, mm) != (pass == 0)) continue;
       const ServerId& server = offers.variant(i, 0)->server;
-      lines.push_back("offer " + std::to_string(i) + ": fault:" + server + ": server '" +
+      lines.push_back("offer " + offer_ids(offers, i) + ": fault:" + server + ": server '" +
                       server + "' transiently refused (injected fault)");
     }
   }
@@ -331,23 +345,29 @@ TEST(QoSManagerCommitErrors, TracedRefusedAttemptsCarryTheRefusal) {
   CommitAttempt attempt =
       manager.commit_first(sys.client, outcome.offers, profile.mm, {}, TraceContext(&trace));
   ASSERT_FALSE(attempt.ok());
+  // Each span names its offer by variant positions; the lines name it by
+  // variant ids.
+  std::map<std::string, std::string> ids_at;
+  for (std::size_t i = 0; i < outcome.offers.size(); ++i) {
+    ids_at[offer_positions(outcome.offers.offer(i))] = offer_ids(outcome.offers, i);
+  }
   std::vector<std::string> from_spans;
   for (const Span& span : trace.spans()) {
     if (span.stage != Stage::kCommitAttempt) continue;
     const std::string refusal(span.attr("refusal"));
     const std::string suffix = " [transient]";
     ASSERT_TRUE(refusal.ends_with(suffix)) << refusal;
-    from_spans.push_back("offer " + std::string(span.attr("offer")) + ": " +
+    from_spans.push_back("offer " + ids_at.at(std::string(span.attr("offer"))) + ": " +
                          refusal.substr(0, refusal.size() - suffix.size()));
   }
   EXPECT_EQ(from_spans, attempt.errors());
 }
 
-// --- Step 5's nogood memo: a walk that answers repeated refusals from its
-// memo is byte-identical to one that asks the servers and the transport. ---
+// --- Step 5's nogoods: a walk that refuses offers by its nogoods agrees with
+// one that asks the servers and the transport about every offer. ---
 
 /// Forwards to a real ServerFarm without being one, so a manager over it
-/// must bypass the memo.
+/// must bypass the nogoods.
 class ForwardingFarm final : public ServerProvider {
  public:
   explicit ForwardingFarm(ServerProvider& inner) : inner_(&inner) {}
@@ -379,7 +399,8 @@ std::string stats_image(const CommitStats& s) {
   return os.str();
 }
 
-/// Every annotation of the trace's commit-attempt spans, in begin order.
+/// Every annotation of the trace's commit-attempt spans, in begin order:
+/// the walk's real commit() calls and their refusals.
 std::string attempt_spans_image(const NegotiationTrace& trace) {
   std::string image;
   for (const Span& span : trace.spans()) {
@@ -402,15 +423,22 @@ std::uint64_t nogood_hits(const NegotiationTrace& trace) {
   return hits;
 }
 
+/// How a stack's walks treat refusals: the pruned stack refuses by nogoods
+/// over lazy lists and forks past their consumed prefix; the memo stack
+/// refuses by nogoods over eager lists, checking each offer it reaches; the
+/// bypass stack, behind forwarding wrappers, commits every offer.
+enum class Walker { kPruned, kMemo, kBypass };
+
 /// The shared fixture, scarce enough that walks refuse at servers and links
-/// alike, with one manager over it that either answers from the memo or,
-/// through the forwarding wrappers, is forced to bypass it.
+/// alike, with one manager over it of the given kind.
 struct MemoStack {
-  explicit MemoStack(bool bypass, NegotiationConfig config = {})
+  explicit MemoStack(Walker walker)
       : sys(20'000'000, 200'000'000, 14'000'000, 6), farm(sys.farm), transport(*sys.transport),
-        manager(sys.catalog, bypass ? static_cast<ServerProvider&>(farm) : sys.farm,
-                bypass ? static_cast<TransportProvider&>(transport) : *sys.transport,
-                CostModel{}, std::move(config)) {}
+        manager(sys.catalog,
+                walker == Walker::kBypass ? static_cast<ServerProvider&>(farm) : sys.farm,
+                walker == Walker::kBypass ? static_cast<TransportProvider&>(transport)
+                                          : *sys.transport,
+                CostModel{}, walker == Walker::kMemo ? eager_config() : NegotiationConfig{}) {}
 
   TestSystem sys;
   ForwardingFarm farm;
@@ -418,65 +446,78 @@ struct MemoStack {
   QoSManager manager;
 };
 
-/// Everything a walk sequence exposes — results, CommitAttempts and the
-/// commit-attempt spans — for a congesting run of requests that keeps most
-/// commitments held.
-struct WalkLog {
-  std::vector<std::string> lines;
-  std::uint64_t nogood_hits = 0;
+/// A congesting run of requests that keeps most commitments held, on the
+/// three stacks in step, each request's list walked a second time past its
+/// committed offer. The pruned walks must make exactly the memo walks' real
+/// commit() calls, refusals and refusal lines (the memo stack counts each
+/// refused offer as it meets it; the pruned one counts the sub-spaces it
+/// skipped), and must agree with the bypassed walks on everything but the
+/// folding of refused offers into nogood lines and a failed walk's consumed
+/// list (result_fold_mismatch).
+TEST(QoSManagerNogoodMemo, PrunedWalkMatchesMemoAndBypassedWalks) {
+  std::array<MemoStack, 3> stacks{MemoStack(Walker::kPruned), MemoStack(Walker::kMemo),
+                                  MemoStack(Walker::kBypass)};
+  std::array<std::deque<NegotiationResult>, 3> held;
+  std::array<std::uint64_t, 3> hits{};
   int failed_walks = 0;
-};
-
-WalkLog run_congesting_sequence(MemoStack& stack) {
-  WalkLog log;
   UserProfile tolerant = TestSystem::tolerant_profile();
   UserProfile cheap = tolerant;
   cheap.mm.cost.max_cost = Money::dollars(2);
-  std::deque<NegotiationResult> held;
   for (int step = 0; step < 24; ++step) {
     const UserProfile& profile = step % 3 == 2 ? cheap : tolerant;
-    NegotiationTrace trace(static_cast<std::uint64_t>(step));
-    NegotiationRequest request = make_negotiation_request(stack.sys.client, "article", profile);
-    request.trace = TraceContext(&trace);
-    NegotiationResult result = stack.manager.negotiate(request);
-    log.lines.push_back(result_signature(result) + stats_image(result.commit_stats) + "\n" +
-                        attempt_spans_image(trace));
-    log.nogood_hits += nogood_hits(trace);
+    std::array<NegotiationResult, 3> results;
+    std::array<std::string, 3> spans;
+    for (std::size_t k = 0; k < 3; ++k) {
+      NegotiationTrace trace(static_cast<std::uint64_t>(step));
+      NegotiationRequest request =
+          make_negotiation_request(stacks[k].sys.client, "article", profile);
+      request.trace = TraceContext(&trace);
+      results[k] = stacks[k].manager.negotiate(request);
+      spans[k] = attempt_spans_image(trace);
+      hits[k] += nogood_hits(trace);
+    }
+    const NegotiationResult& pruned = results[0];
+    EXPECT_EQ(testing::result_fold_mismatch(pruned, results[2]), "") << "step " << step;
+    // The memo stack's eager list holds every offer from the start.
+    EXPECT_EQ(testing::result_fold_mismatch(pruned, results[1], /*oracle_eager=*/true), "")
+        << "step " << step;
+    EXPECT_EQ(pruned.problems, results[1].problems) << "step " << step;
+    EXPECT_EQ(spans[0], spans[1]) << "step " << step;
 
-    // Walk the same list again, directly, past the committed offer.
-    NegotiationTrace again(100 + static_cast<std::uint64_t>(step));
-    std::vector<std::size_t> exclude;
-    if (result.has_commitment()) exclude.push_back(result.committed_index);
-    CommitAttempt attempt = stack.manager.commit_first(stack.sys.client, result.offers, profile.mm,
-                                                       exclude, TraceContext(&again));
-    std::string line = "index=" + std::to_string(attempt.index) +
-                       " transient=" + std::to_string(attempt.saw_transient) + " " +
-                       stats_image(attempt.stats) + "\n";
-    for (const std::string& e : attempt.errors()) line += e + "\n";
-    log.lines.push_back(line + attempt_spans_image(again));
-    log.nogood_hits += nogood_hits(again);
-    if (!attempt.ok()) ++log.failed_walks;
+    // Walk each list again, directly, past the committed offer.
+    std::array<CommitAttempt, 3> again;
+    std::array<std::string, 3> again_spans;
+    for (std::size_t k = 0; k < 3; ++k) {
+      NegotiationTrace trace(100 + static_cast<std::uint64_t>(step));
+      std::vector<std::size_t> exclude;
+      if (results[k].has_commitment()) exclude.push_back(results[k].committed_index);
+      again[k] = stacks[k].manager.commit_first(stacks[k].sys.client, results[k].offers,
+                                                profile.mm, exclude, TraceContext(&trace));
+      again_spans[k] = attempt_spans_image(trace);
+      hits[k] += nogood_hits(trace);
+    }
+    for (std::size_t k = 1; k < 3; ++k) {
+      EXPECT_EQ(again[0].index, again[k].index) << "step " << step;
+      EXPECT_EQ(again[0].saw_transient, again[k].saw_transient) << "step " << step;
+      EXPECT_EQ(stats_image(again[0].stats), stats_image(again[k].stats)) << "step " << step;
+    }
+    EXPECT_EQ(again[0].errors(), again[1].errors()) << "step " << step;
+    EXPECT_EQ(testing::refusal_fold_mismatch(again[0].errors(), again[2].errors()), "")
+        << "step " << step;
+    EXPECT_EQ(again_spans[0], again_spans[1]) << "step " << step;
+    if (!again[0].ok()) ++failed_walks;
 
-    held.push_back(std::move(result));
-    if (step % 4 == 3) held.pop_front();  // free some capacity again
+    for (std::size_t k = 0; k < 3; ++k) {
+      held[k].push_back(std::move(results[k]));
+      if (step % 4 == 3) held[k].pop_front();  // free some capacity again
+    }
   }
-  return log;
-}
-
-TEST(QoSManagerNogoodMemo, MemoWalkIsByteIdenticalToBypassedWalk) {
-  MemoStack memo(/*bypass=*/false);
-  MemoStack bypass(/*bypass=*/true);
-  const WalkLog with_memo = run_congesting_sequence(memo);
-  const WalkLog without = run_congesting_sequence(bypass);
-  ASSERT_EQ(with_memo.lines.size(), without.lines.size());
-  for (std::size_t i = 0; i < with_memo.lines.size(); ++i) {
-    EXPECT_EQ(with_memo.lines[i], without.lines[i]) << "walk " << i;
-  }
-  // Not vacuous: the memo answered offers, and walks both failed and committed.
-  EXPECT_GT(with_memo.nogood_hits, 0u);
-  EXPECT_EQ(without.nogood_hits, 0u);
-  EXPECT_GT(with_memo.failed_walks, 0);
-  EXPECT_LT(with_memo.failed_walks, 24);
+  // Not vacuous: nogoods refused offers, and walks both failed and committed.
+  EXPECT_GT(hits[0], 0u);
+  EXPECT_EQ(hits[0], hits[1]);
+  EXPECT_EQ(hits[2], 0u);
+  EXPECT_GT(failed_walks, 0);
+  EXPECT_LT(failed_walks, 24);
 }
 
 /// NegotiationClient decorator tracing every negotiate call and summing the
