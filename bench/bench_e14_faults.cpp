@@ -33,8 +33,6 @@ ExperimentConfig base_config(double fault_p, int max_attempts) {
   config.faults.transport_defaults.transient_failure_p = fault_p / 2.0;
 
   config.retry.max_attempts = max_attempts;
-  config.retry.base_backoff_ms = 5.0;
-  config.retry.jitter = 0.1;
   return config;
 }
 

@@ -146,8 +146,7 @@ int main() {
     point.product = feasible.value().combination_count();
 
     const auto start = std::chrono::steady_clock::now();
-    OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
-                       ClassificationPolicy{}, kEagerCap);
+    OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{}, kEagerCap);
     std::vector<SystemOffer> head;
     for (int i = 0; i < 10; ++i) {
       auto offer = stream.next();
@@ -195,7 +194,7 @@ int main() {
     // the stream must reproduce its order byte for byte.
     if (!point.eager_capped && point.product <= 10'000) {
       OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
-                         ClassificationPolicy{}, kEagerCap);
+                         kEagerCap);
       for (std::size_t i = 0; i < list.eager.size(); ++i) {
         auto offer = stream.next();
         if (!offer || signature(*offer) != signature(list.eager[i]) ||

@@ -2,8 +2,7 @@
 // produced for a given request"). Google-benchmark microbenchmarks of the
 // negotiation pipeline stages as the per-monomedia variant count and the
 // number of monomedia grow: the offer space is their cartesian product.
-// Also compares serial vs thread-pool classification, the hpc angle of the
-// reproduction, and the end-to-end negotiation latency.
+// Also times the end-to-end negotiation latency.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -113,24 +112,6 @@ void BM_ClassifySerial(benchmark::State& state) {
   state.counters["offers"] = static_cast<double>(prep.offers.eager.size());
 }
 BENCHMARK(BM_ClassifySerial)
-    ->Args({2, 8})
-    ->Args({3, 8})
-    ->Args({4, 12})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ClassifyParallel(benchmark::State& state) {
-  const int monomedia = static_cast<int>(state.range(0));
-  const int variants = static_cast<int>(state.range(1));
-  Prepared prep = prepare(monomedia, variants);
-  ThreadPool& pool = ThreadPool::shared();
-  for (auto _ : state) {
-    auto offers = prep.offers.eager;
-    classify_offers(offers, prep.profile.mm, prep.profile.importance, {}, &pool);
-    benchmark::DoNotOptimize(offers.data());
-  }
-  state.counters["offers"] = static_cast<double>(prep.offers.eager.size());
-}
-BENCHMARK(BM_ClassifyParallel)
     ->Args({2, 8})
     ->Args({3, 8})
     ->Args({4, 12})

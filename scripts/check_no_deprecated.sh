@@ -9,7 +9,8 @@
 #    service and experiment options only tests set; the wire server's
 #    completion queue and its orphan accounting; the connection, cache,
 #    policy and session values that only tests set; the committer's refusal
-#    replay, which the Step-5 walk's nogood counting replaced):
+#    replay, which the Step-5 walk's nogood counting replaced; the thread
+#    pool and the retry backoff parameters):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -93,6 +94,12 @@ done
 # A walk refuses offers by its nogoods and counts them: the committer's
 # refusal replay is gone.
 check "replay_refusal" "\breplay_refusal\b"
+# Classification runs serially: the thread pool and parallel_for are gone.
+# The retry backoff schedule is fixed: its parameters are constants.
+check "thread_pool" "thread_pool"
+for name in ThreadPool parallel_for backoff_multiplier max_backoff_ms base_backoff_ms; do
+    check "$name" "\b$name\b"
+done
 # The two aliases kept for perfbench/ may appear only on their own lines.
 check "PopulationBackend" "\bPopulationBackend\b" \
     "/src/sim/population\.hpp:[0-9]*:using PopulationBackend = NegotiationClient;\$"

@@ -74,16 +74,10 @@ bool satisfies_user(const OfferList& offers, std::size_t i, const MMProfile& pro
 }
 
 void classify_offers(std::vector<SystemOffer>& offers, const MMProfile& profile,
-                     const ImportanceProfile& importance, ClassificationPolicy policy,
-                     ThreadPool* pool) {
-  auto score_one = [&](std::size_t i) {
-    offers[i].sns = compute_sns(offers[i], profile, importance, policy);
-    offers[i].oif = compute_oif(offers[i], importance);
-  };
-  if (pool != nullptr) {
-    parallel_for(*pool, 0, offers.size(), score_one);
-  } else {
-    for (std::size_t i = 0; i < offers.size(); ++i) score_one(i);
+                     const ImportanceProfile& importance, ClassificationPolicy policy) {
+  for (SystemOffer& offer : offers) {
+    offer.sns = compute_sns(offer, profile, importance, policy);
+    offer.oif = compute_oif(offer, importance);
   }
 
   auto variant_ids_less = [](const SystemOffer& a, const SystemOffer& b) {

@@ -29,7 +29,6 @@
 
 #include "core/offer.hpp"
 #include "profile/profiles.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qosnp {
 
@@ -64,10 +63,8 @@ bool satisfies_user(const OfferList& offers, std::size_t i, const MMProfile& pro
 
 /// Steps 3+4: fill sns/oif on every offer and sort best-to-worst
 /// (SNS ascending, then OIF descending, then cheaper first, then by variant
-/// ids so the order is deterministic). Classification parameters of the
-/// offers are computed in parallel on `pool` when the offer list is large.
+/// ids so the order is deterministic).
 void classify_offers(std::vector<SystemOffer>& offers, const MMProfile& profile,
-                     const ImportanceProfile& importance, ClassificationPolicy policy = {},
-                     ThreadPool* pool = nullptr);
+                     const ImportanceProfile& importance, ClassificationPolicy policy = {});
 
 }  // namespace qosnp

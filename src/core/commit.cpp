@@ -107,15 +107,8 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       break;  // retrying an unknown server or missing route cannot help
     }
     if (attempt + 1 >= max_attempts) break;
-    // Back off before the next try. Time is accounted virtually, never
-    // slept, so the per-offer deadline cuts the loop deterministically.
-    const double delay = retry_.jittered_backoff_ms(attempt, jitter_rng_);
-    if (retry_.deadline_ms > 0.0 && stats.backoff_ms + delay > retry_.deadline_ms) {
-      QOSNP_LOG_DEBUG("commit", "retry deadline reached after ", stats.attempts,
-                      " attempt(s) for client ", client.name);
-      break;
-    }
-    stats.backoff_ms += delay;
+    // Back off before the next try. Time is accounted virtually, never slept.
+    stats.backoff_ms += RetryPolicy::jittered_backoff_ms(attempt, jitter_rng_);
   }
   stats_.merge(stats);
   if (trace.active()) annotate_refused(trace, last, stats);

@@ -29,36 +29,34 @@
 namespace qosnp {
 
 /// How the committer retries transiently-refused offers. The default is one
-/// attempt — exactly the historical first-refusal-moves-on behaviour.
+/// attempt — exactly the historical first-refusal-moves-on behaviour. Only
+/// the attempt cap is settable; the backoff schedule is fixed.
 struct RetryPolicy {
   /// Total tries per offer, first one included (1 = no retries).
   int max_attempts = 1;
+
   /// Deterministic exponential schedule: the k-th retry (k = 0, 1, ...)
-  /// backs off base * multiplier^k, capped at max_backoff_ms.
-  double base_backoff_ms = 5.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 500.0;
+  /// backs off kBaseBackoffMs * kBackoffMultiplier^k, capped at kMaxBackoffMs.
+  static constexpr double kBaseBackoffMs = 5.0;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kMaxBackoffMs = 500.0;
   /// Jitter fraction f: the waited delay is drawn uniformly from
   /// [b_k * (1 - f), b_k * (1 + f)] around the deterministic schedule b_k.
-  double jitter = 0.1;
-  /// Per-offer commit budget in milliseconds of (virtual) backoff; a retry
-  /// whose delay would exceed the budget is not taken. 0 = no deadline.
-  double deadline_ms = 0.0;
-  /// Seed of the jitter stream; the same seed reproduces the same delays.
-  std::uint64_t seed = 0x51ab5eedULL;
+  static constexpr double kJitter = 0.1;
+  /// Seed of each committer's jitter stream, so delays are reproducible.
+  static constexpr std::uint64_t kJitterSeed = 0x51ab5eedULL;
 
   /// The deterministic (un-jittered) schedule; monotone non-decreasing.
-  double backoff_ms(int retry_index) const {
-    double b = base_backoff_ms;
-    for (int k = 0; k < retry_index && b < max_backoff_ms; ++k) b *= backoff_multiplier;
-    return std::clamp(b, 0.0, max_backoff_ms);
+  static double backoff_ms(int retry_index) {
+    double b = kBaseBackoffMs;
+    for (int k = 0; k < retry_index && b < kMaxBackoffMs; ++k) b *= kBackoffMultiplier;
+    return std::min(b, kMaxBackoffMs);
   }
 
   /// The schedule with jitter applied from the given stream.
-  double jittered_backoff_ms(int retry_index, Rng& rng) const {
+  static double jittered_backoff_ms(int retry_index, Rng& rng) {
     const double b = backoff_ms(retry_index);
-    const double f = std::clamp(jitter, 0.0, 1.0);
-    return f == 0.0 ? b : rng.uniform(b * (1.0 - f), b * (1.0 + f));
+    return rng.uniform(b * (1.0 - kJitter), b * (1.0 + kJitter));
   }
 };
 
@@ -127,7 +125,7 @@ class ResourceCommitter {
   /// byte-identical to the class-blind behaviour.
   ResourceCommitter(ServerProvider& farm, TransportProvider& transport, RetryPolicy retry = {},
                     SessionClass session_class = SessionClass::kStandard)
-      : farm_(&farm), transport_(&transport), retry_(retry), jitter_rng_(retry.seed),
+      : farm_(&farm), transport_(&transport), retry_(retry), jitter_rng_(RetryPolicy::kJitterSeed),
         session_class_(session_class) {}
   virtual ~ResourceCommitter() = default;
 

@@ -105,20 +105,18 @@ OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile
 /// The shared, immutable Steps 3-4 precomputation behind OfferStream: the
 /// per-variant memos (SNS grading, OIF contributions, stream charges) and the
 /// pre-sorted per-class index lists. Built once per (feasible set, profile,
-/// importance, cost model, policy) tuple and read-only afterwards, so any
+/// importance, cost model) tuple and read-only afterwards, so any
 /// number of concurrent streams — including ones replayed from the plan
 /// cache — can share one seed without synchronisation. Offer lists point
 /// into the memo, so a seed never moves.
 class OfferStreamSeed {
  public:
-  OfferStreamSeed(FeasibleSet fs, MMProfile prof, ImportanceProfile imp, CostModel cm,
-                  ClassificationPolicy pol)
+  OfferStreamSeed(FeasibleSet fs, MMProfile prof, ImportanceProfile imp, CostModel cm)
       : feasible(std::move(fs)), profile(std::move(prof)), importance(std::move(imp)),
         cost_model(std::move(cm)) {
     n = feasible.monomedia.size();
     total = feasible.combination_count();
-    cost_only = pol.sns_rule == ClassificationPolicy::SnsRule::kImportanceWeighted &&
-                importance.cost_per_dollar > 0.0 && !qos_matters(profile, importance);
+    cost_only = importance.cost_per_dollar > 0.0 && !qos_matters(profile, importance);
     build_memo();
   }
   OfferStreamSeed(const OfferStreamSeed&) = delete;
@@ -151,11 +149,9 @@ class OfferStreamSeed {
 std::shared_ptr<const OfferStreamSeed> make_offer_stream_seed(FeasibleSet feasible,
                                                               MMProfile profile,
                                                               ImportanceProfile importance,
-                                                              CostModel cost_model,
-                                                              ClassificationPolicy policy) {
+                                                              CostModel cost_model) {
   return std::make_shared<const OfferStreamSeed>(std::move(feasible), std::move(profile),
-                                                 std::move(importance), std::move(cost_model),
-                                                 policy);
+                                                 std::move(importance), std::move(cost_model));
 }
 
 std::size_t seed_total_combinations(const OfferStreamSeed& seed) { return seed.total; }
@@ -581,11 +577,10 @@ void materialise_offer(const OfferStreamSeed& seed, const OfferRecord& record,
 }  // namespace
 
 OfferStream::OfferStream(FeasibleSet feasible, MMProfile profile, ImportanceProfile importance,
-                         CostModel cost_model, ClassificationPolicy policy,
-                         std::size_t max_offers)
+                         CostModel cost_model, std::size_t max_offers)
     : impl_(std::make_unique<Impl>(
           make_offer_stream_seed(std::move(feasible), std::move(profile), std::move(importance),
-                                 std::move(cost_model), policy),
+                                 std::move(cost_model)),
           max_offers)) {}
 
 OfferStream::OfferStream(std::shared_ptr<const OfferStreamSeed> seed, std::size_t max_offers)

@@ -70,7 +70,7 @@ OfferList enumerate_offers(const FeasibleSet& feasible, const MMProfile& profile
 /// per-variant SNS/OIF contributions and the pre-sorted per-class variant
 /// lists. Building it is the expensive part of starting a stream; walking it
 /// is cheap per-request cursor state. The seed depends only on (feasible
-/// set, profile, importance, cost model, policy) — never on server or
+/// set, profile, importance, cost model) — never on server or
 /// transport state — so one seed can be shared, read-only and thread-safe,
 /// by any number of concurrent streams (the cross-request plan cache stores
 /// exactly this object). Opaque: defined in enumerate.cpp.
@@ -81,8 +81,7 @@ class OfferStreamSeed;
 std::shared_ptr<const OfferStreamSeed> make_offer_stream_seed(FeasibleSet feasible,
                                                               MMProfile profile,
                                                               ImportanceProfile importance,
-                                                              CostModel cost_model,
-                                                              ClassificationPolicy policy);
+                                                              CostModel cost_model);
 
 /// Cartesian-product size of the seed's feasible sets (saturating, like
 /// FeasibleSet::combination_count()).
@@ -104,7 +103,9 @@ class PrefixPruner {
 /// Lazy best-first generator over the offer space (Steps 3+4 fused into the
 /// enumeration): next() yields system offers with sns/oif already filled, in
 /// exactly the classification order of classify_offers — SNS ascending, then
-/// OIF descending, then cheaper first, then variant ids.
+/// OIF descending, then cheaper first, then variant ids. The stream grades
+/// SNS by the default importance-weighted rule; the literal kPlain rule is
+/// an ablation of classify_offers only.
 ///
 /// How: every per-monomedia feasible set is partitioned by the profile into
 /// desired / acceptable-only / violating variants and pre-sorted by the
@@ -119,7 +120,7 @@ class PrefixPruner {
 class OfferStream {
  public:
   OfferStream(FeasibleSet feasible, MMProfile profile, ImportanceProfile importance,
-              CostModel cost_model, ClassificationPolicy policy, std::size_t max_offers);
+              CostModel cost_model, std::size_t max_offers);
   /// Spawn a fresh cursor over a shared (possibly cached) seed: all the
   /// memoisation is reused, only the frontier heaps are rebuilt.
   OfferStream(std::shared_ptr<const OfferStreamSeed> seed, std::size_t max_offers);

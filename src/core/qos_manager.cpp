@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -135,14 +136,24 @@ std::size_t ids_length(const Variant* const* variants, std::size_t count) {
 }  // namespace
 
 std::string offer_positions(const SystemOffer& offer) {
+  // Positions are formatted into an inline buffer, which spills into the
+  // string whenever it may not hold one more '.' and position.
+  constexpr std::ptrdiff_t kMaxField = 1 + std::numeric_limits<std::size_t>::digits10 + 1;
   char buffer[64];
   char* end = buffer;
-  for (const OfferComponent& c : offer.components) {
-    if (end != buffer && end < buffer + sizeof buffer) *end++ = '.';
+  std::string out;
+  for (std::size_t k = 0; k < offer.components.size(); ++k) {
+    if (buffer + sizeof buffer - end < kMaxField) {
+      out.append(buffer, end);
+      end = buffer;
+    }
+    if (k > 0) *end++ = '.';
+    const OfferComponent& c = offer.components[k];
     const auto position = static_cast<std::size_t>(c.variant - c.monomedia->variants.data());
     end = std::to_chars(end, buffer + sizeof buffer, position).ptr;
   }
-  return std::string(buffer, end);
+  out.append(buffer, end);
+  return out;
 }
 
 void RefusalLog::render(std::vector<std::string>& out) const {
@@ -567,8 +578,8 @@ Result<std::shared_ptr<NegotiationPlan>, NegotiationResult> QoSManager::build_pl
     // Lazy best-first stream: Steps 3+4 are fused into the enumeration and
     // offers materialise one at a time as Step 5 walks them. The seed holds
     // all the memoisation; each request spawns its own cursor over it.
-    plan->seed = make_offer_stream_seed(std::move(feasible), profile.mm, profile.importance,
-                                        cost_model_, ClassificationPolicy{});
+    plan->seed =
+        make_offer_stream_seed(std::move(feasible), profile.mm, profile.importance, cost_model_);
     total = seed_total_combinations(*plan->seed);
     known = std::min(total, config_.enumeration.max_offers);
   } else {

@@ -213,8 +213,8 @@ Result<FeasibleSet, NegotiationResult> static_check(
 
 /// How a commit-attempt span names the offer it tried: each component's
 /// position in its monomedia's variant list, joined with '.' ("2.0.1").
-/// Short enough for a string's inline buffer, so a traced commit costs no
-/// allocation for it.
+/// A short offer's text fits a string's inline buffer, so a traced commit
+/// costs no allocation for it; a long one is never truncated.
 std::string offer_positions(const SystemOffer& offer);
 
 /// Step 5's verdict once a walk has ended with result.committed_index set

@@ -46,9 +46,6 @@ struct PlayoutReport {
   double playout_end_s = 0.0;   ///< nominal end + accumulated stalls
 
   bool clean() const { return stalls == 0; }
-  double stall_fraction(double nominal_duration_s) const {
-    return nominal_duration_s <= 0 ? 0.0 : total_stall_s / nominal_duration_s;
-  }
   /// The per-block lateness timeline (for inter-stream skew analysis):
   /// cumulative stall time before consuming block i.
   std::vector<double> cumulative_stall;

@@ -91,7 +91,6 @@ struct MultimediaDocument {
   std::vector<Monomedia> monomedia;
   SyncSpec sync;
 
-  bool is_multimedia() const { return monomedia.size() > 1; }
   /// Total playout duration: the longest continuous component.
   double duration_s() const;
   const Monomedia* find_monomedia(const MonomediaId& mid) const;

@@ -40,7 +40,6 @@ class Topology {
   Result<std::size_t> add_link(const NodeId& a, const NodeId& b, std::int64_t capacity_bps,
                                double delay_ms = 1.0);
 
-  bool has_node(const NodeId& id) const { return index_.contains(id); }
   /// Position of a node in nodes(), or nullopt for an unknown id.
   std::optional<std::size_t> node_index(const NodeId& id) const;
   std::optional<NodeKind> node_kind(const NodeId& id) const;

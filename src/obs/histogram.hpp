@@ -36,7 +36,6 @@ class LatencyHistogram {
 
   std::uint64_t count() const { return count_; }
   double mean_ms() const { return count_ == 0 ? 0.0 : sum_ms_ / static_cast<double>(count_); }
-  double max_ms() const { return max_ms_; }
   double sum_ms() const { return sum_ms_; }
 
   /// Latency at quantile p in [0, 1]: the upper bound of the bucket holding

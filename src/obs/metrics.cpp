@@ -92,12 +92,6 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name,
   return m != nullptr ? m->counter->value() : 0;
 }
 
-std::int64_t MetricsRegistry::gauge_value(const std::string& name,
-                                          const MetricLabels& labels) const {
-  const Metric* m = find(Kind::kGauge, name, labels);
-  return m != nullptr ? m->gauge->value() : 0;
-}
-
 std::string MetricsRegistry::expose() const {
   // Snapshot the metric list under the lock; values are read atomically (or
   // merged per shard) afterwards so exposition never blocks recording long.

@@ -128,9 +128,8 @@ class MetricsRegistry {
   HistogramMetric& histogram(const std::string& name, MetricLabels labels = {},
                              const std::string& help = "");
 
-  /// Current value of a counter/gauge sample; 0 when never registered.
+  /// Current value of a counter sample; 0 when never registered.
   std::uint64_t counter_value(const std::string& name, const MetricLabels& labels = {}) const;
-  std::int64_t gauge_value(const std::string& name, const MetricLabels& labels = {}) const;
 
   /// Prometheus-style text exposition of every registered metric. Counters
   /// and gauges expose their value; histograms expose _count, _sum and

@@ -95,7 +95,6 @@ class NegotiationTrace {
   NegotiationTrace& operator=(const NegotiationTrace&) = delete;
 
   std::uint64_t request_id() const { return request_id_; }
-  void set_request_id(std::uint64_t id) { request_id_ = id; }
 
   /// Final figures stamped by whoever resolves the request (the service),
   /// so a sink's stored traces are self-describing.

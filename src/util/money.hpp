@@ -27,7 +27,6 @@ class Money {
   static Money parse(const std::string& text);
 
   constexpr std::int64_t as_micros() const { return micros_; }
-  constexpr std::int64_t whole_cents() const { return micros_ / kMicrosPerCent; }
   constexpr double as_dollars() const { return static_cast<double>(micros_) / kMicrosPerDollar; }
   constexpr bool is_zero() const { return micros_ == 0; }
   constexpr bool is_negative() const { return micros_ < 0; }

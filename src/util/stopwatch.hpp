@@ -16,7 +16,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double elapsed_ms() const { return elapsed_seconds() * 1e3; }
-  double elapsed_us() const { return elapsed_seconds() * 1e6; }
   /// The instant this stopwatch read `elapsed_ms` (rounded down).
   std::chrono::steady_clock::time_point at_ms(double elapsed_ms) const {
     return start_ + std::chrono::floor<Clock::duration>(

@@ -115,7 +115,7 @@ WalkCount congested_walk(int offers) {
   auto feasible = compatible_variants(document, sys.client, profile.mm);
   EXPECT_TRUE(feasible.ok());
   auto seed = make_offer_stream_seed(std::move(feasible.value()), profile.mm, profile.importance,
-                                     CostModel{}, ClassificationPolicy{});
+                                     CostModel{});
 
   OfferList list(document, seed, 100'000);
   NegotiationTrace trace(1);

@@ -157,32 +157,6 @@ TEST(Classify, SortIsDeterministicUnderPermutation) {
   EXPECT_EQ(names(offers_a), names(offers_b));
 }
 
-TEST(Classify, ParallelMatchesSerial) {
-  // Build a large offer list by repeating the example ladder with varying
-  // costs, then check pool-classification equals serial classification.
-  auto ex = paper::classification_example();
-  std::vector<SystemOffer> big;
-  for (int i = 0; i < 500; ++i) {
-    for (const auto& o : ex.offers.eager) {
-      SystemOffer copy = o;
-      copy.cost.total = o.cost.total + Money::cents(i % 37);
-      big.push_back(copy);
-    }
-  }
-  auto serial = big;
-  auto parallel = big;
-  ex.profile.importance = paper::importance_setting(1);
-  classify_offers(serial, ex.profile.mm, ex.profile.importance);
-  classify_offers(parallel, ex.profile.mm, ex.profile.importance, {}, &ThreadPool::shared());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].sns, parallel[i].sns);
-    EXPECT_DOUBLE_EQ(serial[i].oif, parallel[i].oif);
-    EXPECT_EQ(serial[i].total_cost(), parallel[i].total_cost());
-    EXPECT_EQ(paper::offer_name(serial[i]), paper::offer_name(parallel[i]));
-  }
-}
-
 TEST(Classify, SnsNeverImprovesWhenQosDegrades) {
   // Property: degrading one characteristic never improves the SNS grade.
   auto ex = paper::classification_example();

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "core/qos_manager.hpp"
 #include "test_system.hpp"
 
 namespace qosnp {
@@ -209,8 +212,7 @@ TEST(CombinationCount, SixtyFourMediaCorpusSaturatesEverywhere) {
   EXPECT_TRUE(list.truncated);
   EXPECT_EQ(list.eager.size(), 4u);
 
-  OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
-                     ClassificationPolicy{}, 4);
+  OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{}, 4);
   EXPECT_EQ(stream.total_combinations(), SIZE_MAX);
   EXPECT_EQ(stream.emit_limit(), 4u);
 }
@@ -230,8 +232,7 @@ TEST(OfferStream, PullsFromAnAstronomicalProductWithoutEnumeratingIt) {
   profile.mm.cost.max_cost = Money::dollars(100);
   auto feasible = compatible_variants(doc, sys.client, profile.mm);
   ASSERT_TRUE(feasible.ok());
-  OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance, CostModel{},
-                     ClassificationPolicy{}, 8);
+  OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance, CostModel{}, 8);
   // The very best offer: the desired (English) variant of all 64 texts.
   auto best = stream.next();
   ASSERT_TRUE(best.has_value());
@@ -248,6 +249,34 @@ TEST(OfferStream, PullsFromAnAstronomicalProductWithoutEnumeratingIt) {
   // one successor per position, plus one root per sub-space cursor) — a few
   // thousand states, not the 2^64 product.
   EXPECT_LT(stream.states_generated(), 8u * 64u * 8u);
+}
+
+TEST(OfferPositions, NamesEveryComponentOfA64MediaOffer) {
+  // A commit-attempt span names its offer by offer_positions; past the
+  // inline buffer (about 32 components) the name must grow, not truncate.
+  TestSystem sys;
+  auto doc = power_of_two_document(64);
+  UserProfile profile;
+  profile.mm.video.reset();
+  profile.mm.audio.reset();
+  profile.mm.image.reset();
+  profile.mm.text = TextProfile{};
+  profile.mm.text->acceptable = {Language::kFrench};
+  auto feasible = compatible_variants(doc, sys.client, profile.mm);
+  ASSERT_TRUE(feasible.ok());
+  OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance, CostModel{}, 1);
+  auto best = stream.next();
+  ASSERT_TRUE(best.has_value());
+  ASSERT_EQ(best->components.size(), 64u);
+  std::string expected;
+  for (const OfferComponent& c : best->components) {
+    if (!expected.empty()) expected += '.';
+    expected += std::to_string(c.variant - c.monomedia->variants.data());
+  }
+  const std::string positions = offer_positions(*best);
+  EXPECT_EQ(positions, expected);
+  EXPECT_EQ(std::count(positions.begin(), positions.end(), '.'), 63);
+  EXPECT_EQ(positions.size(), 127u);  // 64 one-digit positions
 }
 
 }  // namespace

@@ -40,11 +40,11 @@ std::string signature(const SystemOffer& offer) {
 
 /// The eager oracle: materialise the whole product, then classify and sort.
 OfferList eager_oracle(const FeasibleSet& feasible, const MMProfile& mm,
-                       const ImportanceProfile& importance, ClassificationPolicy policy) {
+                       const ImportanceProfile& importance) {
   EnumerationConfig config;
   config.max_offers = 1'000'000;  // corpus products are far smaller: no cap
   OfferList list = enumerate_offers(feasible, mm, CostModel{}, config);
-  classify_offers(list.eager, mm, importance, policy);
+  classify_offers(list.eager, mm, importance);
   return list;
 }
 
@@ -94,14 +94,10 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
       auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
       for (int variant = 0; variant < 4; ++variant) {
         UserProfile profile = random_profile(rng);
-        ClassificationPolicy policy;
-        if (variant == 1 || variant == 2) {
-          policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
-        }
         if (variant >= 2) {
           // All QoS importances zero, cost dominant: the cost-only grading
-          // of the importance-weighted rule (Sec. 5.2.2 example (3)), and
-          // under the plain rule an OIF of cost alone, full of ties.
+          // of the importance-weighted rule (Sec. 5.2.2 example (3)), with
+          // an OIF of cost alone, full of ties.
           profile.importance = ImportanceProfile{};
           profile.importance.cost_per_dollar = 1.0;
         }
@@ -112,9 +108,8 @@ TEST(OfferStreamDifferential, MatchesEagerOracleAcrossSeededCorpora) {
         FeasibleSet copy = feasible.value();
 
         const OfferList oracle =
-            eager_oracle(feasible.value(), profile.mm, profile.importance, policy);
-        OfferStream stream(std::move(copy), profile.mm, profile.importance, CostModel{},
-                           policy, cap);
+            eager_oracle(feasible.value(), profile.mm, profile.importance);
+        OfferStream stream(std::move(copy), profile.mm, profile.importance, CostModel{}, cap);
         ASSERT_EQ(stream.total_combinations(), oracle.total_combinations);
         // Capped streams must yield the *prefix* of the full classified
         // order — the best `cap` offers, not the first `cap` in document
@@ -161,8 +156,6 @@ TEST(OfferStreamDifferential, CostBreakdownMatchesDocumentCostFieldByField) {
       auto doc = std::make_shared<const MultimediaDocument>(std::move(raw));
       for (int variant = 0; variant < 3; ++variant) {
         UserProfile profile = random_profile(rng);
-        ClassificationPolicy policy;
-        if (variant == 1) policy.sns_rule = ClassificationPolicy::SnsRule::kPlain;
         if (variant == 2) {
           // Cost-only grading: the stream walks two filtered full products.
           profile.importance = ImportanceProfile{};
@@ -171,7 +164,7 @@ TEST(OfferStreamDifferential, CostBreakdownMatchesDocumentCostFieldByField) {
         auto feasible = compatible_variants(doc, sys.client, profile.mm);
         if (!feasible.ok()) continue;
         OfferStream stream(std::move(feasible.value()), profile.mm, profile.importance,
-                           cost_model, policy, 100'000);
+                           cost_model, 100'000);
         while (auto offer = stream.next()) {
           std::vector<StreamRequirements> streams;
           for (const OfferComponent& c : offer->components) streams.push_back(c.requirements);
@@ -206,13 +199,11 @@ TEST(OfferStreamDifferential, TruncationFlagsMatchEagerSemantics) {
   config.max_offers = 7;
   const OfferList eager = enumerate_offers(feasible.value(), profile.mm, CostModel{}, config);
   EXPECT_TRUE(eager.truncated);
-  OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{},
-                     ClassificationPolicy{}, 7);
+  OfferStream stream(feasible.value(), profile.mm, profile.importance, CostModel{}, 7);
   EXPECT_EQ(stream.emit_limit(), 7u);
   EXPECT_LT(stream.emit_limit(), stream.total_combinations());  // == truncated
   // Uncapped: neither truncates.
-  OfferStream wide(feasible.value(), profile.mm, profile.importance, CostModel{},
-                   ClassificationPolicy{}, 20'000);
+  OfferStream wide(feasible.value(), profile.mm, profile.importance, CostModel{}, 20'000);
   EXPECT_EQ(wide.emit_limit(), wide.total_combinations());
 }
 

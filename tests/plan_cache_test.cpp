@@ -247,7 +247,7 @@ TEST(PlanCacheHead, HitsReadingPastTheFirstOfferMatchAFreshStream) {
       if (!feasible.ok()) continue;
       const auto seed_of_doc =
           make_offer_stream_seed(std::move(feasible.value()), profile.mm, profile.importance,
-                                 CostModel{}, ClassificationPolicy{});
+                                 CostModel{});
       OfferList fresh(document, seed_of_doc, config.enumeration.max_offers);
       const std::size_t known = fresh.known_count();
       const bool truncated = fresh.truncated;

@@ -673,7 +673,6 @@ TEST(QoSManagerNogoodMemo, RetriedWalkDrawsEveryJitteredBackoff) {
   TestSystem sys(50'000'000, 200'000'000, 100'000'000, /*server_sessions=*/0);
   NegotiationConfig config = eager_config();
   config.retry.max_attempts = 3;
-  config.retry.jitter = 0.5;
   QoSManager manager(sys.catalog, sys.farm, *sys.transport, CostModel{}, config);
   const UserProfile profile = TestSystem::tolerant_profile();
   NegotiationTrace trace(1);

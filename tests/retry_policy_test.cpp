@@ -1,10 +1,11 @@
-// RetryPolicy unit behaviour: the deterministic backoff schedule, jitter
-// bounds, the per-offer deadline, and — most importantly — that the default
-// zero-retry configuration reproduces the historical first-refusal-moves-on
-// commitment bit for bit.
+// RetryPolicy unit behaviour: the fixed backoff schedule, jitter bounds,
+// and — most importantly — that a one-attempt configuration reproduces the
+// historical first-refusal-moves-on commitment bit for bit.
 #include "core/commit.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/classify.hpp"
 #include "core/enumerate.hpp"
@@ -26,80 +27,71 @@ OfferList enumerate_for(TestSystem& sys, const UserProfile& profile) {
 }
 
 TEST(RetryPolicy, BackoffScheduleIsMonotoneAndCapped) {
-  RetryPolicy policy;
-  policy.base_backoff_ms = 5.0;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_ms = 200.0;
   double prev = 0.0;
   for (int k = 0; k < 32; ++k) {
-    const double b = policy.backoff_ms(k);
+    const double b = RetryPolicy::backoff_ms(k);
     EXPECT_GE(b, prev) << "retry " << k;
-    EXPECT_LE(b, policy.max_backoff_ms) << "retry " << k;
+    EXPECT_LE(b, RetryPolicy::kMaxBackoffMs) << "retry " << k;
     prev = b;
   }
-  EXPECT_DOUBLE_EQ(policy.backoff_ms(0), 5.0);
-  EXPECT_DOUBLE_EQ(policy.backoff_ms(1), 10.0);
-  EXPECT_DOUBLE_EQ(policy.backoff_ms(2), 20.0);
-  EXPECT_DOUBLE_EQ(policy.backoff_ms(10), 200.0);  // capped
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(0), 5.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(1), 10.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(2), 20.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(6), 320.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(7), 500.0);  // capped
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(31), 500.0);
 }
 
-TEST(RetryPolicy, JitterStaysWithinBounds) {
-  RetryPolicy policy;
-  policy.base_backoff_ms = 8.0;
-  policy.backoff_multiplier = 3.0;
-  policy.max_backoff_ms = 1'000.0;
-  policy.jitter = 0.25;
+TEST(RetryPolicy, JitterStaysWithinBoundsAndVaries) {
   Rng rng(42);
-  for (int k = 0; k < 8; ++k) {
-    const double b = policy.backoff_ms(k);
+  for (int k = 0; k < 10; ++k) {
+    const double b = RetryPolicy::backoff_ms(k);
+    double lo = b * 2.0;
+    double hi = 0.0;
     for (int draw = 0; draw < 200; ++draw) {
-      const double j = policy.jittered_backoff_ms(k, rng);
-      EXPECT_GE(j, b * 0.75) << "retry " << k;
-      EXPECT_LE(j, b * 1.25) << "retry " << k;
+      const double j = RetryPolicy::jittered_backoff_ms(k, rng);
+      EXPECT_GE(j, b * (1.0 - RetryPolicy::kJitter)) << "retry " << k;
+      EXPECT_LE(j, b * (1.0 + RetryPolicy::kJitter)) << "retry " << k;
+      lo = std::min(lo, j);
+      hi = std::max(hi, j);
     }
+    EXPECT_LT(lo, b) << "retry " << k;  // the jitter is drawn, not fixed
+    EXPECT_GT(hi, b) << "retry " << k;
   }
 }
 
-TEST(RetryPolicy, ZeroJitterIsExactlyTheSchedule) {
-  RetryPolicy policy;
-  policy.jitter = 0.0;
-  Rng rng(7);
-  for (int k = 0; k < 8; ++k) {
-    EXPECT_DOUBLE_EQ(policy.jittered_backoff_ms(k, rng), policy.backoff_ms(k));
-  }
-}
-
-TEST(RetryPolicy, DeadlineCutsTheAttemptLoop) {
-  // Every admission is transiently refused, so only the deadline (not the
-  // attempt cap) stops the loop: delays 10 + 20 fit the 35 ms budget, the
-  // next delay (40) would not.
+TEST(RetryPolicy, RetriedCommitWaitsTheJitteredSchedule) {
+  // Every admission is transiently refused, so the attempt cap stops the
+  // loop, and the committer waits exactly the seeded draws of the schedule.
   TestSystem sys;
   FaultPlan plan;
   plan.server_defaults.transient_failure_p = 1.0;
   FaultyServerFarm faulty(sys.farm, plan);
 
   RetryPolicy retry;
-  retry.max_attempts = 100;
-  retry.base_backoff_ms = 10.0;
-  retry.backoff_multiplier = 2.0;
-  retry.jitter = 0.0;
-  retry.deadline_ms = 35.0;
-
+  retry.max_attempts = 4;
   const UserProfile profile = TestSystem::tolerant_profile();
   OfferList list = enumerate_for(sys, profile);
   ResourceCommitter committer(faulty, *sys.transport, retry);
   auto commitment = committer.commit(sys.client, list.eager[0]);
   ASSERT_FALSE(commitment.ok());
   EXPECT_TRUE(commitment.error().transient);
-  EXPECT_EQ(committer.stats().attempts, 3);
-  EXPECT_EQ(committer.stats().retries, 2);
-  EXPECT_DOUBLE_EQ(committer.stats().backoff_ms, 30.0);
+  EXPECT_EQ(committer.stats().attempts, 4);
+  EXPECT_EQ(committer.stats().retries, 3);
+
+  Rng rng(RetryPolicy::kJitterSeed);
+  double expected = 0.0;
+  for (int k = 0; k < 3; ++k) expected += RetryPolicy::jittered_backoff_ms(k, rng);
+  EXPECT_DOUBLE_EQ(committer.stats().backoff_ms, expected);
+  EXPECT_GE(committer.stats().backoff_ms, 0.9 * (5.0 + 10.0 + 20.0));
+  EXPECT_LE(committer.stats().backoff_ms, 1.1 * (5.0 + 10.0 + 20.0));
 }
 
 TEST(RetryPolicy, ZeroRetryConfigReproducesSingleShotBitForBit) {
-  // A max_attempts=1 policy — whatever its backoff parameters — must walk
-  // the offers exactly as the historical committer did: same per-offer
-  // verdicts, same error messages, same counters, same residual usage.
+  // A policy allowing at most one attempt (a non-positive cap counts as
+  // one) must walk the offers exactly as the historical committer did: same
+  // per-offer verdicts, same error messages, same counters, same residual
+  // usage.
   const UserProfile profile = TestSystem::tolerant_profile();
   // Starve the system so some offers fail and the walk actually matters.
   TestSystem sys_a(/*access_bps=*/3'000'000, /*backbone_bps=*/3'000'000);
@@ -110,12 +102,7 @@ TEST(RetryPolicy, ZeroRetryConfigReproducesSingleShotBitForBit) {
 
   ResourceCommitter plain(sys_a.farm, *sys_a.transport);  // default policy
   RetryPolicy weird;
-  weird.max_attempts = 1;  // no retries, whatever else says
-  weird.base_backoff_ms = 999.0;
-  weird.backoff_multiplier = 17.0;
-  weird.jitter = 0.9;
-  weird.deadline_ms = 0.001;
-  weird.seed = 0xdeadULL;
+  weird.max_attempts = 0;
   ResourceCommitter configured(sys_b.farm, *sys_b.transport, weird);
 
   for (std::size_t i = 0; i < list_a.eager.size(); ++i) {

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "core/report.hpp"
 #include "fault/fault_injector.hpp"
@@ -16,7 +18,6 @@
 #include "sim/experiment.hpp"
 #include "test_system.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qosnp {
 namespace {
@@ -244,19 +245,20 @@ TEST(FaultStress, ConcurrentCommitsUnderFaultsNeverLeak) {
 
   std::atomic<int> successes{0};
   {
-    ThreadPool pool(8);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < 64; ++t) {
-      futures.push_back(pool.submit([&, t] {
-        RetryPolicy retry;
-        retry.max_attempts = 3;
-        retry.seed = 1000u + static_cast<std::uint64_t>(t);
-        ResourceCommitter committer(faulty_farm, faulty_transport, retry);
-        auto c = committer.commit(sys.client, list.eager[t % list.eager.size()]);
-        if (c.ok()) successes.fetch_add(1);
-      }));
+    // 8 threads run the 64 commits, commit t on thread t % 8.
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 8; ++w) {
+      workers.emplace_back([&, w] {
+        for (int t = w; t < 64; t += 8) {
+          RetryPolicy retry;
+          retry.max_attempts = 3;
+          ResourceCommitter committer(faulty_farm, faulty_transport, retry);
+          auto c = committer.commit(sys.client, list.eager[t % list.eager.size()]);
+          if (c.ok()) successes.fetch_add(1);
+        }
+      });
     }
-    for (auto& f : futures) f.get();
+    for (std::thread& worker : workers) worker.join();
   }
   EXPECT_GT(successes.load(), 0);
   EXPECT_EQ(sys.transport->active_flows(), 0u);
