@@ -10,7 +10,8 @@
 #    completion queue and its orphan accounting; the connection, cache,
 #    policy and session values that only tests set; the committer's refusal
 #    replay, which the Step-5 walk's nogood counting replaced; the thread
-#    pool and the retry backoff parameters):
+#    pool and the retry backoff parameters; the plan cache's serialised key
+#    and config digest):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -98,6 +99,11 @@ check "replay_refusal" "\breplay_refusal\b"
 # The retry backoff schedule is fixed: its parameters are constants.
 check "thread_pool" "thread_pool"
 for name in ThreadPool parallel_for backoff_multiplier max_backoff_ms base_backoff_ms; do
+    check "$name" "\b$name\b"
+done
+# A plan is keyed on the request's own values, compared with ==: the
+# serialised key, the config digest and the manager's copy of it are gone.
+for name in plan_cache_key plan_config_digest plan_digest_; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

@@ -22,6 +22,7 @@ struct ScreenSpec {
   int width_px = 1920;
   int height_px = 1080;
   ColorDepth color = ColorDepth::kSuperColor;
+  friend bool operator==(const ScreenSpec&, const ScreenSpec&) = default;
 };
 
 struct ClientMachine {

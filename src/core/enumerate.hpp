@@ -41,6 +41,7 @@ struct EnumerationConfig {
   /// max_offers in document order.
   std::size_t max_offers = 20'000;
   EnumerationStrategy strategy = EnumerationStrategy::kBestFirst;
+  friend bool operator==(const EnumerationConfig&, const EnumerationConfig&) = default;
 };
 
 /// Per-monomedia feasible variants after Step 2.

@@ -1,160 +1,52 @@
 #include "core/plan_cache.hpp"
 
-#include <bit>
 #include <functional>
+#include <iterator>
+#include <string_view>
 
 #include "util/validate.hpp"
 
 namespace qosnp {
 
-namespace {
-
-/// Canonical byte-string builder: numbers fixed-width little-endian, doubles
-/// bit-cast, strings length-prefixed — distinct inputs yield distinct bytes
-/// by construction (no hashing, no collisions).
-class Fingerprint {
- public:
-  explicit Fingerprint(std::string& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void u64(std::uint64_t v) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (i * 8)) & 0xff);
-    out_.append(bytes, sizeof bytes);
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(std::string_view s) {
-    u64(s.size());
-    out_.append(s);
-  }
-  void money(Money m) { i64(m.as_micros()); }
-
-  void qos(const MonomediaQoS& q) {
-    u64(q.index());
-    std::visit(
-        [this](const auto& v) {
-          using T = std::decay_t<decltype(v)>;
-          if constexpr (std::is_same_v<T, VideoQoS>) {
-            u8(static_cast<std::uint8_t>(v.color));
-            i64(v.frame_rate_fps);
-            i64(v.resolution);
-          } else if constexpr (std::is_same_v<T, AudioQoS>) {
-            u8(static_cast<std::uint8_t>(v.quality));
-          } else if constexpr (std::is_same_v<T, TextQoS>) {
-            u8(static_cast<std::uint8_t>(v.language));
-          } else {
-            u8(static_cast<std::uint8_t>(v.color));
-            i64(v.resolution);
-          }
-        },
-        q);
-  }
-
-  void curve(const PiecewiseLinear& pl) {
-    u64(pl.anchors().size());
-    for (const auto& [x, y] : pl.anchors()) {
-      f64(x);
-      f64(y);
-    }
-  }
-
-  void table(const CostTable& t) {
-    u64(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      i64(t.at(i).upper_bps);
-      money(t.at(i).cost_per_second);
-    }
-  }
-
- private:
-  std::string& out_;
-};
-
-}  // namespace
-
-std::string plan_config_digest(const EnumerationConfig& enumeration, const CostModel& cost_model) {
-  std::string out;
-  Fingerprint fp(out);
-  fp.str("qosnp-plan-cfg-v1");
-  fp.u64(enumeration.max_offers);
-  fp.u8(static_cast<std::uint8_t>(enumeration.strategy));
-  fp.table(cost_model.network_table());
-  fp.table(cost_model.server_table());
-  fp.f64(cost_model.best_effort_discount());
-  return out;
+std::uint64_t plan_hash(const DocumentId& document, const ClientMachine& client,
+                        const MMProfile& mm, const EnumerationConfig& enumeration) {
+  std::uint64_t h = std::hash<std::string_view>{}(document);
+  const auto add = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  };
+  add(static_cast<std::uint32_t>(client.screen.width_px) |
+      std::uint64_t{static_cast<std::uint32_t>(client.screen.height_px)} << 32);
+  const std::uint64_t media = (mm.video ? 1 : 0) | (mm.audio ? 2 : 0) | (mm.text ? 4 : 0) |
+                              (mm.image ? 8 : 0);
+  add(static_cast<std::uint64_t>(client.screen.color) | client.decoders.size() << 8 |
+      static_cast<std::uint64_t>(client.max_audio) << 24 |
+      std::uint64_t{client.has_audio_out} << 32 | media << 40 |
+      static_cast<std::uint64_t>(enumeration.strategy) << 48);
+  add(static_cast<std::uint64_t>(mm.cost.max_cost.as_micros()));
+  add(enumeration.max_offers);
+  return h;
 }
 
-std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest) {
-  std::string out;
-  out.reserve(1024);  // one allocation: a key is under 1 KB (848 B for the test fixture)
-  Fingerprint fp(out);
-  fp.str("qosnp-plan-key-v1");
-  fp.str(config_digest);
+bool NegotiationPlanCache::Entry::matches(const DocumentId& document_id,
+                                          const ClientMachine& client, const UserProfile& profile,
+                                          const EnumerationConfig& enumeration_config,
+                                          const CostModel& costs) const {
+  return document == document_id && screen == client.screen && max_audio == client.max_audio &&
+         has_audio_out == client.has_audio_out && decoders == client.decoders &&
+         enumeration == enumeration_config && mm == profile.mm &&
+         importance == profile.importance && cost_model == costs;
+}
 
-  // Document: the id only. Its content is vouched for by lookup(), which
-  // accepts a plan only if it pins the document object the catalog holds
-  // now — exact even across distinct catalogs sharing one cache.
-  fp.str(document_id);
-
-  // Client capabilities: what Step 1's local check and Step 2's decoder
-  // filter read. Not the name or the node: no stored plan depends on them
-  // (Step 5 reads the node per request, and terminal plans, whose Step-2
-  // text names the client, are not stored).
-  fp.i64(client.screen.width_px);
-  fp.i64(client.screen.height_px);
-  fp.u8(static_cast<std::uint8_t>(client.screen.color));
-  fp.u64(client.decoders.size());
-  for (CodingFormat f : client.decoders) fp.u8(static_cast<std::uint8_t>(f));
-  fp.u8(static_cast<std::uint8_t>(client.max_audio));
-  fp.boolean(client.has_audio_out);
-
-  // MM profile. The profile *name* is deliberately excluded: no step reads
-  // it, so "alice" and "bob" sharing one stored profile share one plan.
-  const MMProfile& mm = profile.mm;
-  fp.boolean(mm.video.has_value());
-  if (mm.video) {
-    fp.qos(MonomediaQoS{mm.video->desired});
-    fp.qos(MonomediaQoS{mm.video->worst});
+NegotiationPlanCache::Index::iterator NegotiationPlanCache::Shard::find(
+    std::uint64_t hash, const DocumentId& document, const ClientMachine& client,
+    const UserProfile& profile, const EnumerationConfig& enumeration,
+    const CostModel& cost_model) {
+  auto [it, last] = index.equal_range(hash);
+  while (it != last && !it->second->matches(document, client, profile, enumeration, cost_model)) {
+    ++it;
   }
-  fp.boolean(mm.audio.has_value());
-  if (mm.audio) {
-    fp.qos(MonomediaQoS{mm.audio->desired});
-    fp.qos(MonomediaQoS{mm.audio->worst});
-  }
-  fp.boolean(mm.text.has_value());
-  if (mm.text) {
-    fp.u8(static_cast<std::uint8_t>(mm.text->desired));
-    fp.u64(mm.text->acceptable.size());
-    for (Language l : mm.text->acceptable) fp.u8(static_cast<std::uint8_t>(l));
-  }
-  fp.boolean(mm.image.has_value());
-  if (mm.image) {
-    fp.qos(MonomediaQoS{mm.image->desired});
-    fp.qos(MonomediaQoS{mm.image->worst});
-  }
-  fp.money(mm.cost.max_cost);
-  fp.f64(mm.time.delivery_time_s);
-  fp.f64(mm.time.choice_period_s);
-
-  // Importance profile (all of it — every weight shifts OIF or SNS).
-  const ImportanceProfile& imp = profile.importance;
-  for (double w : imp.video_color) fp.f64(w);
-  fp.curve(imp.frame_rate);
-  fp.curve(imp.resolution);
-  for (double w : imp.audio_quality) fp.f64(w);
-  for (double w : imp.language) fp.f64(w);
-  for (double w : imp.image_color) fp.f64(w);
-  fp.curve(imp.image_resolution);
-  for (double w : imp.media_weight) fp.f64(w);
-  fp.f64(imp.cost_per_dollar);
-  fp.u64(imp.preferred_servers.size());
-  for (const std::string& s : imp.preferred_servers) fp.str(s);
-  fp.f64(imp.server_bonus);
-
-  return out;
+  return it == last ? index.end() : it;
 }
 
 CachePolicy CachePolicy::validated(CachePolicy policy) {
@@ -169,10 +61,6 @@ NegotiationPlanCache::NegotiationPlanCache(CachePolicy policy)
   for (std::size_t i = 0; i < kPlanCacheShards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-NegotiationPlanCache::Shard& NegotiationPlanCache::shard_for(const std::string& key) {
-  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
-}
-
 void NegotiationPlanCache::bump(std::atomic<std::uint64_t>& internal,
                                 std::atomic<Counter*>& bound, std::uint64_t delta) {
   internal.fetch_add(delta, std::memory_order_relaxed);
@@ -180,14 +68,17 @@ void NegotiationPlanCache::bump(std::atomic<std::uint64_t>& internal,
 }
 
 std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(
-    const std::string& key, const MultimediaDocument* current_document) {
+    const DocumentId& document, const ClientMachine& client, const UserProfile& profile,
+    const EnumerationConfig& enumeration, const CostModel& cost_model,
+    const MultimediaDocument* current_document) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = shard_for(key);
+  const std::uint64_t hash = plan_hash(document, client, profile.mm, enumeration);
+  Shard& shard = shard_for(hash);
   std::shared_ptr<const NegotiationPlan> plan;
   bool was_stale = false;
   {
     std::lock_guard lk(shard.mu);
-    auto it = shard.index.find(std::string_view(key));
+    auto it = shard.find(hash, document, client, profile, enumeration, cost_model);
     if (it != shard.index.end()) {
       if (it->second->plan->document.get() == current_document) {
         // Refresh recency and answer from cache.
@@ -213,22 +104,30 @@ std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(
   return plan;
 }
 
-void NegotiationPlanCache::store(const std::string& key,
+void NegotiationPlanCache::store(const DocumentId& document, const ClientMachine& client,
+                                 const UserProfile& profile, const EnumerationConfig& enumeration,
+                                 const CostModel& cost_model,
                                  std::shared_ptr<const NegotiationPlan> plan) {
   if (!plan) return;
-  Shard& shard = shard_for(key);
+  const std::uint64_t hash = plan_hash(document, client, profile.mm, enumeration);
+  Shard& shard = shard_for(hash);
   bool evicted = false;
   {
     std::lock_guard lk(shard.mu);
-    auto it = shard.index.find(std::string_view(key));
+    auto it = shard.find(hash, document, client, profile, enumeration, cost_model);
     if (it != shard.index.end()) {
       it->second->plan = std::move(plan);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-      shard.lru.push_front(Entry{key, std::move(plan)});
-      shard.index.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
+      shard.lru.push_front(Entry{hash, document, client.screen, client.decoders, client.max_audio,
+                                 client.has_audio_out, profile.mm, profile.importance,
+                                 enumeration, cost_model, std::move(plan)});
+      shard.index.emplace(hash, shard.lru.begin());
       if (shard.lru.size() > per_shard_capacity_) {
-        shard.index.erase(std::string_view(shard.lru.back().key));
+        const auto oldest = std::prev(shard.lru.end());
+        auto slot = shard.index.find(oldest->hash);  // first of its hash's run
+        while (slot->second != oldest) ++slot;
+        shard.index.erase(slot);
         shard.lru.pop_back();
         evicted = true;
       }

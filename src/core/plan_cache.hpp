@@ -16,6 +16,12 @@
 // lookup whose catalog now holds a different object for that id drops the
 // entry (counted as stale).
 //
+// A plan is keyed on the request's own values: the document id, the
+// client's capabilities, the profile and the manager's enumeration config
+// and cost model. A lookup hashes a few of them to pick a shard and a bucket
+// and compares all of them with ==, so it builds no key; only store() copies
+// them into the entry.
+//
 // The cache is sharded-LRU: keys hash to a shard, each shard is an
 // independent mutex + LRU list, so concurrent service workers contend only
 // when they hit the same shard. Counters are internal atomics, optionally
@@ -30,8 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -102,15 +106,26 @@ class NegotiationPlanCache {
   NegotiationPlanCache(const NegotiationPlanCache&) = delete;
   NegotiationPlanCache& operator=(const NegotiationPlanCache&) = delete;
 
-  /// Look up the plan under `key`, valid only if it was built from
-  /// `current_document` (the object the catalog holds now). A stored plan
-  /// built from any other object is dropped (counted stale + miss).
-  std::shared_ptr<const NegotiationPlan> lookup(const std::string& key,
+  /// Look up the plan stored for this request: the document id, the
+  /// client's capabilities (not its name or node), the profile's MM and
+  /// importance parts (not its name) and the manager's enumeration config
+  /// and cost model must all equal the stored ones. The plan is valid only
+  /// if it was built from `current_document` (the object the catalog holds
+  /// now); a matching plan built from any other object is dropped (counted
+  /// stale + miss). Allocates nothing.
+  std::shared_ptr<const NegotiationPlan> lookup(const DocumentId& document,
+                                                const ClientMachine& client,
+                                                const UserProfile& profile,
+                                                const EnumerationConfig& enumeration,
+                                                const CostModel& cost_model,
                                                 const MultimediaDocument* current_document);
 
-  /// Insert (or replace) the plan under `key`; evicts the shard's
-  /// least-recently-used entry beyond its capacity share.
-  void store(const std::string& key, std::shared_ptr<const NegotiationPlan> plan);
+  /// Insert (or replace) the plan for these values, copying them into the
+  /// entry; evicts the shard's least-recently-used entry beyond its
+  /// capacity share.
+  void store(const DocumentId& document, const ClientMachine& client, const UserProfile& profile,
+             const EnumerationConfig& enumeration, const CostModel& cost_model,
+             std::shared_ptr<const NegotiationPlan> plan);
 
   /// Drop every cached plan (counters keep their values).
   void clear();
@@ -127,18 +142,39 @@ class NegotiationPlanCache {
   void bind_metrics(MetricsRegistry& metrics);
 
  private:
+  /// One cached plan and the values it was built for (its key).
   struct Entry {
-    std::string key;
+    std::uint64_t hash = 0;
+    DocumentId document;
+    ScreenSpec screen;
+    std::vector<CodingFormat> decoders;
+    AudioQuality max_audio = AudioQuality::kCD;
+    bool has_audio_out = true;
+    MMProfile mm;
+    ImportanceProfile importance;
+    EnumerationConfig enumeration;
+    CostModel cost_model;
     std::shared_ptr<const NegotiationPlan> plan;
+
+    bool matches(const DocumentId& document, const ClientMachine& client,
+                 const UserProfile& profile, const EnumerationConfig& enumeration,
+                 const CostModel& cost_model) const;
   };
+  using Lru = std::list<Entry>;
+  /// Entries by plan_hash; entries whose hashes collide share a key.
+  using Index = std::unordered_multimap<std::uint64_t, Lru::iterator>;
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  ///< front = most recently used
-    /// Views into the stable Entry::key strings of `lru`.
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
+    Lru lru;  ///< front = most recently used
+    Index index;
+
+    /// The index slot of the entry matching these values, or index.end().
+    Index::iterator find(std::uint64_t hash, const DocumentId& document,
+                         const ClientMachine& client, const UserProfile& profile,
+                         const EnumerationConfig& enumeration, const CostModel& cost_model);
   };
 
-  Shard& shard_for(const std::string& key);
+  Shard& shard_for(std::uint64_t hash) { return *shards_[hash % shards_.size()]; }
   void bump(std::atomic<std::uint64_t>& internal, std::atomic<Counter*>& bound,
             std::uint64_t delta = 1);
 
@@ -157,21 +193,12 @@ class NegotiationPlanCache {
   std::atomic<Counter*> stale_metric_{nullptr};
 };
 
-/// Canonical fingerprint of the manager-side knobs that shape a plan: the
-/// enumeration config and the cost model (tables + discount). Computed once
-/// per QoSManager so a cache shared between differently-configured managers
-/// can never alias plans.
-std::string plan_config_digest(const EnumerationConfig& enumeration, const CostModel& cost_model);
-
-/// Canonical cache key of one request: the document id, the client's
-/// capabilities (screen, decoders, audio ceiling and audio output; not its
-/// name or node), the user profile (MM + importance — the profile *name* is
-/// deliberately excluded: it does not influence any step) and the manager's
-/// config digest. The document's content is not in the key: lookup() checks
-/// it by object identity. Strings are length-prefixed and numbers
-/// fixed-width (doubles bit-cast), so distinct inputs produce distinct keys
-/// by construction.
-std::string plan_cache_key(const DocumentId& document_id, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest);
+/// The hash a plan is sharded and bucketed by: the document id and a fixed
+/// handful of integer fields of the client, the MM profile and the
+/// enumeration config. Equal values hash equal (no floating-point field
+/// enters it, so +0 and -0 cannot split); values that differ only elsewhere
+/// share a hash and are told apart by ==.
+std::uint64_t plan_hash(const DocumentId& document, const ClientMachine& client,
+                        const MMProfile& mm, const EnumerationConfig& enumeration);
 
 }  // namespace qosnp

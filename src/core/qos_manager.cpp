@@ -17,7 +17,6 @@ QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider
                        CostModel cost_model, NegotiationConfig config)
     : catalog_(&catalog), farm_(&farm), transport_(&transport),
       cost_model_(std::move(cost_model)), config_(std::move(config)),
-      plan_digest_(plan_config_digest(config_.enumeration, cost_model_)),
       // Both concrete types are final, so the casts test the exact type.
       memo_refusals_(config_.committer_factory == nullptr && config_.retry.max_attempts <= 1 &&
                      dynamic_cast<ServerFarm*>(farm_) != nullptr &&
@@ -538,12 +537,13 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
     return run_plan(request, *plan.value(), /*exclusive=*/true);
   }
 
-  std::string key;
   std::shared_ptr<const NegotiationPlan> plan;
   {
     ScopedSpan span(request.trace, Stage::kPlanCache);
-    key = plan_cache_key(request.document, request.client, request.profile, plan_digest_);
-    if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, document.get());
+    if (request.cache != CacheUse::kRefresh) {
+      plan = cache->lookup(request.document, request.client, request.profile,
+                           config_.enumeration, cost_model_, document.get());
+    }
     span.annotate("hit", plan ? "true" : "false");
   }
   if (plan) return run_plan(request, *plan, /*exclusive=*/false);
@@ -557,7 +557,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   std::shared_ptr<NegotiationPlan>& fresh = built.value();
   NegotiationResult result = run_plan(request, *fresh, /*exclusive=*/false);
   if (fresh->seed && result.offers.size() > 0) fresh->head = result.offers.streamed(0);
-  cache->store(key, std::move(fresh));
+  cache->store(request.document, request.client, request.profile, config_.enumeration,
+               cost_model_, std::move(fresh));
   return result;
 }
 

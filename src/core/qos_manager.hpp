@@ -52,7 +52,7 @@ struct NegotiationConfig {
   /// walk's committer here instead of constructing a plain ResourceCommitter
   /// over the manager's farm/transport — the hook the sharded federation
   /// uses to substitute its FederatedCommitter without touching the walk.
-  /// Deliberately not part of the plan-cache digest: the factory changes
+  /// Deliberately not part of a plan's cache key: the factory changes
   /// where reservations land, never the Steps 1-4 outcome.
   using CommitterFactory =
       std::function<std::unique_ptr<ResourceCommitter>(const RetryPolicy&, SessionClass)>;
@@ -192,9 +192,6 @@ class QoSManager {
   TransportProvider* transport_;
   CostModel cost_model_;
   NegotiationConfig config_;
-  /// Fingerprint of the manager knobs entering plan_cache_key (computed
-  /// once; the config is immutable after construction).
-  std::string plan_digest_;
   /// Whether commit_first() may refuse offers by its nogoods: only
   /// over the plain ServerFarm and TransportService (fault injectors and
   /// test doubles may refuse by their own state), with the built-in

@@ -23,6 +23,7 @@ namespace qosnp {
 struct ThroughputClass {
   std::int64_t upper_bps;
   Money cost_per_second;
+  friend bool operator==(const ThroughputClass&, const ThroughputClass&) = default;
 };
 
 /// A finite table of throughput classes with monotone tariffs.
@@ -46,6 +47,8 @@ class CostTable {
   /// 64 kbit/s to 100 Mbit/s.
   static CostTable standard_network();
   static CostTable standard_server();
+
+  friend bool operator==(const CostTable&, const CostTable&) = default;
 
  private:
   std::vector<ThroughputClass> classes_;
@@ -84,6 +87,8 @@ class CostModel {
   /// Formula (1) over all streams of a document delivery.
   CostBreakdown document_cost(Money copyright,
                               const std::vector<StreamRequirements>& streams) const;
+
+  friend bool operator==(const CostModel&, const CostModel&) = default;
 
  private:
   Money charge(const CostTable& table, const StreamRequirements& req) const;

@@ -33,7 +33,7 @@ namespace qosnp {
 /// offer the Step-5 walk tried).
 enum class Stage : std::uint8_t {
   kQueueWait,      ///< service queue: accepted -> worker pickup (or shed)
-  kPlanCache,      ///< plan-cache key + lookup (hit=true/false attribute)
+  kPlanCache,      ///< plan-cache lookup (hit=true/false attribute)
   kLocalCheck,     ///< Step 1: static local negotiation
   kCompatibility,  ///< Step 2: static compatibility checking
   kEnumeration,    ///< Steps 3-4: offer-space build + classification

@@ -34,9 +34,11 @@ class PiecewiseLinear {
 
   std::size_t anchor_count() const { return anchors_.size(); }
   bool empty() const { return anchors_.empty(); }
-  /// The sorted (x, importance) anchors; exposed so profile fingerprints
-  /// (plan-cache keys) can cover the whole curve.
+  /// The sorted (x, importance) anchors; exposed so the wire codec can
+  /// carry the whole curve.
   const std::vector<std::pair<double, double>>& anchors() const { return anchors_; }
+
+  friend bool operator==(const PiecewiseLinear&, const PiecewiseLinear&) = default;
 
  private:
   std::vector<std::pair<double, double>> anchors_;  // sorted by first
@@ -82,6 +84,8 @@ struct ImportanceProfile {
   /// Paper defaults ("We associate a default importance value for each QoS
   /// parameter value").
   static ImportanceProfile defaults();
+
+  friend bool operator==(const ImportanceProfile&, const ImportanceProfile&) = default;
 };
 
 }  // namespace qosnp

@@ -1,10 +1,37 @@
 #include "profile/profiles.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <span>
 #include <type_traits>
 #include <variant>
 
 namespace qosnp {
+
+namespace {
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
+}
+
+bool all_finite(const PiecewiseLinear& curve) {
+  return std::all_of(curve.anchors().begin(), curve.anchors().end(), [](const auto& anchor) {
+    return std::isfinite(anchor.first) && std::isfinite(anchor.second);
+  });
+}
+
+bool all_finite(const UserProfile& p) {
+  const ImportanceProfile& imp = p.importance;
+  return all_finite(std::array{p.mm.time.delivery_time_s, p.mm.time.choice_period_s,
+                               imp.cost_per_dollar, imp.server_bonus}) &&
+         all_finite(imp.video_color) && all_finite(imp.audio_quality) &&
+         all_finite(imp.language) && all_finite(imp.image_color) &&
+         all_finite(imp.media_weight) && all_finite(imp.frame_rate) &&
+         all_finite(imp.resolution) && all_finite(imp.image_resolution);
+}
+
+}  // namespace
 
 bool TextProfile::tolerates(const TextQoS& offered) const {
   if (offered.language == desired) return true;
@@ -130,6 +157,8 @@ std::vector<std::string> validate(const UserProfile& profile) {
   if (profile.mm.time.choice_period_s <= 0.0) {
     problems.push_back("time profile: non-positive choice period");
   }
+  // NaN would break the orderings Step 4 ranks offers by.
+  if (!all_finite(profile)) problems.push_back("profile holds a non-finite number");
   if (!profile.mm.video && !profile.mm.audio && !profile.mm.text && !profile.mm.image) {
     problems.push_back("profile requests no media at all");
   }

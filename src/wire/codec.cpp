@@ -1,6 +1,8 @@
 #include "wire/codec.hpp"
 
 #include <array>
+#include <cmath>
+#include <string>
 #include <utility>
 
 namespace qosnp::wire {
@@ -32,6 +34,14 @@ bool read_enum(ByteReader& r, Enum& out, std::uint8_t count, const char* field) 
   }
   out = static_cast<Enum>(raw);
   return true;
+}
+
+// A request's numbers order offers (weights, anchors) or bound time: NaN
+// would break the orderings Step 4 sorts by, so a non-finite one is refused.
+double read_finite(ByteReader& r, const char* field) {
+  const double v = r.f64();
+  if (r.ok() && !std::isfinite(v)) r.fail(std::string(field) + " not a finite number");
+  return v;
 }
 
 // --- QoS value types ------------------------------------------------------
@@ -72,8 +82,8 @@ void put(ByteWriter& w, const std::array<double, N>& a) {
   for (double v : a) w.f64(v);
 }
 template <std::size_t N>
-void get(ByteReader& r, std::array<double, N>& a) {
-  for (double& v : a) v = r.f64();
+void get(ByteReader& r, std::array<double, N>& a, const char* field) {
+  for (double& v : a) v = read_finite(r, field);
 }
 
 void put(ByteWriter& w, const PiecewiseLinear& curve) {
@@ -84,11 +94,11 @@ void put(ByteWriter& w, const PiecewiseLinear& curve) {
     w.f64(v);
   }
 }
-bool get(ByteReader& r, PiecewiseLinear& curve) {
+bool get(ByteReader& r, PiecewiseLinear& curve, const char* field) {
   const std::uint32_t n = r.count(16);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const double x = r.f64();
-    const double v = r.f64();
+    const double x = read_finite(r, field);
+    const double v = read_finite(r, field);
     if (r.ok()) curve.set_anchor(x, v);
   }
   return r.ok();
@@ -110,21 +120,21 @@ void put(ByteWriter& w, const ImportanceProfile& imp) {
 }
 bool get(ByteReader& r, ImportanceProfile& imp) {
   imp = ImportanceProfile{};  // start from empty curves, not defaults()
-  get(r, imp.video_color);
-  if (!get(r, imp.frame_rate)) return false;
-  if (!get(r, imp.resolution)) return false;
-  get(r, imp.audio_quality);
-  get(r, imp.language);
-  get(r, imp.image_color);
-  if (!get(r, imp.image_resolution)) return false;
-  get(r, imp.media_weight);
-  imp.cost_per_dollar = r.f64();
+  get(r, imp.video_color, "video_color weight");
+  if (!get(r, imp.frame_rate, "frame_rate anchor")) return false;
+  if (!get(r, imp.resolution, "resolution anchor")) return false;
+  get(r, imp.audio_quality, "audio_quality weight");
+  get(r, imp.language, "language weight");
+  get(r, imp.image_color, "image_color weight");
+  if (!get(r, imp.image_resolution, "image_resolution anchor")) return false;
+  get(r, imp.media_weight, "media_weight");
+  imp.cost_per_dollar = read_finite(r, "cost_per_dollar");
   const std::uint32_t servers = r.count(4);
   imp.preferred_servers.reserve(servers);
   for (std::uint32_t i = 0; i < servers && r.ok(); ++i) {
     imp.preferred_servers.push_back(r.str());
   }
-  imp.server_bonus = r.f64();
+  imp.server_bonus = read_finite(r, "server_bonus");
   return r.ok();
 }
 
@@ -194,8 +204,8 @@ bool get(ByteReader& r, MMProfile& mm) {
     mm.image = im;
   }
   mm.cost.max_cost = Money::micros(r.i64());
-  mm.time.delivery_time_s = r.f64();
-  mm.time.choice_period_s = r.f64();
+  mm.time.delivery_time_s = read_finite(r, "delivery_time_s");
+  mm.time.choice_period_s = read_finite(r, "choice_period_s");
   return r.ok();
 }
 
@@ -281,7 +291,7 @@ Result<NegotiationRequest, WireError> decode_request_payload(const Bytes& payloa
   const std::uint8_t degraded = r.u8();
   if (r.ok() && degraded > 1) r.fail("accept_degraded not a boolean");
   request.accept_degraded = degraded == 1;
-  request.deadline_ms = r.f64();
+  request.deadline_ms = read_finite(r, "deadline_ms");
   request.document = r.str();
   if (!r.ok() || !get(r, request.client) || !get(r, request.profile)) {
     return Err(WireError{WireErrorCode::kBadPayload, r.error()});

@@ -71,6 +71,22 @@ NegotiationConfig cached_config(EnumerationStrategy strategy,
   return config;
 }
 
+/// A cache holding one plan, stored for document "article", `client` and
+/// `profile` under the default enumeration config and cost model (no pinned
+/// document), probed by lookups that differ from those in one value each.
+struct KeyProbe {
+  NegotiationPlanCache cache;
+  std::shared_ptr<const NegotiationPlan> plan = std::make_shared<NegotiationPlan>();
+
+  KeyProbe(const ClientMachine& client, const UserProfile& profile) {
+    cache.store("article", client, profile, EnumerationConfig{}, CostModel{}, plan);
+  }
+  bool hits(const DocumentId& document, const ClientMachine& client, const UserProfile& profile,
+            const EnumerationConfig& enumeration = {}, const CostModel& cost_model = {}) {
+    return cache.lookup(document, client, profile, enumeration, cost_model, nullptr) == plan;
+  }
+};
+
 // --- The tentpole guarantee: cached == uncached, everywhere. ---------------
 
 TEST(PlanCacheDifferential, CachedResultsMatchUncachedAcrossSeededCorpora) {
@@ -194,32 +210,52 @@ std::vector<std::string> drained_records(OfferList& list) {
   return lines;
 }
 
+// The work a hit skips, counted rather than timed (E17 times it): under
+// either strategy a hit's trace holds one plan-cache span saying hit=true
+// and no Steps 1-4 span, and a hit committing offer 0 constructs no stream.
 TEST(PlanCacheHead, AHitCommittingTheFirstOfferSpawnsNoStream) {
-  TestSystem cached_sys;
-  TestSystem plain_sys;
-  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
-                    cached_config(EnumerationStrategy::kBestFirst,
-                                  std::make_shared<NegotiationPlanCache>()));
-  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
-                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
-  const UserProfile profile = TestSystem::tolerant_profile();
-  std::vector<NegotiationResult> keep;
-  for (int rep = 0; rep < 2; ++rep) {
-    keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article",
-                                                             profile)));
-    keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article",
-                                                            profile)));
-    const NegotiationResult& a = keep[keep.size() - 2];
-    const NegotiationResult& b = keep.back();
-    EXPECT_EQ(result_signature(a), result_signature(b)) << "rep " << rep;
-    EXPECT_EQ(a.offers.known_count(), b.offers.known_count()) << "rep " << rep;
-    ASSERT_EQ(a.committed_index, 0u);
+  for (const EnumerationStrategy strategy :
+       {EnumerationStrategy::kBestFirst, EnumerationStrategy::kEager}) {
+    SCOPED_TRACE(strategy == EnumerationStrategy::kEager ? "eager" : "best-first");
+    TestSystem cached_sys;
+    TestSystem plain_sys;
+    QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                      cached_config(strategy, std::make_shared<NegotiationPlanCache>()));
+    QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                     cached_config(strategy, nullptr));
+    const UserProfile profile = TestSystem::tolerant_profile();
+    std::vector<NegotiationResult> keep;
+    for (std::uint64_t rep = 0; rep < 2; ++rep) {
+      NegotiationTrace trace(rep + 1);
+      const std::uint64_t streams_before = OfferStream::constructed();
+      keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article",
+                                                               profile, TraceContext(&trace))));
+      const std::uint64_t streams = OfferStream::constructed() - streams_before;
+      keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article",
+                                                              profile)));
+      const NegotiationResult& a = keep[keep.size() - 2];
+      const NegotiationResult& b = keep.back();
+      EXPECT_EQ(result_signature(a), result_signature(b)) << "rep " << rep;
+      EXPECT_EQ(a.offers.known_count(), b.offers.known_count()) << "rep " << rep;
+      ASSERT_EQ(a.committed_index, 0u);
+
+      const bool hit = rep == 1;
+      ASSERT_EQ(trace.count(Stage::kPlanCache), 1u) << "rep " << rep;
+      EXPECT_EQ(trace.find(Stage::kPlanCache)->attr("hit"), hit ? "true" : "false");
+      for (const Stage stage : {Stage::kLocalCheck, Stage::kCompatibility, Stage::kEnumeration}) {
+        EXPECT_EQ(trace.count(stage), hit ? 0u : 1u) << to_string(stage) << " rep " << rep;
+      }
+      const bool miss_streams = !hit && strategy == EnumerationStrategy::kBestFirst;
+      EXPECT_EQ(streams, miss_streams ? 1u : 0u) << "rep " << rep;
+    }
+    EXPECT_EQ(cached.plan_cache()->stats().hits, 1u);
+    // The hit read its first offer off the plan.
+    EXPECT_EQ(keep[2].offers.stream(), nullptr);
+    if (strategy == EnumerationStrategy::kBestFirst) {
+      EXPECT_NE(keep[0].offers.stream(), nullptr);  // the miss walked a stream
+      EXPECT_EQ(keep[2].offers.size(), 1u);
+    }
   }
-  EXPECT_EQ(cached.plan_cache()->stats().hits, 1u);
-  // The miss walked a stream; the hit read its first offer off the plan.
-  EXPECT_NE(keep[0].offers.stream(), nullptr);
-  EXPECT_EQ(keep[2].offers.stream(), nullptr);
-  EXPECT_EQ(keep[2].offers.size(), 1u);
 }
 
 TEST(PlanCacheHead, HitsReadingPastTheFirstOfferMatchAFreshStream) {
@@ -332,9 +368,7 @@ TEST(PlanCacheHead, ClientsDifferingOnlyByNameAndNodeShareOnePlan) {
   other.name = "client-1";
   other.node = "client-1";
   const UserProfile profile = TestSystem::tolerant_profile();
-  const std::string digest = plan_config_digest(EnumerationConfig{}, CostModel{});
-  EXPECT_EQ(plan_cache_key("article", other, profile, digest),
-            plan_cache_key("article", cached_sys.client, profile, digest));
+  EXPECT_TRUE(KeyProbe(cached_sys.client, profile).hits("article", other, profile));
   std::vector<NegotiationResult> keep;
   for (const ClientMachine* client : {&cached_sys.client, &other}) {
     keep.push_back(cached.negotiate(make_negotiation_request(*client, "article", profile)));
@@ -444,22 +478,32 @@ TEST(PlanCache, BypassSkipsAndRefreshOverwrites) {
 }
 
 TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
-  // Two plans per shard, and three keys that hash to the same shard.
+  // Two plans per shard, and three document ids that hash to the same shard.
   NegotiationPlanCache cache(CachePolicy{/*capacity=*/2 * kPlanCacheShards});
-  std::vector<std::string> keys;
-  for (int i = 0; keys.size() < 3; ++i) {
-    const std::string key = std::to_string(i);
-    if (std::hash<std::string_view>{}(key) % kPlanCacheShards == 0) keys.push_back(key);
+  const ClientMachine client;
+  const UserProfile profile = TestSystem::tolerant_profile();
+  std::vector<DocumentId> ids;
+  for (int i = 0; ids.size() < 3; ++i) {
+    const DocumentId id = std::to_string(i);
+    if (plan_hash(id, client, profile.mm, EnumerationConfig{}) % kPlanCacheShards == 0) {
+      ids.push_back(id);
+    }
   }
-  const std::string &a = keys[0], &b = keys[1], &c = keys[2];
+  const DocumentId &a = ids[0], &b = ids[1], &c = ids[2];
   auto plan = std::make_shared<NegotiationPlan>();
-  cache.store(a, plan);
-  cache.store(b, plan);
-  EXPECT_NE(cache.lookup(a, 0), nullptr);  // a is now most recent
-  cache.store(c, plan);                    // evicts b
-  EXPECT_EQ(cache.lookup(b, 0), nullptr);
-  EXPECT_NE(cache.lookup(a, 0), nullptr);
-  EXPECT_NE(cache.lookup(c, 0), nullptr);
+  const auto store = [&](const DocumentId& id) {
+    cache.store(id, client, profile, EnumerationConfig{}, CostModel{}, plan);
+  };
+  const auto lookup = [&](const DocumentId& id) {
+    return cache.lookup(id, client, profile, EnumerationConfig{}, CostModel{}, nullptr);
+  };
+  store(a);
+  store(b);
+  EXPECT_NE(lookup(a), nullptr);  // a is now most recent
+  store(c);                       // evicts b
+  EXPECT_EQ(lookup(b), nullptr);
+  EXPECT_NE(lookup(a), nullptr);
+  EXPECT_NE(lookup(c), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   cache.clear();
@@ -469,31 +513,34 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
 
 TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   TestSystem sys;
-  const std::string digest = plan_config_digest(EnumerationConfig{}, CostModel{});
-
   UserProfile profile = TestSystem::tolerant_profile();
   profile.importance.preferred_servers = {"server-a"};
   profile.importance.server_bonus = 0.5;
-  const std::string base = plan_cache_key("article", sys.client, profile, digest);
+  KeyProbe base(sys.client, profile);
+  EXPECT_TRUE(base.hits("article", sys.client, profile));
 
   UserProfile renamed = profile;
   renamed.name = "completely-different-name";
-  EXPECT_EQ(plan_cache_key("article", sys.client, renamed, digest), base);
+  EXPECT_TRUE(base.hits("article", sys.client, renamed));
 
   UserProfile cheaper = profile;
   cheaper.mm.cost.max_cost = Money::cents(1);
-  EXPECT_NE(plan_cache_key("article", sys.client, cheaper, digest), base);
+  EXPECT_FALSE(base.hits("article", sys.client, cheaper));
 
   ClientMachine smaller = sys.client;
   smaller.screen = ScreenSpec{640, 480, ColorDepth::kGray};
-  EXPECT_NE(plan_cache_key("article", smaller, profile, digest), base);
+  EXPECT_FALSE(base.hits("article", smaller, profile));
 
-  EXPECT_NE(plan_cache_key("other-article", sys.client, profile, digest), base);
+  EXPECT_FALSE(base.hits("other-article", sys.client, profile));
 
   EnumerationConfig fewer_offers;
   fewer_offers.max_offers = 7;
-  const std::string other_digest = plan_config_digest(fewer_offers, CostModel{});
-  EXPECT_NE(plan_cache_key("article", sys.client, profile, other_digest), base);
+  EXPECT_FALSE(base.hits("article", sys.client, profile, fewer_offers));
+  EnumerationConfig eager;
+  eager.strategy = EnumerationStrategy::kEager;
+  EXPECT_FALSE(base.hits("article", sys.client, profile, eager));
+  const CostModel full_price(CostTable::standard_network(), CostTable::standard_server(), 1.0);
+  EXPECT_FALSE(base.hits("article", sys.client, profile, EnumerationConfig{}, full_price));
 
   // One importance input apart never shares a plan: one media weight, one
   // frame-rate anchor, one preferred server.
@@ -506,7 +553,7 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   UserProfile prefers_b = profile;
   prefers_b.importance.preferred_servers = {"server-b"};
   for (const UserProfile* variant : {&audio_first, &steeper, &prefers_b}) {
-    EXPECT_NE(plan_cache_key("article", sys.client, *variant, digest), base);
+    EXPECT_FALSE(base.hits("article", sys.client, *variant));
 
     // Through one cached manager the two requests are two misses, and each
     // result equals its uncached twin's.
@@ -538,11 +585,80 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   auto trimmed_plan = std::make_shared<NegotiationPlan>();
   trimmed_plan->document = trimmed;
   NegotiationPlanCache cache;
-  cache.store(base, trimmed_plan);
-  EXPECT_EQ(cache.lookup(base, original.get()), nullptr);
+  const auto store = [&] {
+    cache.store("article", sys.client, profile, EnumerationConfig{}, CostModel{}, trimmed_plan);
+  };
+  const auto lookup = [&](const MultimediaDocument* current) {
+    return cache.lookup("article", sys.client, profile, EnumerationConfig{}, CostModel{},
+                        current);
+  };
+  store();
+  EXPECT_EQ(lookup(original.get()), nullptr);
   EXPECT_EQ(cache.stats().stale, 1u);
-  cache.store(base, trimmed_plan);
-  EXPECT_EQ(cache.lookup(base, trimmed.get()), trimmed_plan);
+  store();
+  EXPECT_EQ(lookup(trimmed.get()), trimmed_plan);
+}
+
+TEST(PlanCache, ValuesOutsideTheHashAreToldApartByEquality) {
+  // Two profiles that differ only in values the hash leaves out share a
+  // hash: each misses once, then hits its own plan.
+  TestSystem sys;
+  const UserProfile first = TestSystem::tolerant_profile();
+  UserProfile second = first;
+  second.importance.cost_per_dollar = first.importance.cost_per_dollar + 1.0;
+  second.mm.time.delivery_time_s = first.mm.time.delivery_time_s * 2.0;
+  ASSERT_EQ(plan_hash("article", sys.client, first.mm, EnumerationConfig{}),
+            plan_hash("article", sys.client, second.mm, EnumerationConfig{}));
+
+  NegotiationPlanCache cache;
+  const auto lookup = [&](const UserProfile& p) {
+    return cache.lookup("article", sys.client, p, EnumerationConfig{}, CostModel{}, nullptr);
+  };
+  const auto store = [&](const UserProfile& p, std::shared_ptr<const NegotiationPlan> plan) {
+    cache.store("article", sys.client, p, EnumerationConfig{}, CostModel{}, std::move(plan));
+  };
+  const auto first_plan = std::make_shared<const NegotiationPlan>();
+  const auto second_plan = std::make_shared<const NegotiationPlan>();
+  EXPECT_EQ(lookup(first), nullptr);
+  store(first, first_plan);
+  EXPECT_EQ(lookup(second), nullptr);
+  store(second, second_plan);
+  EXPECT_EQ(lookup(first), first_plan);
+  EXPECT_EQ(lookup(second), second_plan);
+  EXPECT_EQ(cache.size(), 2u);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+
+  // Equality is ==, so a weight of -0 is the weight +0: both rank every
+  // offer alike, and they share a plan.
+  UserProfile negative_zero = first;
+  negative_zero.importance.cost_per_dollar = 0.0;
+  store(negative_zero, first_plan);
+  negative_zero.importance.cost_per_dollar = -0.0;
+  EXPECT_EQ(lookup(negative_zero), first_plan);
+
+  // Through a manager the two profiles are two misses and then two hits,
+  // each result equal to its uncached twin's.
+  TestSystem cached_sys;
+  TestSystem plain_sys;
+  auto shared = std::make_shared<NegotiationPlanCache>();
+  QoSManager cached(cached_sys.catalog, cached_sys.farm, *cached_sys.transport, CostModel{},
+                    cached_config(EnumerationStrategy::kBestFirst, shared));
+  QoSManager plain(plain_sys.catalog, plain_sys.farm, *plain_sys.transport, CostModel{},
+                   cached_config(EnumerationStrategy::kBestFirst, nullptr));
+  const UserProfile* const requests[] = {&first, &second, &first, &second};
+  for (const UserProfile* p : requests) {
+    const NegotiationResult a =
+        cached.negotiate(make_negotiation_request(cached_sys.client, "article", *p));
+    const NegotiationResult b =
+        plain.negotiate(make_negotiation_request(plain_sys.client, "article", *p));
+    EXPECT_EQ(result_signature(a), result_signature(b));
+  }
+  stats = shared->stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(shared->size(), 2u);
 }
 
 TEST(PlanCache, CatalogsSharingOneCacheNeverAlias) {

@@ -6,6 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace qosnp {
 namespace {
@@ -79,6 +83,27 @@ TEST(Profiles, ValidateCatchesProblems) {
   p.mm.text.reset();
   p.mm.image.reset();
   EXPECT_FALSE(validate(p).empty());
+}
+
+TEST(Profiles, ValidateRejectsNonFiniteNumbers) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::function<void(UserProfile&)>> spoilers = {
+      [&](UserProfile& p) { p.mm.time.delivery_time_s = kNaN; },
+      [&](UserProfile& p) { p.mm.time.choice_period_s = kInf; },
+      [&](UserProfile& p) { p.importance.video_color[1] = kNaN; },
+      [&](UserProfile& p) { p.importance.frame_rate.set_anchor(25.0, kNaN); },
+      [&](UserProfile& p) { p.importance.image_resolution.set_anchor(kInf, 1.0); },
+      [&](UserProfile& p) { p.importance.media_weight[2] = -kInf; },
+      [&](UserProfile& p) { p.importance.cost_per_dollar = kNaN; },
+      [&](UserProfile& p) { p.importance.server_bonus = kNaN; },
+  };
+  for (std::size_t i = 0; i < spoilers.size(); ++i) {
+    UserProfile p = default_user_profile();
+    spoilers[i](p);
+    EXPECT_EQ(validate(p), std::vector<std::string>{"profile holds a non-finite number"})
+        << "case " << i;
+  }
 }
 
 TEST(Serialize, RoundTripsDefaultProfile) {

@@ -6,14 +6,17 @@
 //   - a request that crossed the wire resolves byte-identically (result
 //     signature) to its in-process twin through a real NegotiationService;
 //   - decoders refuse malformed payloads (truncation, out-of-range enums,
-//     trailing bytes) with typed errors, never UB;
+//     non-finite numbers, trailing bytes) with typed errors, never UB;
 //   - framing reassembles from arbitrary chunking and validates CRC32C.
 #include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "result_signature.hpp"
@@ -305,6 +308,40 @@ TEST(WireCodec, OutOfRangeEnumIsRejected) {
   auto decoded = wire::decode_request_payload(encoded);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, WireErrorCode::kBadPayload);
+}
+
+TEST(WireCodec, NonFiniteNumbersAreRejectedNamingTheField) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // One case per group of request numbers: importance weights, curve
+  // anchors, the cost and server weights, the time profile, the deadline.
+  const std::vector<std::pair<std::string, std::function<void(NegotiationRequest&)>>> cases = {
+      {"video_color weight",
+       [&](NegotiationRequest& r) { r.profile.importance.video_color[2] = kNaN; }},
+      {"media_weight", [&](NegotiationRequest& r) { r.profile.importance.media_weight[0] = kInf; }},
+      {"frame_rate anchor",
+       [&](NegotiationRequest& r) { r.profile.importance.frame_rate.set_anchor(25.0, kNaN); }},
+      {"image_resolution anchor",
+       [&](NegotiationRequest& r) {
+         r.profile.importance.image_resolution.set_anchor(kInf, 1.0);
+       }},
+      {"cost_per_dollar", [&](NegotiationRequest& r) { r.profile.importance.cost_per_dollar = kNaN; }},
+      {"server_bonus", [&](NegotiationRequest& r) { r.profile.importance.server_bonus = -kInf; }},
+      {"delivery_time_s", [&](NegotiationRequest& r) { r.profile.mm.time.delivery_time_s = kNaN; }},
+      {"choice_period_s", [&](NegotiationRequest& r) { r.profile.mm.time.choice_period_s = kInf; }},
+      {"deadline_ms", [&](NegotiationRequest& r) { r.deadline_ms = kNaN; }},
+  };
+  const NegotiationRequest valid =
+      make_negotiation_request(TestSystem{}.client, "article", TestSystem::tolerant_profile());
+  ASSERT_TRUE(wire::decode_request_payload(wire::encode_request_payload(valid).value()).ok());
+  for (const auto& [field, spoil] : cases) {
+    NegotiationRequest request = valid;
+    spoil(request);
+    auto decoded = wire::decode_request_payload(wire::encode_request_payload(request).value());
+    ASSERT_FALSE(decoded.ok()) << field;
+    EXPECT_EQ(decoded.error().code, WireErrorCode::kBadPayload) << field;
+    EXPECT_EQ(decoded.error().detail, field + " not a finite number");
+  }
 }
 
 TEST(WireCrc, MatchesKnownVectors) {
