@@ -190,7 +190,8 @@ MultimediaDocument heavy_article() {
 // 576-combination product per request (parallel classification off: one
 // worker must mean one thread of work), so the claim is about a request
 // with real Steps 3-4 work; tracing's fixed cost of a few microseconds is a
-// larger share of a lazy or cache-hit request. Two one-worker services share
+// larger share of a lazy or cache-hit request, so every request bypasses
+// the manager's plan cache (CacheUse::kBypass) and rebuilds Steps 1-4. Two one-worker services share
 // the manager, with both workers on one CPU; one closed-loop client drives
 // them in alternating batches and times every request in process CPU time
 // (client plus the busy worker; the idle service's worker sleeps). CPU time
@@ -239,6 +240,7 @@ TracingOverhead measure_tracing_overhead() {
     req.client = sys.clients[id % sys.clients.size()];
     req.document = "heavy";
     req.profile = TestSystem::tolerant_profile();
+    req.cache = CacheUse::kBypass;
     NegotiationResult resp = service.submit(std::move(req)).get();
     if (resp.session_id != 0) sessions.complete(resp.session_id);
   };
@@ -409,12 +411,16 @@ int main() {
 
   print_section("Refusal attribution under faults (flapping servers + outage window)");
   const FaultedTraceAudit audit = run_faulted_attribution();
-  Table attribution({"failed traces", "refused attempts", "unattributed", "no-refusal", "drain"});
+  // How many requests fail, and after how many refusals, depends on how
+  // the four workers interleave their fault draws: those two counts get a
+  // line of their own, so a stdout comparison can mask it.
+  Table attribution({"unattributed", "no-refusal", "drain"});
   attribution
-      .row({std::to_string(audit.failed_traces), std::to_string(audit.refused_attempts),
-            std::to_string(audit.unattributed), std::to_string(audit.missing_refusal),
+      .row({std::to_string(audit.unattributed), std::to_string(audit.missing_refusal),
             check(audit.drained)})
       .print();
+  std::cout << "run-dependent (worker interleaving): " << audit.failed_traces
+            << " failed traces, " << audit.refused_attempts << " refused attempts\n";
   const bool attributed = audit.attributed() && audit.drained;
   std::cout << "\nClaim: every FAILEDTRYLATER/FAILEDWITHOFFER trace names the refusing\n"
                "component and attempt count on its refused commit spans   ["

@@ -1,9 +1,10 @@
 // E17 — Cross-request negotiation plan cache (extension; the paper's
 // prototype rebuilt Steps 1-4 for every request). A hot-document closed
 // loop negotiates the same wide-ladder document back to back against twin
-// stacks — one QoSManager with a NegotiationPlanCache, one without — in
-// interleaved batches, timing every request in CPU time (the paired
-// estimator of bench_util.hpp). Every request runs with a live per-request
+// stacks — one whose requests go through the QoSManager's plan cache, one
+// whose requests bypass it (CacheUse::kBypass, which runs Steps 1-4 afresh
+// exactly as a manager without a cache did) — in interleaved batches,
+// timing every request in CPU time (the paired estimator of bench_util.hpp). Every request runs with a live per-request
 // trace (tracing enabled), and the traces are audited for the plan-cache
 // span.
 //
@@ -115,7 +116,8 @@ struct CacheComparison {
 };
 
 // Twin stacks (independent farms and transports, so resource state on one
-// side never shapes the other); the closed loop times negotiate() itself,
+// side never shapes the other); the uncached side's requests bypass its
+// manager's cache; the closed loop times negotiate() itself,
 // one outstanding request at a time, with a live trace per request. Each
 // result is dropped before the next request, so Step 5 always commits
 // against a drained farm on both sides. All the work runs on the calling
@@ -138,10 +140,11 @@ CacheComparison measure(EnumerationStrategy strategy) {
   const UserProfile profile = TestSystem::tolerant_profile();
   CacheComparison result;
   auto one = [&profile](QoSManager& manager, ServiceSystem& sys, std::uint64_t id,
-                        SpanAudit* audit) {
+                        CacheUse cache, SpanAudit* audit) {
     NegotiationTrace trace(id);
-    const NegotiationRequest req =
+    NegotiationRequest req =
         make_negotiation_request(sys.clients[0], "hot", profile, TraceContext(&trace));
+    req.cache = cache;
     const double start = process_cpu_us();
     const NegotiationResult r = manager.negotiate(req);
     const double us = process_cpu_us() - start;
@@ -161,7 +164,8 @@ CacheComparison measure(EnumerationStrategy strategy) {
     std::vector<double> per_request;
     per_request.reserve(requests);
     for (std::size_t i = 0; i < requests; ++i) {
-      per_request.push_back(one(*sys.manager, sys, next_id++, audit));
+      per_request.push_back(one(*sys.manager, sys, next_id++,
+                                cached ? CacheUse::kDefault : CacheUse::kBypass, audit));
     }
     return median(std::move(per_request));
   };

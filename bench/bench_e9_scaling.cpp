@@ -135,8 +135,12 @@ void BM_NegotiateEndToEnd(benchmark::State& state) {
   QoSManager manager(catalog, farm, transport);
   const ClientMachine client = capable_client();
   const UserProfile profile = video_profile();
+  // Every iteration runs the whole procedure: the request bypasses the
+  // manager's plan cache, so Steps 1-4 are rebuilt each time.
+  NegotiationRequest request = make_negotiation_request(client, "synthetic", profile);
+  request.cache = CacheUse::kBypass;
   for (auto _ : state) {
-    NegotiationResult outcome = manager.negotiate(make_negotiation_request(client, "synthetic", profile));
+    NegotiationResult outcome = manager.negotiate(request);
     benchmark::DoNotOptimize(outcome.verdict);
     // Release so the next iteration starts from a clean slate.
     outcome.commitment.release();

@@ -11,7 +11,7 @@
 #    policy and session values that only tests set; the committer's refusal
 #    replay, which the Step-5 walk's nogood counting replaced; the thread
 #    pool and the retry backoff parameters; the plan cache's serialised key
-#    and config digest):
+#    and config digest; the node's plan-cache off switch):
 #    their deprecation window is over; nothing may reintroduce a reference.
 #  - the PopulationBackend / ManagerPopulationBackend aliases exist only for
 #    perfbench/, which this gate does not sweep: no other code may use them.
@@ -104,6 +104,11 @@ done
 # A plan is keyed on the request's own values, compared with ==: the
 # serialised key, the config digest and the manager's copy of it are gone.
 for name in plan_cache_key plan_config_digest plan_digest_; do
+    check "$name" "\b$name\b"
+done
+# Every QoSManager keeps a plan cache: a node has no off switch to read, and
+# a request opts out with CacheUse::kBypass.
+for name in plan_cache_on cache_enabled_; do
     check "$name" "\b$name\b"
 done
 # The two aliases kept for perfbench/ may appear only on their own lines.

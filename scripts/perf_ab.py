@@ -12,6 +12,9 @@ unless --first-seed picks held-out seeds). The side that runs first alternates
 from seed to seed, so drift in the host's speed falls on both sides alike. For
 every end-to-end metric in BENCHMARK.json it prints each side's median and
 interquartile range and the number of pairs in which the change was better.
+A metric whose base IQR, relative to the base median, is wider than half its
+BENCHMARK.json bound is marked too noisy: at that pair count its spread alone
+could move it by most of the bound, so the run cannot decide it either way.
 With --trace 1 it compares the per-layer metrics instead: a traced perfbench
 run reports those and not the end-to-end ones.
 
@@ -85,6 +88,16 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def noise_verdict(median, q, bound):
+    """'too noisy' when the IQR q, relative to the median, is wider than half
+    the metric's relative bound; 'ok' otherwise; 'n/a' for unbounded metrics."""
+    if bound is None:
+        return "n/a"
+    width = q[1] - q[0]
+    relative = width / abs(median) if median != 0 else (float("inf") if width > 0 else 0.0)
+    return "too noisy" if relative > bound / 2 else "ok"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scratch", help="directory for the two trees and their builds")
@@ -138,8 +151,8 @@ def main():
             workload, sum(r["correct"] for r in base), len(base),
             sum(r["correct"] for r in change), len(change)))
         print("| metric | base median | base IQR | change median | change IQR | change | "
-              "change better |")
-        print("|---|---|---|---|---|---|---|")
+              "change better | base noise (IQR vs bound/2) |")
+        print("|---|---|---|---|---|---|---|---|")
         for metric in metrics:
             name = metric["name"]
             pairs = [(b["metrics"][name], c["metrics"][name]) for b, c in zip(base, change)
@@ -153,8 +166,10 @@ def main():
             better = sum((c < b) if lower else (c > b) for b, c in pairs)
             delta = "n/a" if b_med == 0 else "%+.1f%%" % (100.0 * (c_med - b_med) / b_med)
             b_q, c_q = quartiles(b_vals), quartiles(c_vals)
-            print("| %s | %.4g | %.4g..%.4g | %.4g | %.4g..%.4g | %s | %d/%d |" % (
-                name, b_med, b_q[0], b_q[1], c_med, c_q[0], c_q[1], delta, better, len(pairs)))
+            noise = noise_verdict(b_med, b_q, metric.get("bound"))
+            print("| %s | %.4g | %.4g..%.4g | %.4g | %.4g..%.4g | %s | %d/%d | %s |" % (
+                name, b_med, b_q[0], b_q[1], c_med, c_q[0], c_q[1], delta, better, len(pairs),
+                noise))
     return 0
 
 

@@ -1,5 +1,7 @@
 #include "core/commit.hpp"
 
+#include <functional>
+
 #include "util/log.hpp"
 
 namespace qosnp {
@@ -42,12 +44,37 @@ void annotate_refused(TraceContext trace, const Refusal& last, const CommitStats
 
 }  // namespace
 
+const ResourceCommitter::Resolved& ResourceCommitter::resolve(const ClientMachine& client,
+                                                              const Variant& variant) {
+  if (client.node != client_node_) {
+    resolved_.clear();
+    client_node_ = client.node;
+  }
+  const auto at = std::lower_bound(resolved_.begin(), resolved_.end(), &variant,
+                                   [](const Resolved& r, const Variant* v) {
+                                     return std::less<const Variant*>{}(r.variant, v);
+                                   });
+  // A hit is checked against the variant's server id, which the address
+  // of a since-destroyed variant could otherwise alias.
+  if (at != resolved_.end() && at->variant == &variant && at->server != nullptr &&
+      at->server->id() == variant.server) {
+    return *at;
+  }
+  Resolved found{&variant, farm_->find_server(variant.server), {}};
+  if (found.server != nullptr) {
+    found.endpoints = transport_->resolve(found.server->node(), client_node_);
+  }
+  if (at != resolved_.end() && at->variant == &variant) return *at = found;
+  return *resolved_.insert(at, found);
+}
+
 Result<Commitment, Refusal> ResourceCommitter::commit_once(const ClientMachine& client,
                                                            const SystemOffer& offer,
                                                            CommitStats& stats) {
-  Commitment commitment;
+  Commitment commitment = begin_commitment(offer.components.size());
   for (const OfferComponent& c : offer.components) {
-    StreamServer* server = farm_->find_server(c.variant->server);
+    const Resolved& at = resolve(client, *c.variant);
+    StreamServer* server = at.server;
     if (server == nullptr) {
       return permanent_refusal(c.variant->server,
                                "variant '" + c.variant->id + "' lives on unknown server");
@@ -65,7 +92,7 @@ Result<Commitment, Refusal> ResourceCommitter::commit_once(const ClientMachine& 
     }
     commitment.streams_.emplace_back(server, stream.value());
 
-    auto flow = transport_->reserve(server->node(), client.node, requirements);
+    auto flow = transport_->reserve_at(at.endpoints, requirements);
     if (!flow.ok()) {
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());

@@ -128,6 +128,8 @@ class ResourceCommitter {
       : farm_(&farm), transport_(&transport), retry_(retry), jitter_rng_(RetryPolicy::kJitterSeed),
         session_class_(session_class) {}
   virtual ~ResourceCommitter() = default;
+  ResourceCommitter(const ResourceCommitter&) = delete;
+  ResourceCommitter& operator=(const ResourceCommitter&) = delete;
 
   /// Try to reserve all resources of `offer` for delivery to `client`,
   /// retrying transient refusals under the retry policy. The returned
@@ -151,6 +153,26 @@ class ResourceCommitter {
   virtual Result<Commitment, Refusal> commit_once(const ClientMachine& client,
                                                   const SystemOffer& offer, CommitStats& stats);
 
+  /// A variant's server and the ends of the flows from it to the client.
+  struct Resolved {
+    const Variant* variant = nullptr;
+    StreamServer* server = nullptr;  ///< nullptr: no server has the variant's id
+    FlowEndpoints endpoints;
+  };
+  /// Resolve `variant` against the farm and the transport on its first
+  /// commit() in this committer (a Step-5 walk builds one committer), so
+  /// the walk's later offers pay no server or node lookup for it. The
+  /// reference is valid until the next call.
+  const Resolved& resolve(const ClientMachine& client, const Variant& variant);
+
+  /// An empty commitment whose handle vectors hold `width` reservations.
+  static Commitment begin_commitment(std::size_t width) {
+    Commitment commitment;
+    commitment.streams_.reserve(width);
+    commitment.flows_.reserve(width);
+    return commitment;
+  }
+
   /// Append one (server, stream) / flow reservation to a commitment under
   /// construction — the hooks a subclass uses to keep Commitment's RAII
   /// rollback ordering (flows before streams) identical to the base walk.
@@ -161,7 +183,6 @@ class ResourceCommitter {
     commitment.flows_.emplace_back(transport, id);
   }
 
-  ServerProvider& farm() { return *farm_; }
   TransportProvider& transport() { return *transport_; }
   SessionClass session_class() const { return session_class_; }
 
@@ -172,6 +193,9 @@ class ResourceCommitter {
   Rng jitter_rng_;
   SessionClass session_class_ = SessionClass::kStandard;
   CommitStats stats_;
+  /// What resolve() found, ascending by variant address, for client_node_.
+  std::vector<Resolved> resolved_;
+  NodeId client_node_;
 };
 
 }  // namespace qosnp

@@ -35,7 +35,7 @@ bool NegotiationPlanCache::Entry::matches(const DocumentId& document_id,
   return document == document_id && screen == client.screen && max_audio == client.max_audio &&
          has_audio_out == client.has_audio_out && decoders == client.decoders &&
          enumeration == enumeration_config && mm == profile.mm &&
-         importance == profile.importance && cost_model == costs;
+         importance == profile.importance && (cost_model.get() == &costs || *cost_model == costs);
 }
 
 NegotiationPlanCache::Index::iterator NegotiationPlanCache::Shard::find(
@@ -106,7 +106,7 @@ std::shared_ptr<const NegotiationPlan> NegotiationPlanCache::lookup(
 
 void NegotiationPlanCache::store(const DocumentId& document, const ClientMachine& client,
                                  const UserProfile& profile, const EnumerationConfig& enumeration,
-                                 const CostModel& cost_model,
+                                 std::shared_ptr<const CostModel> cost_model,
                                  std::shared_ptr<const NegotiationPlan> plan) {
   if (!plan) return;
   const std::uint64_t hash = plan_hash(document, client, profile.mm, enumeration);
@@ -114,14 +114,14 @@ void NegotiationPlanCache::store(const DocumentId& document, const ClientMachine
   bool evicted = false;
   {
     std::lock_guard lk(shard.mu);
-    auto it = shard.find(hash, document, client, profile, enumeration, cost_model);
+    auto it = shard.find(hash, document, client, profile, enumeration, *cost_model);
     if (it != shard.index.end()) {
       it->second->plan = std::move(plan);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       shard.lru.push_front(Entry{hash, document, client.screen, client.decoders, client.max_audio,
                                  client.has_audio_out, profile.mm, profile.importance,
-                                 enumeration, cost_model, std::move(plan)});
+                                 enumeration, std::move(cost_model), std::move(plan)});
       shard.index.emplace(hash, shard.lru.begin());
       if (shard.lru.size() > per_shard_capacity_) {
         const auto oldest = std::prev(shard.lru.end());

@@ -94,7 +94,7 @@ struct NegotiationPlan {
   /// walk of the miss that built the plan. A replay's list starts from it.
   std::optional<StreamedOffer> head;
   /// kEager: the fully classified offer-list prototype. A cache replay
-  /// copies it; an uncached negotiation owns its plan exclusively and moves
+  /// copies it; a bypassing negotiation owns its plan exclusively and moves
   /// it out instead (hence not pointer-to-const).
   std::shared_ptr<OfferList> eager;
 };
@@ -121,10 +121,11 @@ class NegotiationPlanCache {
                                                 const MultimediaDocument* current_document);
 
   /// Insert (or replace) the plan for these values, copying them into the
-  /// entry; evicts the shard's least-recently-used entry beyond its
+  /// entry, except the cost model, which the entry shares with the manager
+  /// that stores it; evicts the shard's least-recently-used entry beyond its
   /// capacity share.
   void store(const DocumentId& document, const ClientMachine& client, const UserProfile& profile,
-             const EnumerationConfig& enumeration, const CostModel& cost_model,
+             const EnumerationConfig& enumeration, std::shared_ptr<const CostModel> cost_model,
              std::shared_ptr<const NegotiationPlan> plan);
 
   /// Drop every cached plan (counters keep their values).
@@ -153,7 +154,9 @@ class NegotiationPlanCache {
     MMProfile mm;
     ImportanceProfile importance;
     EnumerationConfig enumeration;
-    CostModel cost_model;
+    /// Shared, not copied: a manager's entries all point at its one model,
+    /// which a lookup still compares by value.
+    std::shared_ptr<const CostModel> cost_model;
     std::shared_ptr<const NegotiationPlan> plan;
 
     bool matches(const DocumentId& document, const ClientMachine& client,

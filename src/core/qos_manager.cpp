@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "util/log.hpp"
@@ -16,11 +15,14 @@ namespace qosnp {
 QoSManager::QoSManager(Catalog& catalog, ServerProvider& farm, TransportProvider& transport,
                        CostModel cost_model, NegotiationConfig config)
     : catalog_(&catalog), farm_(&farm), transport_(&transport),
-      cost_model_(std::move(cost_model)), config_(std::move(config)),
+      cost_model_(std::make_shared<const CostModel>(std::move(cost_model))),
+      config_(std::move(config)),
       // Both concrete types are final, so the casts test the exact type.
       memo_refusals_(config_.committer_factory == nullptr && config_.retry.max_attempts <= 1 &&
                      dynamic_cast<ServerFarm*>(farm_) != nullptr &&
-                     dynamic_cast<TransportService*>(transport_) != nullptr) {}
+                     dynamic_cast<TransportService*>(transport_) != nullptr) {
+  if (config_.plan_cache == nullptr) config_.plan_cache = std::make_shared<NegotiationPlanCache>();
+}
 
 namespace {
 
@@ -48,7 +50,8 @@ std::uint64_t extend_prefix_hash(std::uint64_t h, const Variant* v) {
 
 /// The nogoods a walk has learned: entries of its RefusalLog whose refused
 /// prefix rules out every offer that starts with it, looked up by (depth,
-/// prefix) hash. Also what the walk's stream fork prunes by.
+/// prefix) hash in a flat table sorted by hash. Also what the walk's stream
+/// fork prunes by.
 class Nogoods final : public PrefixPruner {
  public:
   explicit Nogoods(const RefusalLog& log) : log_(&log) {}
@@ -65,7 +68,9 @@ class Nogoods final : public PrefixPruner {
     const std::size_t depth = log_->entries[n].depth;
     std::uint64_t h = kPrefixHashSeed;
     for (std::size_t k = 0; k < depth; ++k) h = extend_prefix_hash(h, prefix(n)[k]);
-    by_hash_.emplace(h, n);
+    const auto slot = std::upper_bound(by_hash_.begin(), by_hash_.end(), h,
+                                       [](std::uint64_t key, const Entry& e) { return key < e.first; });
+    by_hash_.insert(slot, Entry{h, n});
     const auto at = std::lower_bound(depths_.begin(), depths_.end(), depth);
     if (at == depths_.end() || *at != depth) depths_.insert(at, depth);
   }
@@ -102,8 +107,9 @@ class Nogoods final : public PrefixPruner {
     std::size_t hashed = 0;
     for (const std::size_t depth : depths_) {
       for (; hashed < depth; ++hashed) h = extend_prefix_hash(h, variant(hashed));
-      const auto [lo, hi] = by_hash_.equal_range(h);
-      for (auto it = lo; it != hi; ++it) {
+      auto it = std::lower_bound(by_hash_.begin(), by_hash_.end(), h,
+                                 [](const Entry& e, std::uint64_t key) { return e.first < key; });
+      for (; it != by_hash_.end() && it->first == h; ++it) {
         const std::size_t n = it->second;
         if (log_->entries[n].depth != depth) continue;
         std::size_t k = 0;
@@ -113,8 +119,11 @@ class Nogoods final : public PrefixPruner {
     }
   }
 
+  /// (prefix hash, log entry), ascending by hash, equal hashes in walk order.
+  using Entry = std::pair<std::uint64_t, std::size_t>;
+
   const RefusalLog* log_;
-  std::unordered_multimap<std::uint64_t, std::size_t> by_hash_;
+  std::vector<Entry> by_hash_;
   std::vector<std::size_t> depths_;  ///< the distinct depths recorded, ascending
 };
 
@@ -528,10 +537,10 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   }
 
   // A catalog miss has no document to validate a plan by; build_plan
-  // reports it.
+  // reports it. A bypassing request runs Steps 1-4 afresh.
   std::shared_ptr<const MultimediaDocument> document = catalog_->find(request.document);
-  NegotiationPlanCache* cache = config_.plan_cache.get();
-  if (!document || cache == nullptr || request.cache == CacheUse::kBypass) {
+  NegotiationPlanCache& cache = *config_.plan_cache;
+  if (!document || request.cache == CacheUse::kBypass) {
     auto plan = build_plan(request, std::move(document));
     if (!plan.ok()) return std::move(plan.error());
     return run_plan(request, *plan.value(), /*exclusive=*/true);
@@ -541,8 +550,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   {
     ScopedSpan span(request.trace, Stage::kPlanCache);
     if (request.cache != CacheUse::kRefresh) {
-      plan = cache->lookup(request.document, request.client, request.profile,
-                           config_.enumeration, cost_model_, document.get());
+      plan = cache.lookup(request.document, request.client, request.profile,
+                          config_.enumeration, *cost_model_, document.get());
     }
     span.annotate("hit", plan ? "true" : "false");
   }
@@ -557,8 +566,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   std::shared_ptr<NegotiationPlan>& fresh = built.value();
   NegotiationResult result = run_plan(request, *fresh, /*exclusive=*/false);
   if (fresh->seed && result.offers.size() > 0) fresh->head = result.offers.streamed(0);
-  cache->store(request.document, request.client, request.profile, config_.enumeration,
-               cost_model_, std::move(fresh));
+  cache.store(request.document, request.client, request.profile, config_.enumeration,
+              cost_model_, std::move(fresh));
   return result;
 }
 
@@ -580,11 +589,11 @@ Result<std::shared_ptr<NegotiationPlan>, NegotiationResult> QoSManager::build_pl
     // offers materialise one at a time as Step 5 walks them. The seed holds
     // all the memoisation; each request spawns its own cursor over it.
     plan->seed =
-        make_offer_stream_seed(std::move(feasible), profile.mm, profile.importance, cost_model_);
+        make_offer_stream_seed(std::move(feasible), profile.mm, profile.importance, *cost_model_);
     total = seed_total_combinations(*plan->seed);
     known = std::min(total, config_.enumeration.max_offers);
   } else {
-    OfferList offers = enumerate_offers(feasible, profile.mm, cost_model_, config_.enumeration);
+    OfferList offers = enumerate_offers(feasible, profile.mm, *cost_model_, config_.enumeration);
     classify_offers(offers.eager, profile.mm, profile.importance);
     offers.sns_ordered = true;
     total = offers.total_combinations;

@@ -44,9 +44,10 @@ struct NegotiationConfig {
   /// How resource commitment retries transiently-refused offers before the
   /// walk falls through to the next (worse) offer. Default: no retries.
   RetryPolicy retry;
-  /// Cross-request plan cache for the Step 1-4 outcome (nullptr = off).
-  /// Shareable between managers/services; thread-safe. Requests opt out per
-  /// call via NegotiationRequest::cache.
+  /// Cross-request plan cache for the Step 1-4 outcome, shareable between
+  /// managers and services; thread-safe. Left null, the manager builds its
+  /// own under the default CachePolicy: every manager caches. Requests opt
+  /// out per call via NegotiationRequest::cache (CacheUse::kBypass).
   std::shared_ptr<NegotiationPlanCache> plan_cache;
   /// Pluggable Step-5 committer. When set, commit_first() obtains each
   /// walk's committer here instead of constructing a plain ResourceCommitter
@@ -166,10 +167,10 @@ class QoSManager {
                              SessionClass session_class = SessionClass::kStandard,
                              std::size_t begin_index = 0, std::size_t end_index = SIZE_MAX);
 
-  const CostModel& cost_model() const { return cost_model_; }
+  const CostModel& cost_model() const { return *cost_model_; }
   const NegotiationConfig& config() const { return config_; }
   Catalog& catalog() { return *catalog_; }
-  /// The configured plan cache, or nullptr when caching is off.
+  /// The plan cache: the configured one, or the manager's own. Never null.
   NegotiationPlanCache* plan_cache() const { return config_.plan_cache.get(); }
 
  private:
@@ -180,7 +181,7 @@ class QoSManager {
   Result<std::shared_ptr<NegotiationPlan>, NegotiationResult> build_plan(
       const NegotiationRequest& request, std::shared_ptr<const MultimediaDocument> document);
   /// Step 5 (+ verdict) over a built or replayed plan. The single exit path
-  /// of every negotiation, so cached and uncached requests produce
+  /// of every negotiation, so hits, misses and bypassing requests produce
   /// byte-identical results. `exclusive` marks a plan owned by this request
   /// alone (freshly built, not stored): its eager offer list is moved out
   /// instead of copied.
@@ -190,7 +191,8 @@ class QoSManager {
   Catalog* catalog_;
   ServerProvider* farm_;
   TransportProvider* transport_;
-  CostModel cost_model_;
+  /// Shared with every plan-cache entry this manager stores.
+  std::shared_ptr<const CostModel> cost_model_;
   NegotiationConfig config_;
   /// Whether commit_first() may refuse offers by its nogoods: only
   /// over the plain ServerFarm and TransportService (fault injectors and

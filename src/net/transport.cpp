@@ -17,40 +17,85 @@ TransportService::TransportService(Topology topology) : topology_(std::move(topo
   link_flow_count_.assign(topology_.link_count(), 0);
 }
 
+namespace {
+
+std::int64_t reserved_rate(const StreamRequirements& req) {
+  return req.guarantee == GuaranteeClass::kGuaranteed ? req.max_bit_rate_bps
+                                                       : req.avg_bit_rate_bps;
+}
+
+}  // namespace
+
+const Route& TransportService::route_locked(std::size_t src, std::size_t dst) {
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  auto memo = routes_.find(key);
+  if (memo == routes_.end()) {
+    Route route{src, dst};
+    auto path = topology_.shortest_path(src, dst);
+    if (path.ok()) {
+      route.path = std::make_shared<const std::vector<std::size_t>>(std::move(path.value()));
+    } else {
+      route.path = Err(std::move(path.error()));
+    }
+    memo = routes_.emplace(key, std::move(route)).first;
+  }
+  return memo->second;
+}
+
 Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeId& dst,
                                                   const StreamRequirements& req) {
-  const std::int64_t rate = req.guarantee == GuaranteeClass::kGuaranteed ? req.max_bit_rate_bps
-                                                                         : req.avg_bit_rate_bps;
+  const std::int64_t rate = reserved_rate(req);
   if (rate <= 0) return permanent_refusal("transport", "non-positive bit rate");
-
-  // Route with admission-aware retries: when a link on the preferred path
-  // lacks capacity, exclude it and re-route — in a multi-path topology the
-  // flow takes the standby path instead of being rejected.
   std::lock_guard lk(mu_);
   const auto si = topology_.node_index(src);
   const auto di = topology_.node_index(dst);
   if (!si || !di) return permanent_refusal("transport", topology_.shortest_path(src, dst).error());
-  const std::uint64_t key = (static_cast<std::uint64_t>(*si) << 32) | *di;
-  auto memo = routes_.find(key);
-  if (memo == routes_.end()) memo = routes_.emplace(key, topology_.shortest_path(*si, *di)).first;
+  return reserve_locked(route_locked(*si, *di), rate, req);
+}
 
+FlowEndpoints TransportService::resolve(const NodeId& src, const NodeId& dst) {
+  std::lock_guard lk(mu_);
+  const auto si = topology_.node_index(src);
+  const auto di = topology_.node_index(dst);
+  if (!si || !di) return {&src, &dst};
+  return {&src, &dst, &route_locked(*si, *di)};
+}
+
+Result<FlowId, Refusal> TransportService::reserve_at(const FlowEndpoints& at,
+                                                     const StreamRequirements& req) {
+  if (at.route == nullptr) return reserve(*at.src, *at.dst, req);
+  const std::int64_t rate = reserved_rate(req);
+  if (rate <= 0) return permanent_refusal("transport", "non-positive bit rate");
+  std::lock_guard lk(mu_);
+  return reserve_locked(*at.route, rate, req);
+}
+
+Result<FlowId, Refusal> TransportService::reserve_locked(const Route& route, std::int64_t rate,
+                                                         const StreamRequirements& req) {
+  // Route with admission-aware retries: when a link on the preferred path
+  // lacks capacity, exclude it and re-route — in a multi-path topology the
+  // flow takes the standby path instead of being rejected.
   std::vector<std::size_t> excluded;
   std::optional<Result<std::vector<std::size_t>>> rerouted;
   for (int attempt = 0; attempt <= kMaxRouteRetries; ++attempt) {
-    if (attempt > 0) rerouted.emplace(topology_.shortest_path(*si, *di, excluded));
-    const Result<std::vector<std::size_t>>& path = attempt == 0 ? memo->second : *rerouted;
-    if (!path.ok()) {
-      // No route at all is permanent; a route that exists but is full
-      // (a link excluded by a previous attempt) is a transient shortage.
-      if (excluded.empty()) return permanent_refusal("transport", path.error());
-      break;
+    const std::vector<std::size_t>* path = nullptr;
+    if (attempt == 0) {
+      // No route at all is permanent.
+      if (!route.path.ok()) return permanent_refusal("transport", route.path.error());
+      path = route.path.value().get();
+    } else {
+      // A route that exists but is full (a link excluded by a previous
+      // attempt) is a transient shortage.
+      rerouted.emplace(topology_.shortest_path(route.src, route.dst, excluded));
+      if (!rerouted->ok()) break;
+      path = &rerouted->value();
     }
     // Headroom-differentiated admission: a class with headroom h only sees
     // capacity * (1 - h) of each link (h <= 0 keeps the class-blind path
     // free of any floating-point round-trip).
     const double h = headroom_.for_class(req.session_class);
     const std::size_t* bottleneck = nullptr;
-    for (const std::size_t& link : path.value()) {
+    for (const std::size_t& link : *path) {
       const std::int64_t usable =
           h <= 0.0 ? effective_capacity_[link]
                    : static_cast<std::int64_t>(std::llround(
@@ -64,21 +109,20 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
       excluded.push_back(*bottleneck);
       continue;
     }
-    for (std::size_t link : path.value()) {
+    for (std::size_t link : *path) {
       reserved_[link] += rate;
       ++link_flow_count_[link];
     }
-    FlowInfo info;
-    info.id = next_id_++;
-    info.src = src;
-    info.dst = dst;
-    info.path = path.value();
-    info.reserved_bps = rate;
-    info.guarantee = req.guarantee;
-    const FlowId id = info.id;
-    flows_[id] = std::move(info);
-    QOSNP_LOG_DEBUG("transport", "reserved flow ", id, " ", src, "->", dst, " at ", rate,
-                    " bps over ", flows_[id].path.size(), " links");
+    const FlowId id = next_id_++;
+    const std::size_t links = path->size();
+    flows_.add(id, Flow{route.src, route.dst,
+                        attempt == 0 ? route.path.value()
+                                     : std::make_shared<const std::vector<std::size_t>>(
+                                           std::move(rerouted->value())),
+                        rate, req.guarantee});
+    QOSNP_LOG_DEBUG("transport", "reserved flow ", id, " ", topology_.nodes()[route.src].id, "->",
+                    topology_.nodes()[route.dst].id, " at ", rate, " bps over ",
+                    links, " links");
     return id;
   }
   // Every route tried was full: the refusal names the last bottleneck.
@@ -90,24 +134,29 @@ Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeI
 
 bool TransportService::release(FlowId id) {
   std::lock_guard lk(mu_);
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  for (std::size_t link : it->second.path) {
-    reserved_[link] -= it->second.reserved_bps;
+  const Flow* flow = flows_.find(id);
+  if (flow == nullptr) return false;
+  for (std::size_t link : *flow->path) {
+    reserved_[link] -= flow->reserved_bps;
     --link_flow_count_[link];
     // A negative ledger means an admit/release was lost or double-counted;
     // with all updates under mu_ this cannot happen — keep it checked.
     assert(reserved_[link] >= 0 && "link reservation went negative");
   }
-  flows_.erase(it);
+  flows_.erase(id);
   return true;
 }
 
 std::optional<FlowInfo> TransportService::flow(FlowId id) const {
   std::lock_guard lk(mu_);
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return std::nullopt;
-  return it->second;
+  const Flow* flow = flows_.find(id);
+  if (flow == nullptr) return std::nullopt;
+  return FlowInfo{id,
+                  topology_.nodes()[flow->src].id,
+                  topology_.nodes()[flow->dst].id,
+                  *flow->path,
+                  flow->reserved_bps,
+                  flow->guarantee};
 }
 
 std::size_t TransportService::active_flows() const {
@@ -119,20 +168,16 @@ std::vector<FlowId> TransportService::overfull_victims_locked(std::size_t link_i
   // Pick victims newest-first until the link fits again. Victims keep their
   // reservation (the adaptation procedure decides what to do); we only
   // report who is affected by the shortfall.
-  std::vector<FlowId> on_link;
-  for (const auto& [id, info] : flows_) {
-    if (std::find(info.path.begin(), info.path.end(), link_index) != info.path.end()) {
-      on_link.push_back(id);
-    }
-  }
-  std::sort(on_link.begin(), on_link.end(), std::greater<>());
   std::int64_t excess = reserved_[link_index] - effective_capacity_[link_index];
   std::vector<FlowId> victims;
-  for (FlowId id : on_link) {
-    if (excess <= 0) break;
-    victims.push_back(id);
-    excess -= flows_[id].reserved_bps;
-  }
+  flows_.for_each_newest_first([&](FlowId id, const Flow& flow) {
+    if (excess <= 0) return false;
+    if (std::find(flow.path->begin(), flow.path->end(), link_index) != flow.path->end()) {
+      victims.push_back(id);
+      excess -= flow.reserved_bps;
+    }
+    return true;
+  });
   return victims;
 }
 
@@ -156,12 +201,12 @@ bool TransportService::accounting_consistent() const {
   std::lock_guard lk(mu_);
   std::vector<std::int64_t> reserved(reserved_.size(), 0);
   std::vector<std::size_t> counts(link_flow_count_.size(), 0);
-  for (const auto& [id, info] : flows_) {
-    for (std::size_t link : info.path) {
-      reserved[link] += info.reserved_bps;
+  flows_.for_each([&](FlowId, const Flow& flow) {
+    for (std::size_t link : *flow.path) {
+      reserved[link] += flow.reserved_bps;
       ++counts[link];
     }
-  }
+  });
   return reserved == reserved_ && counts == link_flow_count_;
 }
 

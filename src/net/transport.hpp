@@ -9,18 +9,39 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "net/topology.hpp"
 #include "qosmap/mapping.hpp"
+#include "util/id_table.hpp"
 #include "util/result.hpp"
 
 namespace qosnp {
 
 using FlowId = std::uint64_t;
+
+/// A route between two topology nodes as TransportService memoises it: the
+/// nodes' indices and their unexcluded shortest path, or why there is none.
+/// Flows share the path rather than copy it.
+struct Route {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  Result<std::shared_ptr<const std::vector<std::size_t>>> path = Err(std::string());
+};
+
+/// The two ends of the flows a Step-5 walk reserves for one variant, as
+/// TransportProvider::resolve() returns them: the node names (which must
+/// outlive the value) and the provider's own resolution, if it keeps one.
+struct FlowEndpoints {
+  const NodeId* src = nullptr;
+  const NodeId* dst = nullptr;
+  const Route* route = nullptr;  ///< TransportService's memoised route, or null
+};
 
 /// Minimal transport surface the resource-commitment step needs: admit a
 /// flow with given stream requirements, release it later. Implemented by
@@ -34,6 +55,16 @@ class TransportProvider {
   virtual Result<FlowId, Refusal> reserve(const NodeId& src, const NodeId& dst,
                                           const StreamRequirements& req) = 0;
   virtual bool release(FlowId id) = 0;
+
+  /// Resolve the ends of a flow once for every reservation between them.
+  /// The default resolves nothing, and reserve_at() then reserves by name.
+  virtual FlowEndpoints resolve(const NodeId& src, const NodeId& dst) { return {&src, &dst}; }
+  /// reserve() between endpoints resolve() returned: the same admission and
+  /// the same refusals, without looking the names up again.
+  virtual Result<FlowId, Refusal> reserve_at(const FlowEndpoints& at,
+                                             const StreamRequirements& req) {
+    return reserve(*at.src, *at.dst, req);
+  }
 };
 
 struct FlowInfo {
@@ -68,6 +99,11 @@ class TransportService final : public TransportProvider {
   /// peak rate (guaranteed) or average rate (best-effort) on each path link.
   Result<FlowId, Refusal> reserve(const NodeId& src, const NodeId& dst,
                                   const StreamRequirements& req) override;
+  /// Both ends' node indices and their memoised route, when both are
+  /// topology nodes.
+  FlowEndpoints resolve(const NodeId& src, const NodeId& dst) override;
+  Result<FlowId, Refusal> reserve_at(const FlowEndpoints& at,
+                                     const StreamRequirements& req) override;
 
   /// Release a flow's reservation. Returns false for unknown flows
   /// (double-release is harmless).
@@ -106,6 +142,20 @@ class TransportService final : public TransportProvider {
   void set_class_headroom(ClassHeadroom headroom);
 
  private:
+  /// A live flow: its route's node indices and (shared) path.
+  struct Flow {
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    std::shared_ptr<const std::vector<std::size_t>> path;
+    std::int64_t reserved_bps = 0;
+    GuaranteeClass guarantee = GuaranteeClass::kGuaranteed;
+  };
+
+  /// The memoised route between two node indices, computed on first use.
+  const Route& route_locked(std::size_t src, std::size_t dst);
+  /// Admit a flow of `rate` along `route`, re-routing around full links.
+  Result<FlowId, Refusal> reserve_locked(const Route& route, std::int64_t rate,
+                                         const StreamRequirements& req);
   std::vector<FlowId> overfull_victims_locked(std::size_t link_index);
 
   mutable std::mutex mu_;
@@ -113,13 +163,14 @@ class TransportService final : public TransportProvider {
   /// Unexcluded shortest route per (src, dst) node-index pair, filled on
   /// first use: the topology never changes after construction, so Dijkstra
   /// only re-runs when reserve() excludes a full link. Keyed by index, so
-  /// unknown node names (which arrive with requests) never enter it.
-  std::unordered_map<std::uint64_t, Result<std::vector<std::size_t>>> routes_;  // guarded by mu_
+  /// unknown node names (which arrive with requests) never enter it. Entries
+  /// are never erased, so FlowEndpoints may point at them.
+  std::unordered_map<std::uint64_t, Route> routes_;  // guarded by mu_
   ClassHeadroom headroom_;                        // guarded by mu_
   std::vector<std::int64_t> reserved_;            // per link
   std::vector<std::int64_t> effective_capacity_;  // per link
   std::vector<std::size_t> link_flow_count_;      // per link
-  std::unordered_map<FlowId, FlowInfo> flows_;
+  IdTable<Flow> flows_;
   FlowId next_id_ = 1;
 };
 

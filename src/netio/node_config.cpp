@@ -58,7 +58,8 @@ NodeConfig& NodeConfig::trace_sink(TraceSink* sink) {
 }
 
 NodeConfig& NodeConfig::plan_cache_enabled(bool on) {
-  cache_enabled_ = on;
+  require_field(on, "plan_cache_enabled",
+                "the plan cache is always on; bypass it per request with CacheUse::kBypass");
   return *this;
 }
 
@@ -103,7 +104,7 @@ ServiceConfig NodeConfig::service() const { return ServiceConfig::validated(serv
 CachePolicy NodeConfig::cache_policy() const { return CachePolicy::validated(cache_); }
 
 std::shared_ptr<NegotiationPlanCache> NodeConfig::make_plan_cache() const {
-  return cache_enabled_ ? std::make_shared<NegotiationPlanCache>(cache_policy()) : nullptr;
+  return std::make_shared<NegotiationPlanCache>(cache_policy());
 }
 
 WireServerConfig NodeConfig::wire_server() const { return WireServerConfig::validated(wire_); }

@@ -12,9 +12,13 @@
 // direct construction of the loose structs in the sharding layer and the
 // code that follows it.
 //
+// The plan cache is always on: every QoSManager keeps one, so a node only
+// sizes it (cache_capacity); a request that must run Steps 1-4 afresh says
+// so itself with CacheUse::kBypass.
+//
 //   auto node = NodeConfig{}
 //                   .workers(8).queue_capacity(256).auto_confirm(false)
-//                   .plan_cache_enabled(true).cache_capacity(4096)
+//                   .cache_capacity(4096)
 //                   .listen_port(0).max_connections(128);
 //   NegotiationService service(manager, sessions, node.service());
 //   WireServer server(service, node.wire_server());
@@ -43,6 +47,8 @@ class NodeConfig {
   NodeConfig& trace_sink(TraceSink* sink);
 
   // --- plan cache fields ---------------------------------------------------
+  /// Kept for existing callers that switch the cache on; `false` is refused
+  /// (there is no uncached node).
   NodeConfig& plan_cache_enabled(bool on);
   NodeConfig& cache_capacity(std::size_t n);
 
@@ -56,20 +62,17 @@ class NodeConfig {
   // --- finishers -----------------------------------------------------------
   /// The worker-pool configuration (revalidated as a whole on the way out).
   ServiceConfig service() const;
-  /// The plan-cache policy, independent of whether the cache is enabled.
+  /// The plan-cache policy.
   CachePolicy cache_policy() const;
-  /// A fresh plan cache under cache_policy(), or nullptr when disabled —
-  /// exactly what NegotiationConfig::plan_cache takes.
+  /// A fresh plan cache under cache_policy() — exactly what
+  /// NegotiationConfig::plan_cache takes.
   std::shared_ptr<NegotiationPlanCache> make_plan_cache() const;
   /// The TCP front-end configuration.
   WireServerConfig wire_server() const;
 
-  bool plan_cache_on() const { return cache_enabled_; }
-
  private:
   ServiceConfig service_;
   CachePolicy cache_;
-  bool cache_enabled_ = false;
   WireServerConfig wire_;
 };
 

@@ -36,18 +36,18 @@ Result<StreamId, Refusal> MediaServer::admit(const StreamRequirements& req) {
   }
   reserved_ += rate;
   const StreamId id = next_id_++;
-  streams_[id] = rate;
+  streams_.add(id, rate);
   QOSNP_LOG_DEBUG("server", config_.id, ": admitted stream ", id, " at ", rate, " bps");
   return id;
 }
 
 bool MediaServer::release(StreamId id) {
   std::lock_guard lk(mu_);
-  auto it = streams_.find(id);
-  if (it == streams_.end()) return false;
-  reserved_ -= it->second;
+  const std::int64_t* rate = streams_.find(id);
+  if (rate == nullptr) return false;
+  reserved_ -= *rate;
   assert(reserved_ >= 0 && "disk bandwidth ledger went negative");
-  streams_.erase(it);
+  streams_.erase(id);
   return true;
 }
 
@@ -68,8 +68,7 @@ std::vector<StreamId> MediaServer::fail() {
   failed_ = true;
   std::vector<StreamId> affected;
   affected.reserve(streams_.size());
-  for (const auto& [id, _] : streams_) affected.push_back(id);
-  std::sort(affected.begin(), affected.end());
+  streams_.for_each([&](StreamId id, std::int64_t) { affected.push_back(id); });
   return affected;
 }
 
@@ -84,16 +83,14 @@ bool MediaServer::failed() const {
 }
 
 std::vector<StreamId> MediaServer::overfull_victims_locked() {
-  std::vector<std::pair<StreamId, std::int64_t>> by_recency(streams_.begin(), streams_.end());
-  std::sort(by_recency.begin(), by_recency.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
   std::int64_t excess = reserved_ - effective_bandwidth_;
   std::vector<StreamId> victims;
-  for (const auto& [id, rate] : by_recency) {
-    if (excess <= 0) break;
+  streams_.for_each_newest_first([&](StreamId id, std::int64_t rate) {
+    if (excess <= 0) return false;
     victims.push_back(id);
     excess -= rate;
-  }
+    return true;
+  });
   return victims;
 }
 

@@ -13,12 +13,12 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "document/model.hpp"
 #include "net/topology.hpp"
 #include "qosmap/mapping.hpp"
+#include "util/id_table.hpp"
 #include "util/result.hpp"
 
 namespace qosnp {
@@ -105,7 +105,7 @@ class MediaServer final : public StreamServer {
   std::int64_t effective_bandwidth_;
   std::int64_t reserved_ = 0;
   bool failed_ = false;
-  std::unordered_map<StreamId, std::int64_t> streams_;  // id -> reserved rate
+  IdTable<std::int64_t> streams_;  // id -> reserved rate
   StreamId next_id_ = 1;
 };
 

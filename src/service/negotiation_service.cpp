@@ -79,9 +79,9 @@ NegotiationService::NegotiationService(QoSManager& manager, SessionManager& sess
       admission.annotate("confirmed", "true");
     }
   };
-  // A cache-enabled manager gets its counters mirrored into the same
+  // The manager's plan cache gets its counters mirrored into the same
   // registry the service reports from (last binding service wins).
-  if (auto* cache = manager_->plan_cache()) cache->bind_metrics(*metrics_);
+  manager_->plan_cache()->bind_metrics(*metrics_);
 }
 
 NegotiationService::~NegotiationService() { stop(); }

@@ -46,7 +46,7 @@ Result<Commitment, Refusal> FederatedCommitter::commit_once(const ClientMachine&
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  Commitment commitment;
+  Commitment commitment = begin_commitment(offer.components.size());
   std::size_t shards_touched = 0;
   std::size_t last_shard = kNoHomeShard;
   for (const auto& [shard, index] : order) {
@@ -55,7 +55,8 @@ Result<Commitment, Refusal> FederatedCommitter::commit_once(const ClientMachine&
       last_shard = shard;
     }
     const OfferComponent& c = offer.components[index];
-    StreamServer* server = farm().find_server(c.variant->server);
+    const Resolved& at = resolve(client, *c.variant);
+    StreamServer* server = at.server;
     if (server == nullptr) {
       if (metrics_ != nullptr && !commitment.empty()) metrics_->federated_rollbacks->inc();
       return permanent_refusal(c.variant->server,
@@ -72,7 +73,7 @@ Result<Commitment, Refusal> FederatedCommitter::commit_once(const ClientMachine&
     }
     attach_stream(commitment, server, stream.value());
 
-    auto flow = transport().reserve(server->node(), client.node, requirements);
+    auto flow = transport().reserve_at(at.endpoints, requirements);
     if (!flow.ok()) {
       stats.released_on_failure +=
           static_cast<int>(commitment.stream_count() + commitment.flow_count());

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/commit.hpp"
 #include "core/enumerate.hpp"
 #include "core/qos_manager.hpp"
 #include "obs/trace.hpp"
@@ -235,7 +236,8 @@ TEST(CacheHitAllocations, AHitsLookupAllocatesNothing) {
 // A plan-cache hit whose walk commits the first offer replays Steps 1-4 and
 // reads that offer off the plan: it spawns no OfferStream, and its lookup
 // builds no key. What is left is the result and its offer list, the
-// commitment's handles and the committer: 21 allocations on this fixture.
+// commitment's handles (reserved to the offer's width), the committer and
+// the growth of the ledgers' flat tables: 13 allocations on this fixture.
 TEST(CacheHitAllocations, AHitCommittingTheFirstOfferBuildsNoStream) {
   TestSystem sys;
   NegotiationConfig config;
@@ -251,7 +253,96 @@ TEST(CacheHitAllocations, AHitCommittingTheFirstOfferBuildsNoStream) {
   ASSERT_EQ(manager.plan_cache()->stats().hits, 1u);
   ASSERT_EQ(hit.committed_index, 0u);
   EXPECT_EQ(hit.offers.stream(), nullptr);
-  EXPECT_LE(allocations, 21u);
+  EXPECT_LE(allocations, 13u);
+}
+
+// One offer of two components, the first variant of each monomedia of
+// `document`, as the Step-5 walk materialises it.
+SystemOffer first_variants_offer(const MultimediaDocument& document, const TimeProfile& time) {
+  SystemOffer offer;
+  for (const Monomedia& m : document.monomedia) {
+    const Variant& v = m.variants.front();
+    offer.components.push_back({&m, &v, map_variant(v, m.duration_s, time)});
+  }
+  return offer;
+}
+
+// The admission ledgers keep their streams and flows in id-ordered flat
+// tables and a flow shares its memoised route, so once the tables have
+// grown, a reservation and its release allocate nothing.
+TEST(CommitAllocations, TheLedgersAllocateNothingPerReservation) {
+  TestSystem sys;
+  const MultimediaDocument document = wide_document(1);
+  const SystemOffer offer =
+      first_variants_offer(document, TestSystem::tolerant_profile().mm.time);
+  const StreamRequirements& req = offer.components[1].requirements;  // the audio stream
+  MediaServer& server = *sys.farm.find("server-b");
+  auto cycle = [&](int live) {
+    std::vector<StreamId> streams;
+    std::vector<FlowId> flows;
+    streams.reserve(static_cast<std::size_t>(live));
+    flows.reserve(static_cast<std::size_t>(live));
+    for (int k = 0; k < live; ++k) {
+      streams.push_back(server.admit(req).value());
+      flows.push_back(sys.transport->reserve(server.node(), sys.client.node, req).value());
+    }
+    for (int k = 0; k < live; ++k) {
+      EXPECT_TRUE(sys.transport->release(flows[static_cast<std::size_t>(k)]));
+      EXPECT_TRUE(server.release(streams[static_cast<std::size_t>(k)]));
+    }
+  };
+  cycle(8);  // grow the tables and memoise the route
+  std::size_t ledger = 0;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<StreamId> streams;
+    std::vector<FlowId> flows;
+    streams.reserve(8);
+    flows.reserve(8);
+    ledger += allocations_during([&] {
+      for (int k = 0; k < 8; ++k) {
+        streams.push_back(server.admit(req).value());
+        flows.push_back(sys.transport->reserve(server.node(), sys.client.node, req).value());
+      }
+      for (int k = 7; k >= 0; --k) {
+        sys.transport->release(flows[static_cast<std::size_t>(k)]);
+        server.release(streams[static_cast<std::size_t>(k)]);
+      }
+    });
+  }
+  EXPECT_EQ(ledger, 0u);
+  EXPECT_EQ(sys.transport->active_flows(), 0u);
+  EXPECT_EQ(server.usage().reserved_bps, 0);
+}
+
+// A commit() that admits its first component (stream and flow) and is
+// refused by its second component's server rolls the first back. Its
+// allocations are the two handle vectors of the commitment, reserved to the
+// offer's width, and the refusal's text ("insufficient disk bandwidth", too
+// long for a string's inline buffer); the ledgers add none, and the walk
+// resolved each variant's server and route on its first commit().
+TEST(CommitAllocations, ARefusalAtTheSecondComponentAllocatesItsHandlesAndItsTextOnly) {
+  TestSystem sys;
+  const MultimediaDocument document = wide_document(1);
+  const SystemOffer offer =
+      first_variants_offer(document, TestSystem::tolerant_profile().mm.time);
+  ASSERT_EQ(offer.components.size(), 2u);
+  // A stream holding all but 1 kbit/s of server-b's disk bandwidth.
+  StreamRequirements hog = offer.components[1].requirements;
+  hog.max_bit_rate_bps = sys.farm.find("server-b")->usage().disk_bandwidth_bps - 1'000;
+  ASSERT_TRUE(sys.farm.find("server-b")->admit(hog).ok());
+  ResourceCommitter committer(sys.farm, *sys.transport);
+  ASSERT_FALSE(committer.commit(sys.client, offer).ok());  // warm tables and resolution
+
+  std::string message;
+  const std::size_t allocations = allocations_during([&] {
+    auto refused = committer.commit(sys.client, offer);
+    if (!refused.ok()) message.swap(refused.error().message);
+  });
+  EXPECT_EQ(message, "insufficient disk bandwidth");
+  EXPECT_EQ(committer.stats().released_on_failure, 4);  // two per commit()
+  EXPECT_EQ(allocations, 3u);
+  EXPECT_EQ(sys.transport->active_flows(), 0u);
+  EXPECT_EQ(sys.farm.find("server-a")->usage().reserved_bps, 0);
 }
 
 }  // namespace

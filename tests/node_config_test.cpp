@@ -71,15 +71,16 @@ TEST(NodeConfig, CacheFieldsFlowThroughTheFinisher) {
   EXPECT_EQ(policy.capacity, 99u);
 }
 
-TEST(NodeConfig, PlanCacheSwitchProducesTheCacheOrNothing) {
-  EXPECT_EQ(NodeConfig{}.make_plan_cache(), nullptr);
-  EXPECT_FALSE(NodeConfig{}.plan_cache_on());
+TEST(NodeConfig, EveryNodeBuildsAPlanCache) {
+  const auto by_default = NodeConfig{}.make_plan_cache();
+  ASSERT_NE(by_default, nullptr);
+  EXPECT_EQ(by_default->policy().capacity, NodeConfig{}.cache_policy().capacity);
 
   NodeConfig node;
   node.plan_cache_enabled(true).cache_capacity(8);
-  EXPECT_TRUE(node.plan_cache_on());
   const auto cache = node.make_plan_cache();
   ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->policy().capacity, 8u);
   // Two calls build two independent caches (one per shard, by design).
   EXPECT_NE(node.make_plan_cache(), cache);
 }
@@ -94,6 +95,9 @@ TEST(NodeConfig, EveryBadFieldNamesItselfInTheError) {
                      "NodeConfig.simulated_rtt_ms: must not be negative");
   expect_field_error([] { NodeConfig{}.cache_capacity(0); },
                      "NodeConfig.cache_capacity: must be >= 1");
+  expect_field_error([] { NodeConfig{}.plan_cache_enabled(false); },
+                     "NodeConfig.plan_cache_enabled: the plan cache is always on; bypass it per "
+                     "request with CacheUse::kBypass");
   expect_field_error([] { NodeConfig{}.bind_address(""); },
                      "NodeConfig.bind_address: must not be empty");
   expect_field_error([] { NodeConfig{}.max_connections(0); },

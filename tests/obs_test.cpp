@@ -273,43 +273,69 @@ TEST(ServiceValidation, RejectsNegativeRtt) {
 
 // Every trace a traced service records satisfies the structural contract:
 // exactly one queue-wait span, one span per executed pipeline stage, child
-// spans reference earlier spans, every span closed, timestamps monotone.
+// spans reference earlier spans, every span closed, timestamps monotone. The
+// first round bypasses the plan cache, so each of its requests runs Steps
+// 1-4 and shows one span per step. The second round goes through the cache:
+// a hit shows a plan-cache span with hit=true and no Steps 1-4 span, a miss
+// shows hit=false and one span per step.
 TEST(ServiceObservability, TracesAreCompleteAndWellFormed) {
   ServiceSystem sys(4);
-  RingBufferSink ring(64);
+  RingBufferSink ring(128);
   ServiceConfig config;
   config.workers = 2;
   config.queue_capacity = 32;
   config.trace_sink = &ring;
   NegotiationService service(*sys.manager, *sys.sessions, config);
   service.start();
-  std::vector<std::future<NegotiationResult>> futures;
   const std::size_t kRequests = 40;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    NegotiationRequest req;
-    req.id = i + 1;
-    req.client = sys.clients[i % sys.clients.size()];
-    req.document = "article";
-    req.profile = TestSystem::tolerant_profile();
-    futures.push_back(service.submit(std::move(req)));
-  }
-  for (auto& f : futures) {
-    NegotiationResult resp = f.get();
-    ASSERT_NE(resp.trace, nullptr);
-    EXPECT_EQ(resp.trace->request_id(), resp.request_id);
-    EXPECT_EQ(resp.trace->verdict(), to_string(resp.verdict));
-    if (resp.session_id != 0) sys.sessions->complete(resp.session_id);
-  }
+  auto round = [&](std::uint64_t first_id, CacheUse cache) {
+    std::vector<std::future<NegotiationResult>> futures;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      NegotiationRequest req;
+      req.id = first_id + i;
+      req.client = sys.clients[i % sys.clients.size()];
+      req.document = "article";
+      req.profile = TestSystem::tolerant_profile();
+      req.cache = cache;
+      futures.push_back(service.submit(std::move(req)));
+    }
+    for (auto& f : futures) {
+      NegotiationResult resp = f.get();
+      ASSERT_NE(resp.trace, nullptr);
+      EXPECT_EQ(resp.trace->request_id(), resp.request_id);
+      EXPECT_EQ(resp.trace->verdict(), to_string(resp.verdict));
+      if (resp.session_id != 0) sys.sessions->complete(resp.session_id);
+    }
+  };
+  round(1, CacheUse::kBypass);
+  round(kRequests + 1, CacheUse::kDefault);
   service.stop();
   EXPECT_TRUE(sys.drained());
 
-  EXPECT_EQ(ring.total_recorded(), kRequests);
+  EXPECT_EQ(ring.total_recorded(), 2 * kRequests);
+  std::size_t cached_processed = 0;
+  std::size_t hits = 0;
   for (const auto& trace : ring.snapshot()) {
     EXPECT_EQ(trace->count(Stage::kQueueWait), 1u);
+    const bool bypassed = trace->request_id() <= kRequests;
     if (trace->shed() == "none") {
-      EXPECT_EQ(trace->count(Stage::kLocalCheck), 1u);
-      EXPECT_EQ(trace->count(Stage::kCompatibility), 1u);
-      EXPECT_EQ(trace->count(Stage::kEnumeration), 1u);
+      std::size_t steps_runs = 1;
+      if (bypassed) {
+        EXPECT_EQ(trace->count(Stage::kPlanCache), 0u);
+      } else {
+        ++cached_processed;
+        EXPECT_EQ(trace->count(Stage::kPlanCache), 1u);
+        const Span* lookup = trace->find(Stage::kPlanCache);
+        ASSERT_NE(lookup, nullptr);
+        ASSERT_TRUE(lookup->attr("hit") == "true" || lookup->attr("hit") == "false");
+        if (lookup->attr("hit") == "true") {
+          ++hits;
+          steps_runs = 0;
+        }
+      }
+      EXPECT_EQ(trace->count(Stage::kLocalCheck), steps_runs);
+      EXPECT_EQ(trace->count(Stage::kCompatibility), steps_runs);
+      EXPECT_EQ(trace->count(Stage::kEnumeration), steps_runs);
       EXPECT_EQ(trace->count(Stage::kCommitWalk), 1u);
     }
     if (trace->verdict() == "SUCCEEDED") {
@@ -328,6 +354,10 @@ TEST(ServiceObservability, TracesAreCompleteAndWellFormed) {
       }
     }
   }
+  // Each worker misses each client's key at most once before it has stored
+  // the plan itself; every other cached request is a hit.
+  EXPECT_GE(hits + config.workers * sys.clients.size(), cached_processed);
+  EXPECT_GT(hits, 0u);
 }
 
 // Conservation: every submitted request — processed or shed at either edge —

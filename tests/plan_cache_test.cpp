@@ -1,6 +1,7 @@
 // NegotiationPlanCache: the cross-request plan cache must be invisible in
 // every result. The differential property suite runs twin systems — one
-// manager cache-enabled, one cache-off — over 1000+ seeded (corpus, profile)
+// whose requests go through the cache, one whose requests bypass it
+// (CacheUse::kBypass) — over 1000+ seeded (corpus, profile)
 // cases including repeated requests (cache hits), document re-adds (a new
 // document object under the same id) and a flapping-server fault plan, and
 // asserts the two sides produce byte-identical NegotiationResults; two
@@ -71,6 +72,15 @@ NegotiationConfig cached_config(EnumerationStrategy strategy,
   return config;
 }
 
+/// A request its manager answers with Steps 1-4 run afresh, bypassing the
+/// manager's own cache: the uncached side of every differential below.
+NegotiationRequest bypass_request(const ClientMachine& client, const DocumentId& document,
+                                  const UserProfile& profile) {
+  NegotiationRequest request = make_negotiation_request(client, document, profile);
+  request.cache = CacheUse::kBypass;
+  return request;
+}
+
 /// A cache holding one plan, stored for document "article", `client` and
 /// `profile` under the default enumeration config and cost model (no pinned
 /// document), probed by lookups that differ from those in one value each.
@@ -79,7 +89,8 @@ struct KeyProbe {
   std::shared_ptr<const NegotiationPlan> plan = std::make_shared<NegotiationPlan>();
 
   KeyProbe(const ClientMachine& client, const UserProfile& profile) {
-    cache.store("article", client, profile, EnumerationConfig{}, CostModel{}, plan);
+    cache.store("article", client, profile, EnumerationConfig{},
+                std::make_shared<const CostModel>(), plan);
   }
   bool hits(const DocumentId& document, const ClientMachine& client, const UserProfile& profile,
             const EnumerationConfig& enumeration = {}, const CostModel& cost_model = {}) {
@@ -132,7 +143,7 @@ TEST(PlanCacheDifferential, CachedResultsMatchUncachedAcrossSeededCorpora) {
         NegotiationResult a =
             cached.negotiate(make_negotiation_request(cached_sys.client, id, profile));
         NegotiationResult b =
-            plain.negotiate(make_negotiation_request(plain_sys.client, id, profile));
+            plain.negotiate(bypass_request(plain_sys.client, id, profile));
         EXPECT_EQ(result_signature(a), result_signature(b))
             << "seed " << seed << " doc " << id << " rep " << rep;
         ++compared;
@@ -176,7 +187,7 @@ TEST(PlanCacheDifferential, ParityHoldsUnderFlappingServers) {
       NegotiationResult a =
           cached.negotiate(make_negotiation_request(cached_sys.client, "article", profile));
       NegotiationResult b =
-          plain.negotiate(make_negotiation_request(plain_sys.client, "article", profile));
+          plain.negotiate(bypass_request(plain_sys.client, "article", profile));
       EXPECT_EQ(result_signature(a), result_signature(b)) << "seed " << seed << " rep " << rep;
       ++compared;
       keep_cached.push_back(std::move(a));
@@ -231,7 +242,7 @@ TEST(PlanCacheHead, AHitCommittingTheFirstOfferSpawnsNoStream) {
       keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article",
                                                                profile, TraceContext(&trace))));
       const std::uint64_t streams = OfferStream::constructed() - streams_before;
-      keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article",
+      keep.push_back(plain.negotiate(bypass_request(plain_sys.client, "article",
                                                               profile)));
       const NegotiationResult& a = keep[keep.size() - 2];
       const NegotiationResult& b = keep.back();
@@ -316,11 +327,11 @@ TEST(PlanCacheHead, AdaptingAHitMatchesAnUncachedSession) {
   // The first request of each side is released before the second, which
   // is a hit on the cached side.
   (void)cached.negotiate(make_negotiation_request(cached_sys.client, "article", profile));
-  (void)plain.negotiate(make_negotiation_request(plain_sys.client, "article", profile));
+  (void)plain.negotiate(bypass_request(plain_sys.client, "article", profile));
   NegotiationResult a =
       cached.negotiate(make_negotiation_request(cached_sys.client, "article", profile));
   NegotiationResult b =
-      plain.negotiate(make_negotiation_request(plain_sys.client, "article", profile));
+      plain.negotiate(bypass_request(plain_sys.client, "article", profile));
   ASSERT_EQ(cached.plan_cache()->stats().hits, 1u);
   ASSERT_EQ(a.offers.stream(), nullptr);
   ASSERT_EQ(result_signature(a), result_signature(b));
@@ -372,7 +383,7 @@ TEST(PlanCacheHead, ClientsDifferingOnlyByNameAndNodeShareOnePlan) {
   std::vector<NegotiationResult> keep;
   for (const ClientMachine* client : {&cached_sys.client, &other}) {
     keep.push_back(cached.negotiate(make_negotiation_request(*client, "article", profile)));
-    keep.push_back(plain.negotiate(make_negotiation_request(*client, "article", profile)));
+    keep.push_back(plain.negotiate(bypass_request(*client, "article", profile)));
     const NegotiationResult& a = keep[keep.size() - 2];
     const NegotiationResult& b = keep.back();
     EXPECT_EQ(result_signature(a), result_signature(b)) << client->name;
@@ -405,7 +416,7 @@ TEST(PlanCacheHead, StepTwoTextNamesTheAskingClient) {
     const NegotiationResult a =
         cached.negotiate(make_negotiation_request(*client, "article", profile));
     const NegotiationResult b =
-        plain.negotiate(make_negotiation_request(*client, "article", profile));
+        plain.negotiate(bypass_request(*client, "article", profile));
     EXPECT_EQ(result_signature(a), result_signature(b)) << client->name;
     EXPECT_EQ(a.verdict, NegotiationStatus::kFailedWithoutOffer);
     ASSERT_EQ(a.problems.size(), 1u);
@@ -492,7 +503,8 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
   const DocumentId &a = ids[0], &b = ids[1], &c = ids[2];
   auto plan = std::make_shared<NegotiationPlan>();
   const auto store = [&](const DocumentId& id) {
-    cache.store(id, client, profile, EnumerationConfig{}, CostModel{}, plan);
+    cache.store(id, client, profile, EnumerationConfig{}, std::make_shared<const CostModel>(),
+                plan);
   };
   const auto lookup = [&](const DocumentId& id) {
     return cache.lookup(id, client, profile, EnumerationConfig{}, CostModel{}, nullptr);
@@ -568,7 +580,7 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
     const UserProfile* const requests[] = {&profile, variant};
     for (const UserProfile* p : requests) {
       keep.push_back(cached.negotiate(make_negotiation_request(cached_sys.client, "article", *p)));
-      keep.push_back(plain.negotiate(make_negotiation_request(plain_sys.client, "article", *p)));
+      keep.push_back(plain.negotiate(bypass_request(plain_sys.client, "article", *p)));
       EXPECT_EQ(result_signature(keep[keep.size() - 2]), result_signature(keep.back()));
     }
     EXPECT_EQ(cache->stats().misses, 2u);
@@ -586,7 +598,8 @@ TEST(PlanCache, KeyCoversInputsButNotProfileName) {
   trimmed_plan->document = trimmed;
   NegotiationPlanCache cache;
   const auto store = [&] {
-    cache.store("article", sys.client, profile, EnumerationConfig{}, CostModel{}, trimmed_plan);
+    cache.store("article", sys.client, profile, EnumerationConfig{},
+                std::make_shared<const CostModel>(), trimmed_plan);
   };
   const auto lookup = [&](const MultimediaDocument* current) {
     return cache.lookup("article", sys.client, profile, EnumerationConfig{}, CostModel{},
@@ -615,7 +628,8 @@ TEST(PlanCache, ValuesOutsideTheHashAreToldApartByEquality) {
     return cache.lookup("article", sys.client, p, EnumerationConfig{}, CostModel{}, nullptr);
   };
   const auto store = [&](const UserProfile& p, std::shared_ptr<const NegotiationPlan> plan) {
-    cache.store("article", sys.client, p, EnumerationConfig{}, CostModel{}, std::move(plan));
+    cache.store("article", sys.client, p, EnumerationConfig{},
+                std::make_shared<const CostModel>(), std::move(plan));
   };
   const auto first_plan = std::make_shared<const NegotiationPlan>();
   const auto second_plan = std::make_shared<const NegotiationPlan>();
@@ -652,7 +666,7 @@ TEST(PlanCache, ValuesOutsideTheHashAreToldApartByEquality) {
     const NegotiationResult a =
         cached.negotiate(make_negotiation_request(cached_sys.client, "article", *p));
     const NegotiationResult b =
-        plain.negotiate(make_negotiation_request(plain_sys.client, "article", *p));
+        plain.negotiate(bypass_request(plain_sys.client, "article", *p));
     EXPECT_EQ(result_signature(a), result_signature(b));
   }
   stats = shared->stats();
@@ -692,7 +706,7 @@ TEST(PlanCache, CatalogsSharingOneCacheNeverAlias) {
       NegotiationResult a = full.negotiate(make_negotiation_request(full_sys.client, "article",
                                                                     profile));
       NegotiationResult b = full_plain.negotiate(
-          make_negotiation_request(full_plain_sys.client, "article", profile));
+          bypass_request(full_plain_sys.client, "article", profile));
       EXPECT_EQ(result_signature(a), result_signature(b)) << "full rep " << rep;
       keep.push_back(std::move(a));
       keep.push_back(std::move(b));
@@ -700,7 +714,7 @@ TEST(PlanCache, CatalogsSharingOneCacheNeverAlias) {
     NegotiationResult c =
         cut.negotiate(make_negotiation_request(trimmed_sys.client, "article", profile));
     NegotiationResult d = cut_plain.negotiate(
-        make_negotiation_request(trimmed_plain_sys.client, "article", profile));
+        bypass_request(trimmed_plain_sys.client, "article", profile));
     EXPECT_EQ(result_signature(c), result_signature(d)) << "trimmed rep " << rep;
     EXPECT_NE(result_signature(c), result_signature(keep.back())) << "rep " << rep;
     keep.push_back(std::move(c));

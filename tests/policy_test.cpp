@@ -21,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "core/plan_cache.hpp"
 #include "document/corpus.hpp"
+#include "obs/trace.hpp"
 #include "result_signature.hpp"
 #include "session/session.hpp"
 #include "sim/population.hpp"
@@ -263,6 +265,49 @@ TEST(Preemption, DisabledEngineNeverTouchesSessions) {
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->state, SessionState::kPlaying);
   }
+  drain_all(sys);
+  EXPECT_TRUE(sys.drained());
+}
+
+// A re-negotiation after a victim replays the plan the manager's own cache
+// kept (a default NegotiationConfig caches): each negotiate() of the request
+// shows a plan-cache span with hit=true, and none runs Steps 1-4.
+TEST(Preemption, RenegotiationAfterAVictimIsAPlanCacheHit) {
+  ServiceSystem sys = congested_system(20'000'000);
+  PreemptionPolicy policy;
+  policy.enabled = true;
+  PolicyEngine engine(*sys.manager, *sys.sessions, policy);
+  const std::vector<SessionClass> mix = {SessionClass::kBestEffort};
+  std::uint64_t next_id = 1;
+  fill_until_shed(sys, engine, mix, next_id);
+  const PlanCacheStats before = sys.manager->plan_cache()->stats();
+
+  std::size_t victims = 0;
+  engine.set_victim_observer([&](const VictimEvent&) { ++victims; });
+  NegotiationTrace trace(next_id);
+  NegotiationRequest request =
+      class_request(sys.clients[0], "article", SessionClass::kPremium, next_id++);
+  request.trace = TraceContext(&trace);
+  NegotiationResult result = engine.negotiate(request);
+  ASSERT_TRUE(result.has_commitment());
+  ASSERT_GE(victims, 1u);
+
+  EXPECT_EQ(trace.count(Stage::kPreemption), 1u);
+  EXPECT_EQ(trace.count(Stage::kPlanCache), 1 + victims);
+  for (const Span& span : trace.spans()) {
+    if (span.stage == Stage::kPlanCache) {
+      EXPECT_EQ(span.attr("hit"), "true");
+    }
+  }
+  EXPECT_EQ(trace.count(Stage::kLocalCheck), 0u);
+  EXPECT_EQ(trace.count(Stage::kCompatibility), 0u);
+  EXPECT_EQ(trace.count(Stage::kEnumeration), 0u);
+  const PlanCacheStats after = sys.manager->plan_cache()->stats();
+  EXPECT_EQ(after.hits - before.hits, 1 + victims);
+  EXPECT_EQ(after.misses, before.misses);
+
+  result.commitment.release();
+  engine.set_victim_observer(nullptr);
   drain_all(sys);
   EXPECT_TRUE(sys.drained());
 }
